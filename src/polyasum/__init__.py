@@ -14,17 +14,17 @@ from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
                          density_ratio, density_stats, papangelou_kernel,
                          solve_zw, solve_zw_batch, stat_U, stat_V)
 from .expint import e1, e1_inverse
-from .samplers import (AtomicBatch, ConfigurationBatch, MixingMeasure,
-                       PolyaParams, RngSeed, as_generator,
+from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
                        sample_gamma_measure, sample_gamma_measure_batch,
                        sample_mixed, sample_mixed_batch, sample_poisson,
                        sample_poisson_batch, sample_polya_cox,
                        sample_polya_cox_batch, sample_polya_direct,
                        sample_polya_direct_batch, sample_posterior,
                        sample_posterior_batch)
-from .state_space import (AtomicMeasure, InvalidMeasureError,
-                          PointConfiguration, ReferenceMeasure, TestFunction,
-                          Window, WindowMismatchError, count, distinct_count,
+from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
+                          InvalidMeasureError, PointConfiguration,
+                          ReferenceMeasure, TestFunction, Window,
+                          WindowMismatchError, count, distinct_count,
                           superpose, zeta)
 from .transforms import (ParameterError, TransformResult, empirical_laplace,
                          joint_laplace, laplace_gp, laplace_polya,

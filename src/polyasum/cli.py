@@ -182,25 +182,20 @@ def run_simulate(config: ExperimentConfig) -> int:
     if route in ("direct", "cox", "poisson", "gamma"):
         rho = config.reference_measure("rho", window)
         if route == "poisson":
-            samples = sample_poisson_batch(rho, n, rng).to_configurations()
-        elif route == "gamma":
-            params = PolyaParams(config.z(), rho)
-            samples = sample_gamma_measure_batch(
-                params, config.eps, n, rng).to_measures()
+            batch = sample_poisson_batch(rho, n, rng)
         else:
             params = PolyaParams(config.z(), rho)
-            if route == "direct":
-                samples = sample_polya_direct_batch(
-                    params, n, rng).to_configurations()
+            if route == "gamma":
+                batch = sample_gamma_measure_batch(params, config.eps, n, rng)
+            elif route == "direct":
+                batch = sample_polya_direct_batch(params, n, rng)
             else:
-                samples = sample_polya_cox_batch(
-                    params, config.eps, n, rng).to_configurations()
+                batch = sample_polya_cox_batch(params, config.eps, n, rng)
     elif route == "mixed":
         mixing = config.mixing(window)
         batch, z_lat, w_lat = sample_mixed_batch(
             mixing, config.raw.get("mixed_route", "direct"), config.eps, n,
             rng)
-        samples = batch.to_configurations()
         latents = [{"z": float(z), "w": float(w)}
                    for z, w in zip(z_lat, w_lat)]
     else:
@@ -209,11 +204,10 @@ def run_simulate(config: ExperimentConfig) -> int:
 
     if config.fmt == "csv":
         # flat count histogram; measures stay JSON-only
-        counts = [getattr(s, "total_count", None) for s in samples]
-        if any(c is None for c in counts):
+        if route == "gamma":
             raise ConfigError("csv output is only defined for point "
                               "configurations (field 'route')")
-        ks, freq = np.unique(np.asarray(counts), return_counts=True)
+        ks, freq = np.unique(batch.counts(), return_counts=True)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["count", "frequency"])
@@ -222,6 +216,8 @@ def run_simulate(config: ExperimentConfig) -> int:
         _write_output(buf.getvalue(), config.out)
         return 0
 
+    samples = (batch.to_measures() if route == "gamma"
+               else batch.to_configurations())
     docs = [s.to_dict() for s in samples]
     if latents is not None:
         for doc, lat in zip(docs, latents):
@@ -396,10 +392,6 @@ def load_config(args) -> ExperimentConfig:
                           f"csv; got {config.fmt!r}")
     if config.n < 1:
         raise ConfigError("config field 'n' must be >= 1")
-    if "seed" not in raw and args.seed is None:
-        # no wall-clock seeding: a missing seed defaults to 0 so runs
-        # are always reproducible
-        config.seed = 0
     return config
 
 

@@ -74,23 +74,13 @@ class ZWEstimate:
 def stat_U(mu: PointConfiguration, rho0: ReferenceMeasure,
            cells=None) -> float:
     """Point density with multiplicity: count(mu, B) / rho0(B)."""
-    if cells is None:
-        cells = rho0.window.all_cells
-    mass = rho0.mass_of_cells(cells)
-    if mass <= 0:
-        raise ValueError("estimation region has zero reference mass")
-    return count(mu, cells) / mass
+    return density_stats(mu, rho0, cells).u
 
 
 def stat_V(mu: PointConfiguration, rho0: ReferenceMeasure,
            cells=None) -> float:
     """Distinct-point density: distinct_count(mu, B) / rho0(B)."""
-    if cells is None:
-        cells = rho0.window.all_cells
-    mass = rho0.mass_of_cells(cells)
-    if mass <= 0:
-        raise ValueError("estimation region has zero reference mass")
-    return distinct_count(mu, cells) / mass
+    return density_stats(mu, rho0, cells).v
 
 
 def density_stats(mu: PointConfiguration, rho0: ReferenceMeasure,

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expint import e1, e1_inverse
-from .state_space import (AtomicMeasure, InvalidMeasureError,
-                          PointConfiguration, ReferenceMeasure, TestFunction,
-                          Window)
+from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
+                          InvalidMeasureError, PointConfiguration,
+                          ReferenceMeasure, Window, _empty_coords, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -110,104 +110,8 @@ def as_generator(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Flat batch containers
+# Flat batch helpers (the record format lives in state_space)
 # ---------------------------------------------------------------------------
-
-def _empty_coords(window: Window):
-    if window.mode == "sites":
-        return np.empty(0, dtype=np.int64)
-    return np.empty((0, window.dimension))
-
-
-@dataclass
-class ConfigurationBatch:
-    """n point configurations as flat record arrays.
-
-    One record per distinct located point: replica index, flat cell
-    index, multiplicity, and raw coordinates.  Records with equal
-    coordinates can only arise on the atoms of an atomic reference
-    measure; conversions to objects merge them.
-    """
-
-    window: Window
-    n: int
-    rep: np.ndarray
-    cell: np.ndarray
-    mult: np.ndarray
-    coords: np.ndarray
-
-    def zeta(self, f: TestFunction) -> np.ndarray:
-        """Per-replica integral of f, shape (n,)."""
-        contrib = self.mult * f.values[self.cell]
-        return np.bincount(self.rep, weights=contrib, minlength=self.n)
-
-    def counts(self, cells=None) -> np.ndarray:
-        """Per-replica point counts with multiplicity."""
-        if cells is None:
-            return np.bincount(self.rep, weights=self.mult,
-                               minlength=self.n).astype(np.int64)
-        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
-        return np.bincount(self.rep[mask], weights=self.mult[mask],
-                           minlength=self.n).astype(np.int64)
-
-    def distinct_counts(self, cells=None) -> np.ndarray:
-        """Per-replica counts of distinct locations."""
-        if cells is None:
-            return np.bincount(self.rep, minlength=self.n)
-        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
-        return np.bincount(self.rep[mask], minlength=self.n)
-
-    def to_configurations(self) -> list:
-        out = []
-        order = np.argsort(self.rep, kind="stable")
-        rep = self.rep[order]
-        bounds = np.searchsorted(rep, np.arange(self.n + 1))
-        sites = self.window.mode == "sites"
-        for i in range(self.n):
-            rows = order[bounds[i]:bounds[i + 1]]
-            merged = {}
-            for r in rows:
-                loc = (self.window.sites[self.coords[r]] if sites
-                       else tuple(float(v) for v in self.coords[r]))
-                merged[loc] = merged.get(loc, 0) + int(self.mult[r])
-            out.append(PointConfiguration(self.window, tuple(merged.items())))
-        return out
-
-
-@dataclass
-class AtomicBatch:
-    """n atomic measures as flat record arrays (rep, cell, weight, coords)."""
-
-    window: Window
-    n: int
-    rep: np.ndarray
-    cell: np.ndarray
-    weight: np.ndarray
-    coords: np.ndarray
-
-    def zeta(self, h: TestFunction) -> np.ndarray:
-        contrib = self.weight * h.values[self.cell]
-        return np.bincount(self.rep, weights=contrib, minlength=self.n)
-
-    def masses(self) -> np.ndarray:
-        return np.bincount(self.rep, weights=self.weight, minlength=self.n)
-
-    def to_measures(self) -> list:
-        out = []
-        order = np.argsort(self.rep, kind="stable")
-        rep = self.rep[order]
-        bounds = np.searchsorted(rep, np.arange(self.n + 1))
-        sites = self.window.mode == "sites"
-        for i in range(self.n):
-            rows = order[bounds[i]:bounds[i + 1]]
-            merged = {}
-            for r in rows:
-                loc = (self.window.sites[self.coords[r]] if sites
-                       else tuple(float(v) for v in self.coords[r]))
-                merged[loc] = merged.get(loc, 0.0) + float(self.weight[r])
-            out.append(AtomicMeasure(self.window, tuple(merged.items())))
-        return out
-
 
 def _empty_config_batch(window: Window, n: int) -> ConfigurationBatch:
     return ConfigurationBatch(window, n, np.empty(0, dtype=np.int64),
@@ -264,24 +168,14 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
             coords.append(cell_flat.copy())
         else:
             coords.append(window.uniform_in_cells(cell_flat, rng))
-    if atoms:
-        weights = np.array([w for _, w in atoms])
-        live = weights > 0
-        if live.any():
-            k = rng.poisson(lam=weights[live], size=(n, int(live.sum())))
-            rep_idx, a_idx = np.nonzero(k)
-            mult = k[rep_idx, a_idx]
-            live_atoms = [atoms[i] for i in np.flatnonzero(live)]
-            atom_cells = np.array([window.cell_of(loc) for loc, _ in live_atoms],
-                                  dtype=np.int64)
-            reps.append(rep_idx)
-            cells.append(atom_cells[a_idx])
-            mults.append(mult.astype(np.int64))
-            if window.mode == "sites":
-                coords.append(atom_cells[a_idx].copy())
-            else:
-                pts = np.array([loc for loc, _ in live_atoms], dtype=float)
-                coords.append(pts[a_idx])
+    live = tuple((loc, w) for loc, w in atoms if w > 0)
+    if live:
+        hits = _poisson_from_atomic_batch(
+            AtomicBatch(window, n, *_tile(window, live, n)), rng)
+        reps.append(hits.rep)
+        cells.append(hits.cell)
+        mults.append(hits.mult)
+        coords.append(hits.coords)
     if not reps:
         return _empty_config_batch(window, n)
     return ConfigurationBatch(
@@ -362,6 +256,11 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     reps = np.concatenate([rep_below, np.arange(n, dtype=np.int64),
                            np.arange(n, dtype=np.int64)])
     weights = np.concatenate([radii_below, radii_last, remainder])
+    # at small reference mass e1_inverse underflows to 0 for late
+    # arrivals; such atoms carry no mass, so dropping them leaves the
+    # law unchanged and keeps every replica a valid measure
+    live = weights > 0
+    reps, weights = reps[live], weights[live]
     cells, coords, _ = params.rho.sample_locations(weights.size, rng)
     return AtomicBatch(window, n, reps, cells, weights, coords)
 
@@ -460,35 +359,8 @@ def sample_posterior_batch(mu: PointConfiguration, params: PolyaParams,
     over rho plus, at each observed point (x, k), an independent
     Gamma(k, a+1) weight.
     """
-    _check_z_open(params.z)
-    rng = as_generator(rng)
-    if mu.window != params.window:
-        raise InvalidMeasureError("observation and parameters share no window")
-    z_post = params.z / (1.0 + params.z)
-    a_post = params.a + 1.0
-    diffuse = sample_gamma_measure_batch(
-        PolyaParams(z_post, params.rho), eps, n, rng)
-    if not mu.points:
-        return diffuse
-    window = params.window
-    mults = np.array([k for _, k in mu.points], dtype=float)
-    point_cells = np.array([window.cell_of(loc) for loc, _ in mu.points],
-                           dtype=np.int64)
-    weights = rng.gamma(shape=mults, scale=1.0 / a_post,
-                        size=(n, mults.size))
-    rep = np.repeat(np.arange(n, dtype=np.int64), mults.size)
-    cells = np.tile(point_cells, n)
-    if window.mode == "sites":
-        coords = cells.copy()
-    else:
-        pts = np.array([loc for loc, _ in mu.points], dtype=float)
-        coords = np.tile(pts, (n, 1))
-    return AtomicBatch(
-        window, n,
-        np.concatenate([diffuse.rep, rep]),
-        np.concatenate([diffuse.cell, cells]),
-        np.concatenate([diffuse.weight, weights.ravel()]),
-        _concat_coords(window, [diffuse.coords, coords]))
+    mus = ConfigurationBatch(mu.window, n, *_tile(mu.window, mu.points, n))
+    return _posterior_from_config_batch(mus, params, eps, rng)
 
 
 def sample_posterior(mu: PointConfiguration, params: PolyaParams, eps: float,
@@ -506,6 +378,8 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     """
     _check_z_open(params.z)
     rng = as_generator(rng)
+    if mus.window != params.window:
+        raise InvalidMeasureError("observation and parameters share no window")
     z_post = params.z / (1.0 + params.z)
     a_post = params.a + 1.0
     diffuse = sample_gamma_measure_batch(

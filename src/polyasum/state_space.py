@@ -10,8 +10,14 @@ label (discrete windows).  Two points coincide iff their coordinates
 are bit-equal; multiplicities are merged only where coincidence is
 constructed deliberately (atomic intensities, observed points).
 
-All types are immutable values after construction and safe to share
-across threads.
+Samples of any size share one record format: a batch holds n replicas
+as flat arrays with one row per located point or atom (replica index,
+flat cell index, multiplicity or weight, raw coordinates).  Single
+configurations and measures convert to and from batches here, and
+their evaluation maps are one-replica batch views.
+
+The measure types are immutable values after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -175,9 +181,6 @@ class Window:
             width = (hi - lo) / n
             coords[:, axis] = lo + (idx + rng.random(cells.size)) * width
         return coords
-
-    def location_from_coords(self, row: np.ndarray) -> Location:
-        return tuple(float(v) for v in row)
 
     def to_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION, "mode": self.mode}
@@ -370,30 +373,22 @@ class ReferenceMeasure:
         indices for discrete ones), and the index of the atom hit
         (-1 for diffuse draws).  Used by every sampler.
         """
-        weights = np.concatenate([
-            self.cell_masses, np.array([w for _, w in self.atoms])]) \
-            if self.atoms else self.cell_masses
+        _, atom_cells, atom_weights, atom_coords = _tile(
+            self.window, self.atoms, 1)
+        weights = np.concatenate([self.cell_masses, atom_weights])
         total = weights.sum()
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
         picks = rng.choice(weights.size, size=size, p=weights / total)
         atom_idx = np.where(picks >= n_cells, picks - n_cells, -1)
+        hit = np.flatnonzero(atom_idx >= 0)
         cells = picks.copy()
-        if self.atoms:
-            atom_cells = np.array([self.window.cell_of(loc)
-                                   for loc, _ in self.atoms], dtype=np.int64)
-            hit = atom_idx >= 0
-            cells[hit] = atom_cells[atom_idx[hit]]
+        cells[hit] = atom_cells[atom_idx[hit]]
         if self.window.mode == "sites":
             return cells, cells.copy(), atom_idx
         coords = self.window.uniform_in_cells(cells, rng)
-        if self.atoms:
-            hit = np.flatnonzero(atom_idx >= 0)
-            if hit.size:
-                atom_coords = np.array([loc for loc, _ in self.atoms],
-                                       dtype=float)
-                coords[hit] = atom_coords[atom_idx[hit]]
+        coords[hit] = atom_coords[atom_idx[hit]]
         return cells, coords, atom_idx
 
     def to_dict(self) -> dict:
@@ -477,6 +472,141 @@ class TestFunction:
 Measure = Union[PointConfiguration, AtomicMeasure, ReferenceMeasure]
 
 
+# ---------------------------------------------------------------------------
+# Flat record batches
+# ---------------------------------------------------------------------------
+
+def _empty_coords(window: Window):
+    if window.mode == "sites":
+        return np.empty(0, dtype=np.int64)
+    return np.empty((0, window.dimension))
+
+
+def _tile(window: Window, pairs, n: int):
+    """Records of n replicas that each hold every (location, value) pair.
+
+    Returns (rep, cell, value, coords) in replica-major order; site
+    windows store the cell index as the coordinate.
+    """
+    cells = np.array([window.cell_of(loc) for loc, _ in pairs],
+                     dtype=np.int64)
+    if window.mode == "sites":
+        coords = cells
+    elif pairs:
+        coords = np.array([loc for loc, _ in pairs], dtype=float)
+    else:
+        coords = _empty_coords(window)
+    values = np.array([v for _, v in pairs])
+    idx = np.tile(np.arange(len(pairs)), n)
+    return (np.repeat(np.arange(n, dtype=np.int64), len(pairs)),
+            cells[idx], values[idx], coords[idx])
+
+
+def _split(batch, values: np.ndarray, cls, cast) -> list:
+    """One ``cls`` object per replica of ``batch``; records at the same
+    location merge by adding their ``values``."""
+    order = np.argsort(batch.rep, kind="stable")
+    bounds = np.searchsorted(batch.rep[order], np.arange(batch.n + 1))
+    window = batch.window
+    sites = window.mode == "sites"
+    out = []
+    for i in range(batch.n):
+        merged = {}
+        for r in order[bounds[i]:bounds[i + 1]]:
+            loc = (window.sites[batch.coords[r]] if sites
+                   else tuple(float(v) for v in batch.coords[r]))
+            merged[loc] = merged.get(loc, 0) + cast(values[r])
+        out.append(cls(window, tuple(merged.items())))
+    return out
+
+
+@dataclass
+class ConfigurationBatch:
+    """n point configurations as flat record arrays.
+
+    One record per distinct located point: replica index, flat cell
+    index, multiplicity, and raw coordinates.  Records with equal
+    coordinates can only arise on the atoms of an atomic reference
+    measure; conversions to objects merge them.
+    """
+
+    window: Window
+    n: int
+    rep: np.ndarray
+    cell: np.ndarray
+    mult: np.ndarray
+    coords: np.ndarray
+
+    def zeta(self, f: TestFunction) -> np.ndarray:
+        """Per-replica integral of f, shape (n,)."""
+        contrib = self.mult * f.values[self.cell]
+        return np.bincount(self.rep, weights=contrib, minlength=self.n)
+
+    def counts(self, cells=None) -> np.ndarray:
+        """Per-replica point counts with multiplicity."""
+        if cells is None:
+            return np.bincount(self.rep, weights=self.mult,
+                               minlength=self.n).astype(np.int64)
+        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
+        return np.bincount(self.rep[mask], weights=self.mult[mask],
+                           minlength=self.n).astype(np.int64)
+
+    def distinct_counts(self, cells=None) -> np.ndarray:
+        """Per-replica counts of distinct locations."""
+        if cells is None:
+            return np.bincount(self.rep, minlength=self.n)
+        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
+        return np.bincount(self.rep[mask], minlength=self.n)
+
+    def to_configurations(self) -> list:
+        return _split(self, self.mult, PointConfiguration, int)
+
+
+@dataclass
+class AtomicBatch:
+    """n atomic measures as flat record arrays (rep, cell, weight, coords)."""
+
+    window: Window
+    n: int
+    rep: np.ndarray
+    cell: np.ndarray
+    weight: np.ndarray
+    coords: np.ndarray
+
+    def zeta(self, h: TestFunction) -> np.ndarray:
+        contrib = self.weight * h.values[self.cell]
+        return np.bincount(self.rep, weights=contrib, minlength=self.n)
+
+    def masses(self) -> np.ndarray:
+        return np.bincount(self.rep, weights=self.weight, minlength=self.n)
+
+    def to_measures(self) -> list:
+        return _split(self, self.weight, AtomicMeasure, float)
+
+
+def _one_replica(measure: PointConfiguration | AtomicMeasure):
+    """The batch of one replica holding ``measure``."""
+    if isinstance(measure, PointConfiguration):
+        return ConfigurationBatch(measure.window, 1,
+                                  *_tile(measure.window, measure.points, 1))
+    return AtomicBatch(measure.window, 1,
+                       *_tile(measure.window, measure.atoms, 1))
+
+
+def _integrate_cellwise(rho: ReferenceMeasure, values: np.ndarray) -> float:
+    """Exact integral of a per-cell array against rho (atoms included).
+
+    Infinite values on zero-mass cells contribute nothing.
+    """
+    mass = rho.cell_masses
+    pos = mass > 0
+    total = float(np.dot(mass[pos], values[pos])) if pos.any() else 0.0
+    for loc, w in rho.atoms:
+        if w > 0:
+            total += w * float(values[rho.window.cell_of(loc)])
+    return total
+
+
 def zeta(measure: Measure, f: TestFunction) -> float:
     """Evaluate the integral of ``f`` against ``measure``.
 
@@ -485,35 +615,21 @@ def zeta(measure: Measure, f: TestFunction) -> float:
     values.  Infinite f-values on zero-mass cells contribute nothing.
     """
     _require_same_window(measure, f)
-    win = measure.window
-    if isinstance(measure, PointConfiguration):
-        return float(sum(m * f.values[win.cell_of(loc)]
-                         for loc, m in measure.points))
-    if isinstance(measure, AtomicMeasure):
-        return float(sum(w * f.values[win.cell_of(loc)]
-                         for loc, w in measure.atoms))
     if isinstance(measure, ReferenceMeasure):
-        mass = measure.cell_masses
-        pos = mass > 0
-        diffuse = float(np.dot(mass[pos], f.values[pos])) if pos.any() else 0.0
-        atomic = sum(w * f.values[win.cell_of(loc)]
-                     for loc, w in measure.atoms if w > 0)
-        return float(diffuse + atomic)
+        return _integrate_cellwise(measure, f.values)
+    if isinstance(measure, (PointConfiguration, AtomicMeasure)):
+        return float(_one_replica(measure).zeta(f)[0])
     raise TypeError(f"cannot integrate against {type(measure).__name__}")
 
 
 def count(mu: PointConfiguration, cells) -> int:
     """Number of points of ``mu`` in a cell union, with multiplicity."""
-    cell_set = set(np.asarray(cells, dtype=np.int64).tolist())
-    win = mu.window
-    return int(sum(m for loc, m in mu.points if win.cell_of(loc) in cell_set))
+    return int(_one_replica(mu).counts(cells)[0])
 
 
 def distinct_count(mu: PointConfiguration, cells) -> int:
     """Number of distinct point locations of ``mu`` in a cell union."""
-    cell_set = set(np.asarray(cells, dtype=np.int64).tolist())
-    win = mu.window
-    return int(sum(1 for loc, _ in mu.points if win.cell_of(loc) in cell_set))
+    return int(_one_replica(mu).distinct_counts(cells)[0])
 
 
 def superpose(rho: ReferenceMeasure, mu: PointConfiguration) -> ReferenceMeasure:

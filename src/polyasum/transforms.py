@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state_space import (ReferenceMeasure, TestFunction,
-                          _require_same_window, zeta)
+                          _integrate_cellwise, _require_same_window, zeta)
 
 
 class ParameterError(ValueError):
@@ -48,20 +48,6 @@ class TransformResult:
     @classmethod
     def from_log(cls, log_value: float) -> "TransformResult":
         return cls(log_value=float(log_value), value=float(np.exp(log_value)))
-
-
-def _integrate_cellwise(rho: ReferenceMeasure, values: np.ndarray) -> float:
-    """Exact integral of a per-cell array against rho (atoms included).
-
-    Infinite values on zero-mass cells contribute nothing.
-    """
-    mass = rho.cell_masses
-    pos = mass > 0
-    total = float(np.dot(mass[pos], values[pos])) if pos.any() else 0.0
-    for loc, w in rho.atoms:
-        if w > 0:
-            total += w * float(values[rho.window.cell_of(loc)])
-    return total
 
 
 def laplace_gp(h: TestFunction, z: float, rho: ReferenceMeasure) -> TransformResult:
@@ -181,22 +167,22 @@ def polya_campbell_exact(f: TestFunction, g: TestFunction, z: float,
     return lap.value * _integrate_cellwise(rho, integrand)
 
 
+def _mean_se(values):
+    """Sample mean and standard error of per-replica values."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("need at least 2 replicas")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def empirical_laplace(samples, f: TestFunction):
     """Sample mean and standard error of e^(-zeta(., f)).
 
     Accepts point configurations or atomic measures.
     """
-    if len(samples) < 2:
-        raise ValueError("empirical_laplace needs at least 2 samples")
-    vals = np.array([math.exp(-zeta(s, f)) for s in samples])
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return est, stderr
+    return _mean_se([math.exp(-zeta(s, f)) for s in samples])
 
 
 def empirical_laplace_from_values(zeta_values: np.ndarray):
     """Same as :func:`empirical_laplace`, from precomputed zeta values."""
-    vals = np.exp(-np.asarray(zeta_values, dtype=float))
-    if vals.size < 2:
-        raise ValueError("need at least 2 samples")
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+    return _mean_se(np.exp(-np.asarray(zeta_values, dtype=float)))

@@ -24,9 +24,10 @@ from .samplers import (MixingMeasure, PolyaParams,
                        sample_gamma_measure_batch, sample_mixed_batch,
                        sample_poisson_batch, sample_polya_cox_batch,
                        sample_polya_direct_batch)
-from .state_space import ReferenceMeasure, TestFunction, Window, zeta
-from .transforms import (ParameterError, _integrate_cellwise, joint_laplace,
-                         laplace_gp, laplace_polya, polya_campbell_exact)
+from .state_space import (ReferenceMeasure, TestFunction, Window,
+                          _integrate_cellwise, zeta)
+from .transforms import (ParameterError, _mean_se, joint_laplace, laplace_gp,
+                         laplace_polya, polya_campbell_exact)
 
 # Truncation bias enters the tolerance linearly; the constant is
 # generous relative to the observed O(eps^2) bias of the mass-unbiased
@@ -80,34 +81,20 @@ class CheckReport:
                 f"|z|={abs(self.z_score):.2f} n={self.n}")
 
 
-def _mean_se(values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least 2 replicas")
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _paired_z(lhs: np.ndarray, rhs: np.ndarray, slack: float = 0.0):
-    """z-score and pass flag for a paired comparison of two per-replica
-    statistics.  Degenerate (zero-variance) differences pass on exact
-    agreement."""
-    diff = lhs - rhs
-    mean, se = _mean_se(diff)
-    if se == 0.0:
-        passed = abs(mean) <= _DEGENERATE_ATOL + slack
-        z = 0.0 if passed else math.inf
-        return z, passed, mean, se
-    z = mean / se
-    passed = abs(mean) <= 3.0 * se + slack
-    return z, passed, mean, se
-
-
 def _exact_z(mean: float, se: float, exact: float, slack: float = 0.0):
+    """z-score and pass flag of an estimate against a target value.
+    Degenerate (zero-variance) estimates pass on exact agreement."""
     if se == 0.0:
         passed = abs(mean - exact) <= _DEGENERATE_ATOL + slack
         return (0.0 if passed else math.inf), passed
     z = (mean - exact) / se
     return z, abs(mean - exact) <= 3.0 * se + slack
+
+
+def _paired_z(lhs: np.ndarray, rhs: np.ndarray, slack: float = 0.0):
+    """z-score and pass flag for a paired comparison of two per-replica
+    statistics."""
+    return _exact_z(*_mean_se(lhs - rhs), 0.0, slack)
 
 
 def _damped(f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
@@ -152,7 +139,7 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     exact = rho_feg * math.exp(-_integrate_cellwise(
         rho, -np.expm1(-g.values)))
 
-    z_pair, ok_pair, _, _ = _paired_z(lhs, rhs)
+    z_pair, ok_pair = _paired_z(lhs, rhs)
     lm, ls = _mean_se(lhs)
     rm, rs = _mean_se(rhs)
     z_le, ok_le = _exact_z(lm, ls, exact)
@@ -202,7 +189,7 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     rhs = z_kernel * (rho_feg + batch.zeta(feg_fn)) * weight
     exact = polya_campbell_exact(f, g, params.z, params.rho)
 
-    z_pair, ok_pair, _, _ = _paired_z(lhs, rhs, slack)
+    z_pair, ok_pair = _paired_z(lhs, rhs, slack)
     lm, ls = _mean_se(lhs)
     rm, rs = _mean_se(rhs)
     z_le, ok_le = _exact_z(lm, ls, exact, slack)
@@ -243,13 +230,7 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     exact = joint_laplace(g, h, params.z, params.rho).value
     fm, fs = _mean_se(fwd)
     bm, bs = _mean_se(bwd)
-    se_fb = math.hypot(fs, bs)
-    if se_fb == 0.0:
-        ok_fb = abs(fm - bm) <= _DEGENERATE_ATOL + slack
-        z_fb = 0.0 if ok_fb else math.inf
-    else:
-        z_fb = (fm - bm) / se_fb
-        ok_fb = abs(fm - bm) <= 3.0 * se_fb + slack
+    z_fb, ok_fb = _exact_z(fm, math.hypot(fs, bs), bm, slack)
     z_fe, ok_fe = _exact_z(fm, fs, exact, slack)
     z_be, ok_be = _exact_z(bm, bs, exact, slack)
     return CheckReport(
@@ -310,7 +291,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     lhs_ok = lhs[feasible]
     rhs_ok = rhs[feasible]
     slack = EPS_ALLOWANCE * eps if route == "cox" else 0.0
-    z_pair, ok_pair, _, _ = _paired_z(lhs_ok, rhs_ok, slack)
+    z_pair, ok_pair = _paired_z(lhs_ok, rhs_ok, slack)
     lm, ls = _mean_se(lhs_ok)
     rm, rs = _mean_se(rhs_ok)
 

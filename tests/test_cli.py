@@ -83,6 +83,45 @@ class TestSimulate:
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 50
 
+    @pytest.mark.parametrize("route", ["direct", "cox", "poisson", "mixed"])
+    def test_csv_histogram_matches_configurations(self, tmp_path, route):
+        rho = {"masses": [0.5, 0.0, 1.0, 0.5],
+               "atoms": [{"loc": [0.3], "weight": 1.0}]}
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": rho, "rho0": rho, "z": 0.5,
+            "route": route, "n": 200, "seed": 9, "eps": 1e-4,
+            "mixing": {"atoms": [{"z": 0.3, "w": 1.0, "p": 0.5},
+                                 {"z": 0.7, "w": 2.0, "p": 0.5}]},
+        })
+        csv_out, jsonl_out = tmp_path / "out.csv", tmp_path / "out.jsonl"
+        assert main(["simulate", "--config", cfg, "--out", str(csv_out),
+                     "--format", "csv"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(jsonl_out),
+                     "--format", "jsonl"]) == 0
+        totals = [sum(p["mult"] for p in json.loads(line)["points"])
+                  for line in jsonl_out.read_text().splitlines()]
+        expected = ["count,frequency"] + [
+            f"{k},{totals.count(k)}" for k in sorted(set(totals))]
+        assert csv_out.read_text().splitlines() == expected
+
+    def test_gamma_route_rejects_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},
+            "z": 0.5, "route": "gamma", "n": 3, "seed": 3,
+        })
+        assert main(["simulate", "--config", cfg, "--format", "csv"]) == 2
+        assert "csv output is only defined for point configurations" \
+            in capsys.readouterr().err
+
+    def test_eps_error_precedes_csv_rejection(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},
+            "z": 0.5, "route": "gamma", "n": 3, "seed": 3, "eps": -1,
+        })
+        assert main(["simulate", "--config", cfg, "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert "truncation threshold" in err and "csv" not in err
+
     def test_gamma_route_emits_atomic_measures(self, tmp_path):
         cfg = write_config(tmp_path, {
             "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},

@@ -71,6 +71,22 @@ class TestPoisson:
         with pytest.raises(TypeError):
             sample_poisson(3.0, RngSeed(0))
 
+    def test_sites_window_with_atoms(self):
+        # site c carries only a zero-weight atom, so it must stay empty
+        w = Window.discrete(["a", "b", "c"])
+        rho = ReferenceMeasure(w, np.array([0.5, 0.0, 0.0]),
+                               (("b", 1.2), ("c", 0.0)))
+        batch = sample_poisson_batch(rho, 50_000, RngSeed(5))
+        assert np.array_equal(batch.coords, batch.cell)
+        assert not np.any(batch.cell == 2)
+        for cell, mean in ((0, 0.5), (1, 1.2)):
+            counts = batch.counts([cell])
+            se = counts.std(ddof=1) / math.sqrt(counts.size)
+            assert abs(counts.mean() - mean) < 3 * se
+        configs = batch.to_configurations()
+        assert {loc for mu in configs for loc, _ in mu.points} <= {"a", "b"}
+        assert [mu.total_count for mu in configs] == batch.counts().tolist()
+
 
 class TestGammaMeasure:
     def test_mass_mean(self, gamma_batch_large):
@@ -116,6 +132,21 @@ class TestGammaMeasure:
         at_atom = batch.zeta(f)
         se_atom = at_atom.std(ddof=1) / math.sqrt(at_atom.size)
         assert abs(at_atom.mean() - 1.5) < 3 * se_atom + EPS
+
+    def test_small_reference_mass_gives_valid_measures(self, window4):
+        # late arrivals at mass 1e-3 make e1_inverse underflow to 0;
+        # zero-weight atoms used to reach to_measures and 0 * inf
+        params = PolyaParams(0.5, ReferenceMeasure.uniform(window4, 1e-3))
+        batch = sample_gamma_measure_batch(params, 1e-9, 2000, RngSeed(1))
+        assert np.all(batch.weight > 0)
+        measures = batch.to_measures()
+        assert len(measures) == 2000
+        assert np.all(np.isfinite(batch.zeta(TestFunction.constant(
+            window4, 1.0))))
+        void = batch.zeta(TestFunction.constant(window4, np.inf))
+        assert not np.any(np.isnan(void))
+        assert np.array_equal(np.exp(-void),
+                              [float(not m.atoms) for m in measures])
 
 
 class TestPolyaDirect:
@@ -260,6 +291,24 @@ class TestPosterior:
         cell_mass = batch.zeta(TestFunction.indicator(window4, [2]))
         se = cell_mass.std(ddof=1) / math.sqrt(cell_mass.size)
         assert abs(cell_mass.mean() - 0.5 * 0.5) < 3 * se + EPS_SLACK
+
+
+    def test_sites_window(self):
+        # posterior mean of each site's mass is z (rho + mu) there
+        w = Window.discrete(["a", "b", "c"])
+        rho = ReferenceMeasure(w, np.array([0.5, 1.0, 0.25]))
+        params = PolyaParams(0.5, rho)
+        mu = PointConfiguration(w, (("a", 2), ("c", 1)))
+        batch = sample_posterior_batch(mu, params, EPS, 50_000, RngSeed(44))
+        assert np.array_equal(batch.coords, batch.cell)
+        for cell, target in ((0, 1.25), (1, 0.5), (2, 0.625)):
+            mass = batch.zeta(TestFunction.indicator(w, [cell]))
+            se = mass.std(ddof=1) / math.sqrt(mass.size)
+            assert abs(mass.mean() - target) < 3 * se + EPS_SLACK
+        one = sample_posterior(mu, params, EPS, RngSeed(45))
+        assert one == sample_posterior_batch(
+            mu, params, EPS, 1, RngSeed(45)).to_measures()[0]
+        assert {loc for loc, _ in one.atoms} >= {"a", "c"}
 
 
 class TestMixed:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
-                      WindowMismatchError, count, distinct_count, superpose,
-                      zeta)
+                      WindowMismatchError, count, distinct_count, samplers,
+                      superpose, zeta)
+from polyasum.state_space import AtomicBatch, ConfigurationBatch, _tile
 
 
 @pytest.fixture
@@ -219,3 +220,94 @@ class TestSerialization:
         mu = PointConfiguration(w, (("a", 2),))
         assert PointConfiguration.from_dict(
             json.loads(json.dumps(mu.to_dict()))) == mu
+
+
+# Per-point loop forms of the evaluation maps, kept as references for
+# the one-replica batch views that replaced them.
+
+def zeta_loop(measure, f):
+    win = measure.window
+    if isinstance(measure, PointConfiguration):
+        return float(sum(m * f.values[win.cell_of(loc)]
+                         for loc, m in measure.points))
+    return float(sum(w * f.values[win.cell_of(loc)]
+                     for loc, w in measure.atoms))
+
+
+def count_loop(mu, cells):
+    cell_set = set(np.asarray(cells, dtype=np.int64).tolist())
+    win = mu.window
+    return int(sum(m for loc, m in mu.points if win.cell_of(loc) in cell_set))
+
+
+def distinct_count_loop(mu, cells):
+    cell_set = set(np.asarray(cells, dtype=np.int64).tolist())
+    win = mu.window
+    return int(sum(1 for loc, _ in mu.points if win.cell_of(loc) in cell_set))
+
+
+@st.composite
+def windows(draw):
+    kind = draw(st.sampled_from(["1d", "2d", "sites"]))
+    if kind == "1d":
+        return Window.interval(0.0, 1.0, draw(st.integers(1, 5)))
+    if kind == "2d":
+        return Window.box([(0.0, 2.0), (-1.0, 1.0)],
+                          [draw(st.integers(1, 3)), draw(st.integers(1, 3))])
+    return Window.discrete([f"s{i}" for i in range(draw(st.integers(1, 5)))])
+
+
+@st.composite
+def located_pairs(draw, window, values):
+    """Distinct locations of ``window`` (possibly none), each with a value."""
+    if window.mode == "sites":
+        locs = draw(st.lists(st.sampled_from(window.sites), unique=True))
+    else:
+        axes = [st.floats(lo, hi) for lo, hi in window.bounds]
+        locs = draw(st.lists(st.tuples(*axes), unique=True, max_size=8))
+    return tuple((loc, draw(values)) for loc in locs)
+
+
+@st.composite
+def view_cases(draw):
+    window = draw(windows())
+    mu = PointConfiguration(window, draw(located_pairs(
+        window, st.integers(1, 1000))))
+    kappa = AtomicMeasure(window, draw(located_pairs(
+        window, st.floats(1e-6, 1e6))))
+    f = TestFunction(window, np.array(draw(st.lists(
+        st.one_of(st.floats(0.0, 10.0), st.just(np.inf)),
+        min_size=window.n_cells, max_size=window.n_cells))))
+    cells = draw(st.lists(st.integers(0, window.n_cells - 1), unique=True))
+    return mu, kappa, f, cells
+
+
+class TestOneReplicaViews:
+    @given(case=view_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_views_equal_point_loops(self, case):
+        mu, kappa, f, cells = case
+        assert zeta(mu, f) == zeta_loop(mu, f)
+        assert zeta(kappa, f) == zeta_loop(kappa, f)
+        assert count(mu, cells) == count_loop(mu, cells)
+        assert distinct_count(mu, cells) == distinct_count_loop(mu, cells)
+
+    @given(case=view_cases(), n=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_tile_round_trip(self, case, n):
+        mu, kappa, _, _ = case
+        configs = ConfigurationBatch(
+            mu.window, n, *_tile(mu.window, mu.points, n)).to_configurations()
+        measures = AtomicBatch(
+            kappa.window, n, *_tile(kappa.window, kappa.atoms, n)).to_measures()
+        assert configs == [mu] * n
+        assert measures == [kappa] * n
+        # records repeating a location merge into one point or atom
+        doubled = ConfigurationBatch(
+            mu.window, n, *_tile(mu.window, mu.points * 2, n))
+        assert doubled.to_configurations() == [PointConfiguration(
+            mu.window, tuple((loc, 2 * m) for loc, m in mu.points))] * n
+
+    def test_samplers_reexport_the_batch_types(self):
+        assert samplers.ConfigurationBatch is ConfigurationBatch
+        assert samplers.AtomicBatch is AtomicBatch
