@@ -349,8 +349,14 @@ class ReferenceMeasure:
         return float(self.cell_masses.sum() + sum(w for _, w in self.atoms))
 
     def mass_of_cells(self, cells) -> float:
-        """Mass of a finite union of cells, atoms included."""
-        cells = np.asarray(cells, dtype=np.int64)
+        """Mass of a finite union of cells, atoms included.
+
+        A repeated cell index counts once, as in ``count`` and
+        ``distinct_count``; the first occurrences keep their order.
+        """
+        cells = np.asarray(cells, dtype=np.int64).ravel()
+        _, first = np.unique(cells, return_index=True)
+        cells = cells[np.sort(first)]
         mass = float(self.cell_masses[cells].sum())
         if self.atoms:
             cell_set = set(cells.tolist())

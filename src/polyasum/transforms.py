@@ -111,21 +111,43 @@ def nb_pmf(k: int, m: float, z: float) -> float:
 
 
 def nb_pmf_table(m: float, z: float, tol: float = 1e-15) -> np.ndarray:
-    """pmf values for k = 0, 1, ... until the geometric tail bound
-    drops below ``tol``."""
-    out = [nb_pmf(0, m, z)]
-    k = 0
+    """pmf values for k = 0, 1, ... until the geometric tail bound drops
+    below ``tol``.
+
+    Built outward from the mode with the ratio recurrence
+    p(k+1)/p(k) = z(m+k)/(k+1), seeded by :func:`nb_pmf` at the mode, so
+    no entry underflows before its own value does, and normalised by its
+    sum, which cancels the rounding of the seed's log-gamma terms at
+    large m.  Past k ~ 2mz/(1-z) the ratio stays below (1+z)/2, so the
+    loop ends for every tol > 0.
+    """
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
+    z = _check_z_open(z)
+    mode = int(max(m - 1.0, 0.0) * z / (1.0 - z))
+    seed = nb_pmf(mode, m, z)
+    below = [seed]
+    for k in range(mode, 0, -1):
+        p = below[-1] * k / (z * (m + k - 1))
+        if p == 0.0:
+            break
+        below.append(p)
+    above = []
+    k, p = mode, seed
     while True:
-        # pmf ratio z(m+k)/(k+1) is eventually < 1; bound the tail by a
-        # geometric series at the current ratio
-        ratio = z * (m + k + 1) / (k + 2)
-        if ratio < 1 and out[-1] * ratio / (1 - ratio) < tol:
+        # the ratios fall towards z from above (m >= 1) or rise towards
+        # it from below (m < 1); either way max(ratio, z) bounds the
+        # rest of them, so the tail beyond k is below p r / (1 - r)
+        ratio = z * (m + k) / (k + 1)
+        r = max(ratio, z)
+        if r < 1 and p * r / (1 - r) < tol:
             break
         k += 1
-        out.append(out[-1] * z * (m + k - 1) / k)
-        if k > 100000:
-            raise RuntimeError("nb_pmf_table failed to converge")
-    return np.asarray(out)
+        p *= ratio
+        above.append(p)
+    table = np.concatenate([np.zeros(mode + 1 - len(below)), below[::-1],
+                            above])
+    return table / table.sum()
 
 
 def logseries_pmf(k: int, z: float) -> float:

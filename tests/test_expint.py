@@ -1,11 +1,16 @@
 """The E1 evaluator against scipy's, and the inverse against round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
+from polyasum import (MixingMeasure, PolyaParams, ReferenceMeasure, RngSeed,
+                      Window, sample_mixed_batch, sample_poisson_batch,
+                      sample_polya_direct_batch)
 from polyasum.expint import e1, e1_inverse
 
 
@@ -50,3 +55,64 @@ def test_monotone_decreasing(x):
 @settings(max_examples=100, deadline=None)
 def test_inverse_is_right_inverse(y):
     assert e1(e1_inverse(y)) == pytest.approx(y, rel=1e-11)
+
+
+def test_inverse_residual_over_full_range():
+    # both Newton branches, from roots near 690 down to roots near 1e-304
+    y = np.concatenate([np.geomspace(1e-300, 1.0, 20000),
+                        np.geomspace(1.0, 700.0, 20000)])
+    x = e1_inverse(y)
+    assert np.abs(exp1(x) / y - 1.0).max() <= 1e-13
+
+
+def test_inverse_strictly_decreasing_across_branches():
+    y = np.sort(np.concatenate([
+        np.geomspace(1e-3, 50.0, 4001),
+        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]]))
+    assert np.all(np.diff(y) > 0)
+    assert np.all(np.diff(e1_inverse(y)) < 0)
+
+
+def test_inverse_underflows_to_zero():
+    y = np.array([745.0, 746.0, 800.0, 1e4, 1e300])
+    assert np.array_equal(e1_inverse(y), np.zeros(5))
+    assert e1_inverse(745.0) == 0.0
+
+
+def test_inverse_of_empty_array():
+    out = e1_inverse(np.empty(0))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    for arr in (batch.rep, batch.cell, batch.mult, batch.coords):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_routes_without_e1_inverse_keep_their_draws():
+    # direct, Poisson and mixed-direct sampling never call e1_inverse,
+    # so a change to the inverse must leave their draws bit for bit as
+    # they are; the digests were recorded with numpy 2.4
+    w = Window.interval(0.0, 1.0, 4)
+    rho = ReferenceMeasure(w, np.array([0.5, 1.0, 0.25, 2.0]),
+                           (((0.3,), 0.75),))
+    mix = MixingMeasure(rho, ((0.3, 1.0, 0.5), (0.7, 2.0, 0.5)))
+    digests = {
+        "direct": sample_polya_direct_batch(PolyaParams(0.6, rho), 500,
+                                            RngSeed(7)),
+        "poisson": sample_poisson_batch(rho, 500, RngSeed(8)),
+        "mixed": sample_mixed_batch(mix, "direct", 1e-3, 500,
+                                    RngSeed(9))[0],
+    }
+    assert {k: _batch_digest(b) for k, b in digests.items()} == {
+        "direct":
+            "c9c02cfd2d687f733408836fb24fa93114533fddbcb857dfa495f5cf34a98019",
+        "poisson":
+            "da8e7f186ded2ba5f23bd8dc5681ff10f3649ba0c5dce856f2606c4014e44043",
+        "mixed":
+            "e962b1c6056b8eb582e34f00cff2bd207bb4bbab0f316f17cf7f8dd1463f5db8",
+    }

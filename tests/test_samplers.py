@@ -5,10 +5,13 @@ transforms; Gamma-measure routes get an additional linear allowance
 for the documented truncation threshold eps.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from polyasum import (AtomicMeasure, MixingMeasure, PointConfiguration,
@@ -20,6 +23,7 @@ from polyasum import (AtomicMeasure, MixingMeasure, PointConfiguration,
                       sample_polya_cox_batch, sample_polya_direct,
                       sample_polya_direct_batch, sample_posterior,
                       sample_posterior_batch)
+from polyasum.expint import e1_inverse
 from polyasum.transforms import ParameterError, empirical_laplace_from_values
 
 EPS = 1e-6
@@ -391,3 +395,45 @@ class TestObjectBatchConsistency:
         via_batch = sample_polya_direct_batch(
             params, 1, RngSeed(91)).to_configurations()[0]
         assert obj == via_batch
+
+
+def _assert_valid_batch(batch, objects, cls):
+    window = batch.window
+    assert len(objects) == batch.n
+    one = batch.zeta(TestFunction.constant(window, 1.0))
+    assert np.all(np.isfinite(one))
+    void = batch.zeta(TestFunction.constant(window, np.inf))
+    assert not np.any(np.isnan(void))
+    empty = [not (o.atoms if cls is AtomicMeasure else o.points)
+             for o in objects]
+    assert np.array_equal(np.exp(-void), np.asarray(empty, dtype=float))
+    for obj in objects:
+        doc = json.loads(json.dumps(obj.to_dict()))
+        assert cls.from_dict(doc) == obj
+
+
+@given(z=st.floats(min_value=1e-3, max_value=0.99),
+       log_m=st.floats(min_value=-6.0, max_value=4.0),
+       log_frac=st.floats(min_value=-12.0, max_value=0.3),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_fk_routes_valid_at_any_mass(z, log_m, log_frac, seed):
+    # eps is a fraction of the mean total mass m/a (above 1 only the
+    # remainder atom is left), raised where needed so that the expected
+    # atom count m E1(a r_eps) stays below 2000 per replica
+    window = Window.interval(0.0, 1.0, 4)
+    rho = ReferenceMeasure(window, np.full(4, 10.0 ** log_m / 4))
+    params = PolyaParams(z, rho)
+    m, a = rho.total_mass, params.a
+    eps = max(10.0 ** log_frac,
+              -math.expm1(-e1_inverse(2000.0 / m))) * m / a
+    gamma = sample_gamma_measure_batch(params, eps, 2, RngSeed(seed, 0))
+    assert np.all(gamma.weight > 0) and np.all(np.isfinite(gamma.weight))
+    _assert_valid_batch(gamma, gamma.to_measures(), AtomicMeasure)
+    cox = sample_polya_cox_batch(params, eps, 2, RngSeed(seed, 1))
+    configs = cox.to_configurations()
+    _assert_valid_batch(cox, configs, PointConfiguration)
+    post = sample_posterior_batch(configs[0], params, eps, 2,
+                                  RngSeed(seed, 2))
+    assert np.all(post.weight > 0) and np.all(np.isfinite(post.weight))
+    _assert_valid_batch(post, post.to_measures(), AtomicMeasure)

@@ -253,3 +253,28 @@ class TestEmpiricalLaplace:
 @settings(max_examples=60, deadline=None)
 def test_nb_table_always_normalizes(z, m):
     assert nb_pmf_table(m, z).sum() == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("m,z", [(800.0, 0.9), (5000.0, 0.5), (5e4, 0.9)])
+def test_nb_table_at_large_mass(m, z):
+    # the k = 0 seed (1-z)^m underflowed to an all-zero table for the
+    # first two, and the third ran into a hard cap of 1e5 terms
+    mpmath = pytest.importorskip("mpmath")
+    table = nb_pmf_table(m, z)
+    assert table.sum() == pytest.approx(1.0, abs=1e-11)
+    pmf = np.array([nb_pmf(k, m, z) for k in range(table.size)])
+    live = np.flatnonzero(pmf > 1e-300)
+    assert live.size and live[-1] == table.size - 1
+    # nb_pmf's log-gamma differences lose ~ulp(lgamma(m + k)), 2e-9
+    # relative at m = 5e4, so it is matched at that level; 50-digit
+    # mpmath is the 1e-12 reference
+    assert np.allclose(table[live], pmf[live], rtol=5e-9, atol=0.0)
+    with mpmath.workdps(50):
+        for k in np.unique(np.concatenate([live[::live.size // 40],
+                                           live[[0, -1]]])):
+            k = int(k)
+            exact = mpmath.exp(
+                mpmath.loggamma(mpmath.mpf(m) + k) - mpmath.loggamma(m)
+                - mpmath.loggamma(k + 1) + m * mpmath.log1p(-z)
+                + k * mpmath.log(z))
+            assert table[k] == pytest.approx(float(exact), rel=1e-12)

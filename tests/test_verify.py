@@ -10,7 +10,10 @@ from polyasum import (MixingMeasure, PointConfiguration, PolyaParams,
                       ReferenceMeasure, RngSeed, TestFunction, Window,
                       campbell_estimate, check_conjugacy,
                       check_transform_identity, check_mecke, check_mixed_ibp,
-                      check_polya_ibp, sample_polya_direct_batch)
+                      check_polya_ibp, laplace_polya,
+                      sample_polya_cox_batch, sample_polya_direct_batch)
+from polyasum.transforms import _mean_se
+from polyasum.verify import EPS_ALLOWANCE
 
 INF = float("inf")
 EPS = 1e-6
@@ -204,6 +207,21 @@ class TestCalibration:
                             RngSeed(seed)).passed
             for seed in range(20))
         assert passes >= 19
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03, 0.01])
+    def test_cox_truncation_bias_within_allowance(self, window4, eps):
+        # the measurement behind EPS_ALLOWANCE: the Cox-route bias of
+        # E[e^-zeta_g] against the exact transform, at a small mass and
+        # a large g, where truncation matters most; n = 20000 keeps the
+        # standard error below eps / 3
+        rho = ReferenceMeasure.uniform(window4, 0.5)
+        g = TestFunction.constant(window4, 3.0)
+        batch = sample_polya_cox_batch(PolyaParams(0.5, rho), eps, 20_000,
+                                       RngSeed(23))
+        mean, se = _mean_se(np.exp(-batch.zeta(g)))
+        assert se <= eps / 3
+        bias = mean - laplace_polya(g, 0.5, rho).value
+        assert abs(bias) <= EPS_ALLOWANCE * eps + 3 * se
 
 
 class TestReportShape:
