@@ -409,9 +409,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(config, args.checks)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ParameterError, InvalidMeasureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

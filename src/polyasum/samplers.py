@@ -15,9 +15,13 @@ Three routes produce Polya samples:
 
 Every sampler has a single-draw form returning state_space objects and
 a ``*_batch`` form returning flat record arrays (one row per located
-point or atom) for Monte Carlo at scale.  Samplers are deterministic
-functions of (inputs, rng state); parallel use should give each
-replica stream its own :class:`RngSeed`.
+point or atom) for Monte Carlo at scale.  The samplers here only draw
+columns: state_space builds the batches, and the Poisson, direct and
+Cox samplers (so also the mixed ones) pass their records through its
+merge, so each location of a sampled configuration is one record.
+Gamma-measure and posterior batches are not merged.  Samplers are
+deterministic functions of (inputs, rng state); parallel use should
+give each replica stream its own :class:`RngSeed`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .expint import e1, e1_inverse
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _empty_coords, _tile)
+                          ReferenceMeasure, Window, _merge, _records, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -110,30 +114,6 @@ def as_generator(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Flat batch helpers (the record format lives in state_space)
-# ---------------------------------------------------------------------------
-
-def _empty_config_batch(window: Window, n: int) -> ConfigurationBatch:
-    return ConfigurationBatch(window, n, np.empty(0, dtype=np.int64),
-                              np.empty(0, dtype=np.int64),
-                              np.empty(0, dtype=np.int64),
-                              _empty_coords(window))
-
-
-def _empty_atomic_batch(window: Window, n: int) -> AtomicBatch:
-    return AtomicBatch(window, n, np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=np.int64), np.empty(0),
-                       _empty_coords(window))
-
-
-def _concat_coords(window: Window, parts) -> np.ndarray:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return _empty_coords(window)
-    return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
 # Poisson processes
 # ---------------------------------------------------------------------------
 
@@ -144,44 +124,30 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
     each atom (x, w) receives a Poisson(w) multiplicity at exactly x.
     """
     rng = as_generator(rng)
-    if isinstance(intensity, AtomicMeasure):
-        diffuse = np.zeros(intensity.window.n_cells)
-        atoms = intensity.atoms
-    elif isinstance(intensity, ReferenceMeasure):
-        diffuse = intensity.cell_masses
-        atoms = intensity.atoms
-    else:
+    if not isinstance(intensity, (AtomicMeasure, ReferenceMeasure)):
         raise TypeError("intensity must be a ReferenceMeasure or AtomicMeasure")
-    window = intensity.window
+    window, atoms = intensity.window, intensity.atoms
+    diffuse = (intensity.cell_masses if isinstance(intensity, ReferenceMeasure)
+               else np.zeros(window.n_cells))
 
-    reps, cells, mults, coords = [], [], [], []
+    parts = []
     if diffuse.sum() > 0:
         counts = rng.poisson(lam=diffuse, size=(n, diffuse.size))
         rep_idx, cell_idx = np.nonzero(counts)
         k = counts[rep_idx, cell_idx]
-        rep_flat = np.repeat(rep_idx, k)
-        cell_flat = np.repeat(cell_idx, k)
-        reps.append(rep_flat)
-        cells.append(cell_flat)
-        mults.append(np.ones(rep_flat.size, dtype=np.int64))
-        if window.mode == "sites":
-            coords.append(cell_flat.copy())
-        else:
-            coords.append(window.uniform_in_cells(cell_flat, rng))
+        rep = np.repeat(rep_idx, k)
+        cell = np.repeat(cell_idx, k)
+        coords = (cell.copy() if window.mode == "sites"
+                  else window.uniform_in_cells(cell, rng))
+        parts.append((rep, cell, np.ones(rep.size, dtype=np.int64), coords))
     live = tuple((loc, w) for loc, w in atoms if w > 0)
     if live:
         hits = _poisson_from_atomic_batch(
             AtomicBatch(window, n, *_tile(window, live, n)), rng)
-        reps.append(hits.rep)
-        cells.append(hits.cell)
-        mults.append(hits.mult)
-        coords.append(hits.coords)
-    if not reps:
-        return _empty_config_batch(window, n)
-    return ConfigurationBatch(
-        window, n,
-        np.concatenate(reps), np.concatenate(cells),
-        np.concatenate(mults), _concat_coords(window, coords))
+        parts.append((hits.rep, hits.cell, hits.mult, hits.coords))
+    batch = _records(ConfigurationBatch, window, n, parts)
+    return ConfigurationBatch(window, n, *_merge(
+        window, atoms, batch.rep, batch.cell, batch.mult, batch.coords))
 
 
 def sample_poisson(intensity, rng) -> PointConfiguration:
@@ -192,13 +158,11 @@ def sample_poisson(intensity, rng) -> PointConfiguration:
 def _poisson_from_atomic_batch(kappa: AtomicBatch, rng) -> ConfigurationBatch:
     """Poisson configurations directed by a batch of atomic intensities."""
     rng = as_generator(rng)
-    k = rng.poisson(lam=kappa.weight) if kappa.weight.size else \
-        np.empty(0, dtype=np.int64)
+    k = rng.poisson(lam=kappa.weight)
     hit = k > 0
     return ConfigurationBatch(
         kappa.window, kappa.n, kappa.rep[hit], kappa.cell[hit],
-        k[hit].astype(np.int64),
-        kappa.coords[hit] if len(kappa.coords) else kappa.coords)
+        k[hit].astype(np.int64), kappa.coords[hit])
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +186,10 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
         raise ParameterError(f"truncation threshold must be > 0, got {eps}")
     rng = as_generator(rng)
     window = params.window
-    if params.z == 0.0:
-        return _empty_atomic_batch(window, n)
-    a = params.a
     m = params.rho.total_mass
-    if m == 0.0:
-        return _empty_atomic_batch(window, n)
+    if params.z == 0.0 or m == 0.0:
+        return _records(AtomicBatch, window, n)
+    a = params.a
     mean_total = m / a
 
     if eps >= mean_total:
@@ -235,7 +197,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
         # emit only the remainder atom
         weights = np.full(n, mean_total)
         reps = np.arange(n, dtype=np.int64)
-        cells, coords, _ = params.rho.sample_locations(n, rng)
+        cells, coords = params.rho.sample_locations(n, rng)
         return AtomicBatch(window, n, reps, cells, weights, coords)
 
     r_eps = -math.log1p(-eps * a / m) / a
@@ -249,7 +211,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     gamma_last = lam_eps + rng.exponential(size=n)
     rep_below = np.repeat(np.arange(n, dtype=np.int64), n_jumps)
 
-    radii_below = e1_inverse(gammas_below / m) / a if total else np.empty(0)
+    radii_below = e1_inverse(gammas_below / m) / a
     radii_last = e1_inverse(gamma_last / m) / a
     remainder = (m / a) * (-np.expm1(-a * radii_last))
 
@@ -261,7 +223,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     # law unchanged and keeps every replica a valid measure
     live = weights > 0
     reps, weights = reps[live], weights[live]
-    cells, coords, _ = params.rho.sample_locations(weights.size, rng)
+    cells, coords = params.rho.sample_locations(weights.size, rng)
     return AtomicBatch(window, n, reps, cells, weights, coords)
 
 
@@ -274,27 +236,6 @@ def sample_gamma_measure(params: PolyaParams, eps: float, rng) -> AtomicMeasure:
 # ---------------------------------------------------------------------------
 # Polya sum process samplers
 # ---------------------------------------------------------------------------
-
-def _merge_atom_clusters(rep, cell, mult, coords, atom_idx):
-    """Merge records that landed on the same reference atom."""
-    on_atom = atom_idx >= 0
-    if not on_atom.any():
-        return rep, cell, mult, coords
-    n_atoms = int(atom_idx.max()) + 1
-    key = rep[on_atom] * n_atoms + atom_idx[on_atom]
-    _, first_pos, inv = np.unique(key, return_index=True,
-                                  return_inverse=True)
-    merged_mult = np.bincount(inv, weights=mult[on_atom]).astype(np.int64)
-    src = np.flatnonzero(on_atom)
-    first = src[first_pos]
-    keep = ~on_atom
-    rep_out = np.concatenate([rep[keep], rep[first]])
-    cell_out = np.concatenate([cell[keep], cell[first]])
-    mult_out = np.concatenate([mult[keep], merged_mult])
-    coords_out = np.concatenate([coords[keep], coords[first]]) \
-        if len(coords) else coords
-    return rep_out, cell_out, mult_out, coords_out
-
 
 def sample_polya_direct_batch(params: PolyaParams, n: int,
                               rng) -> ConfigurationBatch:
@@ -311,19 +252,14 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     z = params.z
     m = params.rho.total_mass
     if z == 0.0 or m == 0.0:
-        return _empty_config_batch(window, n)
+        return _records(ConfigurationBatch, window, n)
     lam = -math.log1p(-z) * m
     n_clusters = rng.poisson(lam, size=n)
-    total = int(n_clusters.sum())
     rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
-    cells, coords, atom_idx = params.rho.sample_locations(total, rng) \
-        if total else (np.empty(0, dtype=np.int64), _empty_coords(window),
-                       np.empty(0, dtype=np.int64))
-    mult = rng.logseries(z, size=total).astype(np.int64)
-    if params.rho.atoms and total:
-        rep, cells, mult, coords = _merge_atom_clusters(
-            rep, cells, mult, coords, atom_idx)
-    return ConfigurationBatch(window, n, rep, cells, mult, coords)
+    cells, coords = params.rho.sample_locations(rep.size, rng)
+    mult = rng.logseries(z, size=rep.size).astype(np.int64)
+    return ConfigurationBatch(window, n, *_merge(
+        window, params.rho.atoms, rep, cells, mult, coords))
 
 
 def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
@@ -338,7 +274,12 @@ def sample_polya_cox_batch(params: PolyaParams, eps: float, n: int,
     _check_z_open(params.z)
     rng = as_generator(rng)
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
-    return _poisson_from_atomic_batch(kappa, rng)
+    # merge after the Poisson step: merging jumps at one atom first
+    # would change the draws, not just their order
+    hits = _poisson_from_atomic_batch(kappa, rng)
+    return ConfigurationBatch(hits.window, n, *_merge(
+        hits.window, params.rho.atoms, hits.rep, hits.cell, hits.mult,
+        hits.coords))
 
 
 def sample_polya_cox(params: PolyaParams, eps: float, rng) -> PointConfiguration:
@@ -387,12 +328,9 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     if not mus.rep.size:
         return diffuse
     weights = rng.gamma(shape=mus.mult.astype(float), scale=1.0 / a_post)
-    return AtomicBatch(
-        mus.window, mus.n,
-        np.concatenate([diffuse.rep, mus.rep]),
-        np.concatenate([diffuse.cell, mus.cell]),
-        np.concatenate([diffuse.weight, weights]),
-        _concat_coords(mus.window, [diffuse.coords, mus.coords]))
+    return _records(AtomicBatch, mus.window, mus.n, [
+        (diffuse.rep, diffuse.cell, diffuse.weight, diffuse.coords),
+        (mus.rep, mus.cell, weights, mus.coords)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +357,16 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     parts = []
     for c, (z, w, _) in enumerate(mixing.atoms):
         members = np.flatnonzero(comp == c)
-        if members.size == 0:
-            continue
-        if z == 0.0 or w == 0.0:
+        if members.size == 0 or z == 0.0 or w == 0.0:
             continue
         sub_params = PolyaParams(z, mixing.rho0.scale(w))
         if route == "direct":
             sub = sample_polya_direct_batch(sub_params, members.size, rng)
         else:
             sub = sample_polya_cox_batch(sub_params, eps, members.size, rng)
-        parts.append((members, sub))
-
-    window = mixing.window
-    if not parts:
-        return _empty_config_batch(window, n), z_lat, w_lat
-    rep = np.concatenate([members[sub.rep] for members, sub in parts])
-    cell = np.concatenate([sub.cell for _, sub in parts])
-    mult = np.concatenate([sub.mult for _, sub in parts])
-    coords = _concat_coords(window, [sub.coords for _, sub in parts])
-    return ConfigurationBatch(window, n, rep, cell, mult, coords), z_lat, w_lat
+        parts.append((members[sub.rep], sub.cell, sub.mult, sub.coords))
+    batch = _records(ConfigurationBatch, mixing.window, n, parts)
+    return batch, z_lat, w_lat
 
 
 def sample_mixed(mixing: MixingMeasure, route: str, eps: float, rng):

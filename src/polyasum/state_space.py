@@ -7,14 +7,17 @@ measure reduces to a finite sum over cells and atoms and is exact.
 
 Locations are a tuple of float coordinates (box windows) or a site
 label (discrete windows).  Two points coincide iff their coordinates
-are bit-equal; multiplicities are merged only where coincidence is
-constructed deliberately (atomic intensities, observed points).
+are bit-equal, so on a box window only the atoms of a reference
+measure can be hit twice.
 
 Samples of any size share one record format: a batch holds n replicas
 as flat arrays with one row per located point or atom (replica index,
-flat cell index, multiplicity or weight, raw coordinates).  Single
-configurations and measures convert to and from batches here, and
-their evaluation maps are one-replica batch views.
+flat cell index, multiplicity or weight, raw coordinates).  This
+module builds every batch (``_records``) and holds the one merge rule
+for records at one location (``_merge``), which the point samplers
+apply, so a sampled configuration batch holds each location once per
+replica.  Single configurations and measures convert to and from
+batches here, and their evaluation maps are one-replica batch views.
 
 The measure types are immutable values after construction and safe to
 share across threads.
@@ -81,9 +84,11 @@ class Window:
         elif self.mode == "sites":
             if not self.sites:
                 raise InvalidMeasureError("sites window needs at least one site")
-            if len(set(self.sites)) != len(self.sites):
-                raise InvalidMeasureError("site labels must be distinct")
-            object.__setattr__(self, "sites", tuple(str(s) for s in self.sites))
+            sites = tuple(str(s) for s in self.sites)
+            if len(set(sites)) != len(sites):
+                raise InvalidMeasureError(
+                    f"site labels must be distinct as strings: {sites!r}")
+            object.__setattr__(self, "sites", sites)
         else:
             raise InvalidMeasureError(f"unknown window mode {self.mode!r}")
 
@@ -374,10 +379,10 @@ class ReferenceMeasure:
     def sample_locations(self, size: int, rng: np.random.Generator):
         """Draw i.i.d. locations from this measure normalized to mass 1.
 
-        Returns ``(cells, coords, atom_idx)``: flat cell indices, raw
+        Returns ``(cells, coords)``: flat cell indices and raw
         coordinates ((size, d) float array for box windows, site
-        indices for discrete ones), and the index of the atom hit
-        (-1 for diffuse draws).  Used by every sampler.
+        indices for discrete ones).  A draw on an atom carries the
+        atom's coordinates bit for bit.  Used by every sampler.
         """
         _, atom_cells, atom_weights, atom_coords = _tile(
             self.window, self.atoms, 1)
@@ -386,16 +391,15 @@ class ReferenceMeasure:
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
-        picks = rng.choice(weights.size, size=size, p=weights / total)
-        atom_idx = np.where(picks >= n_cells, picks - n_cells, -1)
-        hit = np.flatnonzero(atom_idx >= 0)
-        cells = picks.copy()
-        cells[hit] = atom_cells[atom_idx[hit]]
+        cells = rng.choice(weights.size, size=size, p=weights / total)
+        hit = np.flatnonzero(cells >= n_cells)
+        atom_idx = cells[hit] - n_cells
+        cells[hit] = atom_cells[atom_idx]
         if self.window.mode == "sites":
-            return cells, cells.copy(), atom_idx
+            return cells, cells.copy()
         coords = self.window.uniform_in_cells(cells, rng)
-        coords[hit] = atom_coords[atom_idx[hit]]
-        return cells, coords, atom_idx
+        coords[hit] = atom_coords[atom_idx]
+        return cells, coords
 
     def to_dict(self) -> dict:
         return {
@@ -530,10 +534,12 @@ def _split(batch, values: np.ndarray, cls, cast) -> list:
 class ConfigurationBatch:
     """n point configurations as flat record arrays.
 
-    One record per distinct located point: replica index, flat cell
-    index, multiplicity, and raw coordinates.  Records with equal
-    coordinates can only arise on the atoms of an atomic reference
-    measure; conversions to objects merge them.
+    One record per located point: replica index, flat cell index,
+    multiplicity, and raw coordinates.  Every sampler merges the
+    records of a replica at one location (``_merge``), so a sampled
+    batch holds each location once per replica and ``distinct_counts``
+    counts locations.  A hand-built batch may repeat a location;
+    conversion to objects merges such records.
     """
 
     window: Window
@@ -588,6 +594,48 @@ class AtomicBatch:
 
     def to_measures(self) -> list:
         return _split(self, self.weight, AtomicMeasure, float)
+
+
+def _records(cls, window: Window, n: int, parts=()):
+    """A ``cls`` batch of n replicas from (rep, cell, value, coords)
+    column parts, concatenated in order; no parts give the empty batch."""
+    if parts:
+        return cls(window, n, *(np.concatenate(col) for col in zip(*parts)))
+    none = np.empty(0, dtype=np.int64)
+    value = none if cls is ConfigurationBatch else np.empty(0)
+    return cls(window, n, none, none, value, _empty_coords(window))
+
+
+def _merge(window: Window, atoms, rep, cell, value, coords):
+    """Merge the records of one replica that share a location.
+
+    On a sites window a record's location is its cell; on a box window
+    it is atom k of ``atoms`` ((location, weight), ...) when its
+    coordinates are bit-equal to that atom's, and no other location
+    can repeat.  Other records keep their order; each merged location
+    follows once, ordered by (replica, location), with its values
+    summed in record order.  Box windows without atoms are untouched.
+    """
+    if window.mode == "sites":
+        loc, n_loc = cell, window.n_cells
+    elif not atoms:
+        return rep, cell, value, coords
+    else:
+        loc, n_loc = np.full(rep.size, -1, dtype=np.int64), len(atoms)
+        for k, (atom, _) in enumerate(atoms):
+            loc[(coords == atom).all(axis=1)] = k
+    on = loc >= 0
+    if not on.any():
+        return rep, cell, value, coords
+    _, first, inv = np.unique(rep[on] * n_loc + loc[on], return_index=True,
+                              return_inverse=True)
+    summed = np.bincount(inv, weights=value[on]).astype(value.dtype)
+    first = np.flatnonzero(on)[first]
+    keep = ~on
+    return (np.concatenate([rep[keep], rep[first]]),
+            np.concatenate([cell[keep], cell[first]]),
+            np.concatenate([value[keep], summed]),
+            np.concatenate([coords[keep], coords[first]]))
 
 
 def _one_replica(measure: PointConfiguration | AtomicMeasure):

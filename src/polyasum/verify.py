@@ -94,10 +94,27 @@ def _exact_z(mean: float, se: float, exact: float, slack: float = 0.0):
     return z, abs(mean - exact) <= 3.0 * se + slack
 
 
-def _paired_z(lhs: np.ndarray, rhs: np.ndarray, slack: float = 0.0):
-    """z-score and pass flag for a paired comparison of two per-replica
-    statistics."""
-    return _exact_z(*_mean_se(lhs - rhs), 0.0, slack)
+def _ibp_report(name: str, lhs: np.ndarray, rhs: np.ndarray,
+                exact: float | None, slack: float, n: int, t0: float,
+                details: dict) -> CheckReport:
+    """Report of two per-replica statistics estimated on the same samples.
+
+    The paired difference must be within 3 standard errors plus
+    ``slack`` of 0; when ``exact`` is given, so must each side's mean
+    be of it, and both z-scores join ``details``.
+    """
+    z_pair, passed = _exact_z(*_mean_se(lhs - rhs), 0.0, slack)
+    lm, ls = _mean_se(lhs)
+    rm, rs = _mean_se(rhs)
+    if exact is not None:
+        z_le, ok_le = _exact_z(lm, ls, exact, slack)
+        z_re, ok_re = _exact_z(rm, rs, exact, slack)
+        passed = passed and ok_le and ok_re
+        details = {**details, "z_lhs_exact": z_le, "z_rhs_exact": z_re}
+    return CheckReport(
+        name=name, lhs=lm, lhs_stderr=ls, rhs=rm, rhs_stderr=rs,
+        exact=exact, z_score=z_pair, passed=passed, n=n,
+        runtime=time.perf_counter() - t0, details=details)
 
 
 def _damped(f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
@@ -142,17 +159,7 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     exact = rho_feg * math.exp(-_integrate_cellwise(
         rho, -np.expm1(-g.values)))
 
-    z_pair, ok_pair = _paired_z(lhs, rhs)
-    lm, ls = _mean_se(lhs)
-    rm, rs = _mean_se(rhs)
-    z_le, ok_le = _exact_z(lm, ls, exact)
-    z_re, ok_re = _exact_z(rm, rs, exact)
-    report = CheckReport(
-        name=name, lhs=lm, lhs_stderr=ls, rhs=rm, rhs_stderr=rs,
-        exact=exact, z_score=z_pair, passed=ok_pair and ok_le and ok_re,
-        n=n, runtime=time.perf_counter() - t0,
-        details={"z_lhs_exact": z_le, "z_rhs_exact": z_re})
-    return report
+    return _ibp_report(name, lhs, rhs, exact, 0.0, n, t0, {})
 
 
 def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
@@ -192,17 +199,10 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     rhs = z_kernel * (rho_feg + batch.zeta(feg_fn)) * weight
     exact = polya_campbell_exact(f, g, params.z, params.rho)
 
-    z_pair, ok_pair = _paired_z(lhs, rhs, slack)
-    lm, ls = _mean_se(lhs)
-    rm, rs = _mean_se(rhs)
-    z_le, ok_le = _exact_z(lm, ls, exact, slack)
-    z_re, ok_re = _exact_z(rm, rs, exact, slack)
-    return CheckReport(
-        name=name, lhs=lm, lhs_stderr=ls, rhs=rm, rhs_stderr=rs,
-        exact=exact, z_score=z_pair, passed=ok_pair and ok_le and ok_re,
-        n=n, runtime=time.perf_counter() - t0,
-        details={"route": route, "z_lhs_exact": z_le, "z_rhs_exact": z_re,
-                 "kernel_z_factor": kernel_z_factor})
+    report = _ibp_report(name, lhs, rhs, exact, slack, n, t0,
+                         {"route": route})
+    report.details["kernel_z_factor"] = kernel_z_factor
+    return report
 
 
 def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
@@ -291,13 +291,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     rhs = z_hat * (w_hat * rho0_feg + zeta_feg) * weight
     failure_fraction = 1.0 - feasible.mean()
 
-    lhs_ok = lhs[feasible]
-    rhs_ok = rhs[feasible]
     slack = EPS_ALLOWANCE * eps if route == "cox" else 0.0
-    z_pair, ok_pair = _paired_z(lhs_ok, rhs_ok, slack)
-    lm, ls = _mean_se(lhs_ok)
-    rm, rs = _mean_se(rhs_ok)
-
     branches = []
     for zc, wc, pc in mixing.atoms:
         members = feasible & (z_lat == zc) & (w_lat == wc)
@@ -307,13 +301,11 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
             branches.append({"z": zc, "w": wc, "p": pc,
                              "n": int(members.sum()),
                              "lhs_mean": bm, "rhs_mean": br})
-    return CheckReport(
-        name=name, lhs=lm, lhs_stderr=ls, rhs=rm, rhs_stderr=rs,
-        exact=None, z_score=z_pair, passed=ok_pair,
-        n=n, runtime=time.perf_counter() - t0,
-        details={"kernel": kernel_mode, "route": route,
-                 "solver_failure_fraction": float(failure_fraction),
-                 "branches": branches})
+    return _ibp_report(
+        name, lhs[feasible], rhs[feasible], None, slack, n, t0,
+        {"kernel": kernel_mode, "route": route,
+         "solver_failure_fraction": float(failure_fraction),
+         "branches": branches})
 
 
 def check_transform_identity(n_tuples: int, rng, max_cells: int = 8,

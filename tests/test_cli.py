@@ -258,6 +258,15 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg]) == 2
         assert "'window'" in capsys.readouterr().err
 
+    def test_duplicate_site_labels_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": {"mode": "sites", "sites": [1, "1"]},
+            "rho": {"uniform_mass": 1.0}, "z": 0.5,
+        })
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'window'" in err and "distinct" in err
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "posterior",
                                       "window": BASE_WINDOW})

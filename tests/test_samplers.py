@@ -22,8 +22,9 @@ from polyasum import (AtomicMeasure, MixingMeasure, PointConfiguration,
                       sample_poisson_batch, sample_polya_cox,
                       sample_polya_cox_batch, sample_polya_direct,
                       sample_polya_direct_batch, sample_posterior,
-                      sample_posterior_batch)
+                      sample_posterior_batch, samplers)
 from polyasum.expint import e1_inverse
+from polyasum.state_space import _merge, zeta
 from polyasum.transforms import ParameterError, empirical_laplace_from_values
 
 EPS = 1e-6
@@ -437,3 +438,58 @@ def test_fk_routes_valid_at_any_mass(z, log_m, log_frac, seed):
                                   RngSeed(seed, 2))
     assert np.all(post.weight > 0) and np.all(np.isfinite(post.weight))
     _assert_valid_batch(post, post.to_measures(), AtomicMeasure)
+
+
+def _invariant_rho(kind):
+    if kind.startswith("box"):
+        window = Window.box([(0.0, 1.0), (0.0, 2.0)], [2, 2])
+        atoms = (((0.25, 1.5), 1.5), ((0.75, 0.5), 0.0))
+    else:
+        window = Window.discrete(["a", "b", "c"])
+        atoms = (("b", 1.5), ("c", 0.0))
+    masses = np.full(window.n_cells, 0.75)
+    if kind.endswith("diffuse"):
+        return ReferenceMeasure(window, masses)
+    return ReferenceMeasure(window, masses, atoms)
+
+
+_INVARIANT_ROUTES = {
+    "poisson": lambda rho, rng: sample_poisson_batch(rho, 40, rng),
+    "direct": lambda rho, rng: sample_polya_direct_batch(
+        PolyaParams(0.6, rho), 40, rng),
+    "cox": lambda rho, rng: sample_polya_cox_batch(
+        PolyaParams(0.6, rho), 1e-3, 40, rng),
+    "mixed-direct": lambda rho, rng: sample_mixed_batch(
+        MixingMeasure(rho, ((0.6, 1.0, 0.7), (0.3, 2.0, 0.3))), "direct",
+        1e-3, 40, rng)[0],
+    "mixed-cox": lambda rho, rng: sample_mixed_batch(
+        MixingMeasure(rho, ((0.6, 1.0, 0.7), (0.3, 2.0, 0.3))), "cox",
+        1e-3, 40, rng)[0],
+}
+
+
+@pytest.mark.parametrize("kind", ["box-diffuse", "box-atoms",
+                                  "sites-diffuse", "sites-atoms"])
+@pytest.mark.parametrize("route", sorted(_INVARIANT_ROUTES))
+def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
+    merged = []
+
+    def counting_merge(window, atoms, rep, *columns):
+        out = _merge(window, atoms, rep, *columns)
+        merged.append(rep.size - out[0].size)
+        return out
+
+    monkeypatch.setattr(samplers, "_merge", counting_merge)
+    rho = _invariant_rho(kind)
+    batch = _INVARIANT_ROUTES[route](rho, RngSeed(31))
+    configs = batch.to_configurations()
+    f = TestFunction(rho.window, np.arange(1.0, rho.window.n_cells + 1))
+    assert np.array_equal(batch.distinct_counts(),
+                          [mu.n_distinct for mu in configs])
+    assert np.array_equal(batch.counts(), [mu.total_count for mu in configs])
+    assert np.array_equal(batch.zeta(f), [zeta(mu, f) for mu in configs])
+    # on a box only draws on an atom can coincide, and the Poisson
+    # sampler hits each atom at most once per replica
+    can_repeat = kind.startswith("sites") or (
+        kind == "box-atoms" and route != "poisson")
+    assert (sum(merged) > 0) == can_repeat

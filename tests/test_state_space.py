@@ -11,7 +11,8 @@ from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
                       WindowMismatchError, count, distinct_count, samplers,
                       superpose, zeta)
-from polyasum.state_space import AtomicBatch, ConfigurationBatch, _tile
+from polyasum.state_space import (AtomicBatch, ConfigurationBatch, _merge,
+                                  _tile)
 
 
 @pytest.fixture
@@ -50,6 +51,12 @@ class TestWindow:
             Window.box([(0, 1)], [0])
         with pytest.raises(InvalidMeasureError):
             Window.discrete([])
+
+    def test_site_labels_distinct_as_strings(self):
+        # labels are stored as strings, so 1 and "1" would name one site
+        with pytest.raises(InvalidMeasureError, match="distinct"):
+            Window.discrete([1, "1"])
+        assert Window.discrete([1, 2]).sites == ("1", "2")
 
     def test_uniform_in_cells_lands_in_cell(self):
         w = Window.interval(0.0, 2.0, 4)
@@ -311,3 +318,46 @@ class TestOneReplicaViews:
     def test_samplers_reexport_the_batch_types(self):
         assert samplers.ConfigurationBatch is ConfigurationBatch
         assert samplers.AtomicBatch is AtomicBatch
+
+
+class TestMerge:
+    def test_box_sums_in_record_order_and_keeps_other_records(self):
+        window = Window.box([(0.0, 1.0), (0.0, 1.0)], [2, 2])
+        atoms = (((0.25, 0.75), 1.0), ((0.5, 0.5), 0.0))
+        a, b = atoms[0][0], atoms[1][0]
+        records = [(1, b, 4.0), (0, a, 1e16), (0, a, -1e16),
+                   (0, (0.1, 0.1), 5.0), (1, a, 6.0), (0, (0.9, 0.2), 7.0),
+                   (0, a, 1.0), (1, (0.3, 0.8), 8.0)]
+        rep = np.array([r for r, _, _ in records])
+        coords = np.array([x for _, x, _ in records])
+        value = np.array([v for _, _, v in records])
+        cell = window.cells_of(coords)
+        # replica 0 holds a three times: 1e16, -1e16, 1.0 sum to 1.0 in
+        # record order, and to 0.0 in any order that adds 1.0 earlier
+        out_rep, out_cell, out_value, out_coords = _merge(
+            window, atoms, rep, cell, value, coords)
+        off = [3, 5, 7]
+        assert np.array_equal(out_rep[:3], rep[off])
+        assert np.array_equal(out_value[:3], value[off])
+        assert np.array_equal(out_coords[:3], coords[off])
+        # then one record per (replica, atom): (0, a), (1, a), (1, b)
+        assert out_rep[3:].tolist() == [0, 1, 1]
+        assert out_coords[3:].tolist() == [list(a), list(a), list(b)]
+        assert out_value[3:].tolist() == [1.0, 6.0, 4.0]
+        assert np.array_equal(out_cell, window.cells_of(out_coords))
+
+    def test_sites_merge_by_cell(self):
+        window = Window.discrete(["a", "b", "c"])
+        rep = np.array([0, 1, 0, 0, 1])
+        cell = np.array([2, 0, 1, 2, 0])
+        mult = np.array([1, 2, 3, 4, 5])
+        out = _merge(window, (), rep, cell, mult, cell.copy())
+        assert [col.tolist() for col in out] == [
+            [0, 0, 1], [1, 2, 0], [3, 5, 7], [1, 2, 0]]
+        assert out[2].dtype == mult.dtype
+
+    def test_box_without_atoms_is_untouched(self, w):
+        cols = (np.array([0, 0]), np.array([1, 1]), np.array([1, 1]),
+                np.array([[0.3], [0.3]]))
+        out = _merge(w, (), *cols)
+        assert all(x is y for x, y in zip(out, cols))
