@@ -13,6 +13,11 @@ given (config, seed): result files embed a provenance header (config
 hash, seed, package version, timestamp) and the timestamp is the only
 varying byte between identical runs.
 
+``simulate`` writes json and jsonl through one columnar writer that
+formats the sampled batch's records straight to text, byte-identical
+to ``json.dumps`` of the ``to_dict()`` of each object the batch
+converts to; csv is a count histogram of point configurations.
+
 Exit codes: 0 success / all checks pass, 1 check or estimation
 failure, 2 usage or config error.
 """
@@ -37,8 +42,9 @@ from .samplers import (MixingMeasure, PolyaParams, RngSeed,
                        sample_gamma_measure_batch, sample_mixed_batch,
                        sample_poisson_batch, sample_polya_cox_batch,
                        sample_polya_direct_batch)
-from .state_space import (InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, TestFunction, Window)
+from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
+                          InvalidMeasureError, PointConfiguration,
+                          ReferenceMeasure, TestFunction, Window, _merged)
 from .transforms import ParameterError
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
@@ -70,14 +76,23 @@ class ExperimentConfig:
                               f"command '{self.command}'")
         return self.raw[key]
 
+    def section(self, key: str, default=None) -> dict:
+        """A config field that must be a JSON object."""
+        data = self.require(key) if default is None else self.raw.get(
+            key, default)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config field '{key}' must be a JSON object; "
+                              f"got {data!r}")
+        return data
+
     def window(self) -> Window:
         try:
-            return Window.from_dict(self.require("window"))
+            return Window.from_dict(self.section("window"))
         except (InvalidMeasureError, KeyError, TypeError) as exc:
             raise ConfigError(f"config field 'window' is invalid: {exc}")
 
     def reference_measure(self, key: str, window: Window) -> ReferenceMeasure:
-        data = self.require(key)
+        data = self.section(key)
         try:
             if "uniform_mass" in data:
                 return ReferenceMeasure.uniform(window,
@@ -90,7 +105,7 @@ class ExperimentConfig:
             raise ConfigError(f"config field '{key}' is invalid: {exc}")
 
     def configuration(self, key: str, window: Window) -> PointConfiguration:
-        data = self.raw.get(key, {"points": []})
+        data = self.section(key, {"points": []})
         try:
             return PointConfiguration.from_dict({"points": data.get(
                 "points", [])}, window=window)
@@ -122,13 +137,41 @@ class ExperimentConfig:
 
     def mixing(self, window: Window) -> MixingMeasure:
         rho0 = self.reference_measure("rho0", window)
-        data = self.require("mixing")
+        data = self.section("mixing")
         try:
             atoms = tuple((float(a["z"]), float(a["w"]), float(a["p"]))
                           for a in data["atoms"])
             return MixingMeasure(rho0, atoms)
         except (ParameterError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"config field 'mixing' is invalid: {exc}")
+
+    def fixed_zw(self) -> tuple | None:
+        data = self.raw.get("fixed_zw")
+        if data is None:
+            return None
+        try:
+            z, w = (float(v) for v in data)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config field 'fixed_zw' must be a [z, w] "
+                              f"pair; got {data!r} ({exc})")
+        return z, w
+
+
+def _int_field(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config field '{key}' must be an integer; "
+                          f"got {value!r}")
+    return value
+
+
+def _float_field(raw: dict, key: str, default: float) -> float:
+    try:
+        return float(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{key}' is invalid: {exc}")
 
 
 def _parse_value(v) -> float:
@@ -169,6 +212,80 @@ def _emit_json(doc: dict, config: ExperimentConfig) -> None:
                   config.out)
 
 
+def _write_records(batch, latents=None, header=None) -> str:
+    """The ``simulate`` text of a sampled batch: one JSON line per
+    replica, or under a provenance ``header`` one indented document.
+
+    Byte for byte ``json.dumps(..., sort_keys=True)`` of the
+    ``to_dict()`` of each object of ``to_configurations()`` or
+    ``to_measures()`` (``indent=2`` under a header), each with a
+    ``latent`` object from the per-replica arrays in ``latents``.
+    json renders the layout once, around sentinel slots; after the
+    merge (``_merged``) every record is one %-format of its values.
+    """
+    window = batch.window
+    configs = isinstance(batch, ConfigurationBatch)
+    list_key, value_key = (("points", "mult") if configs
+                           else ("atoms", "weight"))
+    first, values, bounds = _merged(batch,
+                                    batch.mult if configs else batch.weight)
+    wdoc = window.to_dict()
+    # longer than any string in the fixed parts, so that its rendering
+    # occurs only where it was put
+    slot = "\0" * (len(json.dumps([wdoc, header])) + 1)
+    mark = slot + "\1"
+
+    def sample(items):
+        doc = {"schema_version": SCHEMA_VERSION, "window": wdoc,
+               list_key: items}
+        if latents is not None:
+            doc["latent"] = dict.fromkeys(latents, slot)
+        return doc
+
+    def render(samples):
+        # the text of the object path for these sample documents
+        if header is None:
+            return "\n".join(json.dumps(s, sort_keys=True) for s in samples)
+        return json.dumps({"provenance": header, "samples": samples},
+                          sort_keys=True, indent=2)
+
+    def pieces(render_list, item):
+        # render_list([item]) is head + body + tail and
+        # render_list([item, item]) is head + body + sep + body + tail
+        head, tail = render_list([mark]).split(json.dumps(mark))
+
+        def body(items):
+            text = render_list(items)
+            return text[len(head):len(text) - len(tail)]
+        one = body([item])
+        return head, one, body([item, item])[len(one):-len(one)], tail
+
+    def fmt(text):
+        return text.replace("%", "%%").replace(json.dumps(slot), "%s")
+
+    doc_head, empty, sample_sep, doc_tail = pieces(render, sample([]))
+    loc = slot if window.mode == "sites" else [slot] * window.dimension
+    head, rec, rec_sep, tail = pieces(
+        lambda items: render([sample(items)]), {"loc": loc, value_key: slot})
+    head, rec, empty = fmt(head[len(doc_head):]), fmt(rec), fmt(empty)
+    tail = tail[:len(tail) - len(doc_tail)]
+
+    coords = batch.coords[first]
+    if window.mode == "sites":
+        labels = [json.dumps(site) for site in window.sites]
+        cols = [[labels[c] for c in coords.tolist()]]
+    else:
+        cols = coords.T.tolist()
+    recs = [rec % t for t in zip(*cols, values.tolist())]
+    lats = ([()] * batch.n if latents is None else
+            zip(*(latents[k].tolist() for k in sorted(latents))))
+    samples = [head % lat + rec_sep.join(recs[a:b]) + tail if b > a
+               else empty % lat
+               for lat, a, b in zip(lats, bounds[:-1].tolist(),
+                                    bounds[1:].tolist())]
+    return doc_head + sample_sep.join(samples) + doc_tail + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -196,8 +313,7 @@ def run_simulate(config: ExperimentConfig) -> int:
         batch, z_lat, w_lat = sample_mixed_batch(
             mixing, config.raw.get("mixed_route", "direct"), config.eps, n,
             rng)
-        latents = [{"z": float(z), "w": float(w)}
-                   for z, w in zip(z_lat, w_lat)]
+        latents = {"z": z_lat, "w": w_lat}
     else:
         raise ConfigError(f"config field 'route' must be one of direct, cox, "
                           f"poisson, gamma, mixed; got {route!r}")
@@ -216,17 +332,8 @@ def run_simulate(config: ExperimentConfig) -> int:
         _write_output(buf.getvalue(), config.out)
         return 0
 
-    samples = (batch.to_measures() if route == "gamma"
-               else batch.to_configurations())
-    docs = [s.to_dict() for s in samples]
-    if latents is not None:
-        for doc, lat in zip(docs, latents):
-            doc["latent"] = lat
-    if config.fmt == "jsonl":
-        text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
-        _write_output(text, config.out)
-        return 0
-    _emit_json({"provenance": provenance(config), "samples": docs}, config)
+    header = provenance(config) if config.fmt == "json" else None
+    _write_output(_write_records(batch, latents, header), config.out)
     return 0
 
 
@@ -285,7 +392,7 @@ def _run_one_check(check: str, config: ExperimentConfig, stream: int):
             params, config.raw.get("route", "direct"),
             config.test_function("f", window, 1.0),
             config.test_function("g", window, 0.0), n, rng, eps=config.eps,
-            kernel_z_factor=float(config.raw.get("kernel_z_factor", 1.0)))
+            kernel_z_factor=_float_field(config.raw, "kernel_z_factor", 1.0))
     if check == "conjugacy":
         params = PolyaParams(config.z(),
                              config.reference_measure("rho", window))
@@ -294,12 +401,11 @@ def _run_one_check(check: str, config: ExperimentConfig, stream: int):
             config.test_function("h", window, 0.0), config.eps, n, rng)
     if check == "mixed-ibp":
         mixing = config.mixing(window)
-        fixed = config.raw.get("fixed_zw")
         return check_mixed_ibp(
             mixing, config.test_function("f", window, 1.0),
             config.test_function("g", window, 0.0), n, rng, eps=config.eps,
             route=config.raw.get("route", "direct"),
-            fixed_zw=tuple(fixed) if fixed else None)
+            fixed_zw=config.fixed_zw())
     raise ConfigError(f"unknown check {check!r}; choose from "
                       f"{', '.join(CHECK_NAMES)}")
 
@@ -379,12 +485,15 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError(f"config field 'command' says {declared!r} but the "
                           f"{args.command!r} subcommand was invoked")
     config = ExperimentConfig(command=args.command, raw=raw)
-    config.seed = args.seed if args.seed is not None else int(
-        raw.get("seed", 0))
-    config.n = args.n if args.n is not None else int(raw.get("n", 100))
-    config.eps = args.eps if args.eps is not None else float(
-        raw.get("eps", 1e-6))
+    config.seed = args.seed if args.seed is not None else _int_field(
+        raw, "seed", 0)
+    config.n = args.n if args.n is not None else _int_field(raw, "n", 100)
+    config.eps = args.eps if args.eps is not None else _float_field(
+        raw, "eps", 1e-6)
     config.out = args.out if args.out is not None else raw.get("out")
+    if config.out is not None and not isinstance(config.out, str):
+        raise ConfigError(f"config field 'out' must be a path; "
+                          f"got {config.out!r}")
     config.fmt = args.fmt if args.fmt is not None else raw.get(
         "format", "json")
     if config.fmt not in ("json", "jsonl", "csv"):

@@ -182,7 +182,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     atom count is truncated.  Locations are i.i.d. rho/m, atoms of rho
     included in proportion.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"truncation threshold must be > 0, got {eps}")
     rng = as_generator(rng)
     window = params.window

@@ -14,10 +14,13 @@ Samples of any size share one record format: a batch holds n replicas
 as flat arrays with one row per located point or atom (replica index,
 flat cell index, multiplicity or weight, raw coordinates).  This
 module builds every batch (``_records``) and holds the one merge rule
-for records at one location (``_merge``), which the point samplers
-apply, so a sampled configuration batch holds each location once per
-replica.  Single configurations and measures convert to and from
-batches here, and their evaluation maps are one-replica batch views.
+for records at one location (``_groups``).  The point samplers apply
+it through ``_merge``, so a sampled configuration batch holds each
+location once per replica; conversion to objects and the CLI writer
+apply it through ``_merged``, which also merges the unmerged gamma and
+posterior batches.  Single configurations and measures convert to and
+from batches here, and their evaluation maps are one-replica batch
+views.
 
 The measure types are immutable values after construction and safe to
 share across threads.
@@ -512,22 +515,54 @@ def _tile(window: Window, pairs, n: int):
             cells[idx], values[idx], coords[idx])
 
 
+def _groups(rep: np.ndarray, keys, values: np.ndarray) -> tuple:
+    """The one merge rule: records with equal (replica, *keys) merge,
+    keys compared with ``==``.
+
+    Returns (first, summed): the first record of each group, groups
+    ordered by (replica, keys), and the group's ``values`` summed in
+    record order.
+    """
+    order = np.lexsort((*keys[::-1], rep))
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = np.any([col[order][1:] != col[order][:-1]
+                        for col in (rep, *keys)], axis=0)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
+    summed = np.bincount(inverse, weights=values, minlength=start.sum())
+    return order[start], summed.astype(values.dtype)
+
+
+def _merged(batch, values: np.ndarray) -> tuple:
+    """The locations of each replica of ``batch``, records at one
+    location merged: (first, summed, bounds).
+
+    ``first`` is each location's first record, ordered by replica and
+    then by first occurrence; ``summed`` adds its records' ``values``
+    in record order; replica i owns positions bounds[i]:bounds[i+1].
+    Coordinates compare with ``==``, as Python floats do, so -0.0 and
+    0.0 coincide.
+    """
+    keys = ((batch.coords,) if batch.window.mode == "sites"
+            else tuple(batch.coords.T))
+    first, summed = _groups(batch.rep, keys, values)
+    out = np.lexsort((first, batch.rep[first]))
+    first = first[out]
+    bounds = np.searchsorted(batch.rep[first], np.arange(batch.n + 1))
+    return first, summed[out], bounds
+
+
 def _split(batch, values: np.ndarray, cls, cast) -> list:
     """One ``cls`` object per replica of ``batch``; records at the same
-    location merge by adding their ``values``."""
-    order = np.argsort(batch.rep, kind="stable")
-    bounds = np.searchsorted(batch.rep[order], np.arange(batch.n + 1))
+    location merge by adding their ``values`` (``_merged``)."""
+    first, summed, bounds = _merged(batch, values)
     window = batch.window
-    sites = window.mode == "sites"
-    out = []
-    for i in range(batch.n):
-        merged = {}
-        for r in order[bounds[i]:bounds[i + 1]]:
-            loc = (window.sites[batch.coords[r]] if sites
-                   else tuple(float(v) for v in batch.coords[r]))
-            merged[loc] = merged.get(loc, 0) + cast(values[r])
-        out.append(cls(window, tuple(merged.items())))
-    return out
+    coords = batch.coords[first].tolist()
+    locs = ([window.sites[c] for c in coords] if window.mode == "sites"
+            else list(map(tuple, coords)))
+    points = list(zip(locs, map(cast, summed.tolist())))
+    return [cls(window, tuple(points[a:b]))
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -617,19 +652,17 @@ def _merge(window: Window, atoms, rep, cell, value, coords):
     summed in record order.  Box windows without atoms are untouched.
     """
     if window.mode == "sites":
-        loc, n_loc = cell, window.n_cells
+        loc = cell
     elif not atoms:
         return rep, cell, value, coords
     else:
-        loc, n_loc = np.full(rep.size, -1, dtype=np.int64), len(atoms)
+        loc = np.full(rep.size, -1, dtype=np.int64)
         for k, (atom, _) in enumerate(atoms):
             loc[(coords == atom).all(axis=1)] = k
     on = loc >= 0
     if not on.any():
         return rep, cell, value, coords
-    _, first, inv = np.unique(rep[on] * n_loc + loc[on], return_index=True,
-                              return_inverse=True)
-    summed = np.bincount(inv, weights=value[on]).astype(value.dtype)
+    first, summed = _groups(rep[on], (loc[on],), value[on])
     first = np.flatnonzero(on)[first]
     keep = ~on
     return (np.concatenate([rep[keep], rep[first]]),

@@ -1,10 +1,17 @@
 """The command-line front end: determinism, schemas, exit codes."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
-from polyasum.cli import main
+from polyasum.cli import _write_records, main
+from polyasum.samplers import (MixingMeasure, PolyaParams, RngSeed,
+                               sample_gamma_measure_batch, sample_mixed_batch,
+                               sample_poisson_batch, sample_polya_cox_batch,
+                               sample_polya_direct_batch)
+from polyasum.state_space import AtomicBatch, ReferenceMeasure, Window
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -19,7 +26,72 @@ def strip_timestamp(path):
     return json.dumps(doc, sort_keys=True)
 
 
+def without_timestamp(path):
+    """The file's text with the provenance timestamp line removed."""
+    text = path.read_text()
+    stripped = re.sub(r'\n *"timestamp": "[^"]*",?', "", text)
+    assert stripped != text
+    return stripped
+
+
 BASE_WINDOW = {"mode": "box", "bounds": [[0.0, 1.0]], "cells": [4]}
+
+# window, rho and mixing fields of the writer cases: a 1-d box, a 2-d
+# box, a box whose rho has atoms (one of zero weight), and sites with
+# a non-ASCII label and one holding "%"
+WRITER_WINDOWS = {
+    "box-1d": (BASE_WINDOW, {"uniform_mass": 3.0}),
+    "box-2d": ({"mode": "box", "bounds": [[0.0, 1.0], [-1.0, 2.0]],
+                "cells": [2, 3]}, {"uniform_mass": 3.0}),
+    "box-atoms": (BASE_WINDOW, {
+        "masses": [0.5, 0.0, 1.0, 0.5],
+        "atoms": [{"loc": [0.3], "weight": 1.5},
+                  {"loc": [0.0], "weight": 0.0},
+                  {"loc": [0.8], "weight": 0.7}]}),
+    "sites": ({"mode": "sites", "sites": ["a", "b\u00e9", "c%s"]},
+              {"masses": [1.0, 0.5, 0.0],
+               "atoms": [{"loc": "c%s", "weight": 2.0}]}),
+}
+# the (0, 0) atom gives empty replicas among the others
+WRITER_MIXING = [(0.3, 1.0, 0.5), (0.7, 2.0, 0.3), (0.0, 0.0, 0.2)]
+WRITER_ROUTES = ["poisson", "direct", "cox", "gamma", "mixed-direct",
+                 "mixed-cox"]
+
+
+def object_text(batch, latents, header):
+    """The simulate text built through objects and ``to_dict``."""
+    objects = (batch.to_measures() if isinstance(batch, AtomicBatch)
+               else batch.to_configurations())
+    docs = [obj.to_dict() for obj in objects]
+    if latents is not None:
+        for i, doc in enumerate(docs):
+            doc["latent"] = {k: float(v[i]) for k, v in latents.items()}
+    if header is None:
+        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+    return json.dumps({"provenance": header, "samples": docs}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def sample_route(route, window_doc, rho_doc, z, eps, n, seed):
+    """The batch and latents ``simulate`` draws for ``route``."""
+    window = Window.from_dict(window_doc)
+    rho = (ReferenceMeasure.uniform(window, rho_doc["uniform_mass"])
+           if "uniform_mass" in rho_doc
+           else ReferenceMeasure.from_dict(rho_doc, window=window))
+    rng = RngSeed(seed).generator()
+    if route == "poisson":
+        return sample_poisson_batch(rho, n, rng), None
+    if route.startswith("mixed"):
+        batch, z_lat, w_lat = sample_mixed_batch(
+            MixingMeasure(rho, WRITER_MIXING), route.split("-")[1], eps, n,
+            rng)
+        return batch, {"z": z_lat, "w": w_lat}
+    params = PolyaParams(z, rho)
+    if route == "gamma":
+        return sample_gamma_measure_batch(params, eps, n, rng), None
+    if route == "direct":
+        return sample_polya_direct_batch(params, n, rng), None
+    return sample_polya_cox_batch(params, eps, n, rng), None
 
 
 class TestSimulate:
@@ -43,6 +115,7 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert strip_timestamp(out1) == strip_timestamp(out2)
+        assert without_timestamp(out1) == without_timestamp(out2)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -131,6 +204,69 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert all("atoms" in s and s["atoms"] for s in doc["samples"])
+
+
+class TestWriter:
+    """``simulate`` json/jsonl bytes equal the object path's."""
+
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    @pytest.mark.parametrize("window", sorted(WRITER_WINDOWS))
+    @pytest.mark.parametrize("route", WRITER_ROUTES)
+    def test_bytes_equal_object_path(self, tmp_path, route, window, fmt):
+        window_doc, rho_doc = WRITER_WINDOWS[window]
+        route_field, _, mixed_route = route.partition("-")
+        cfg = write_config(tmp_path, {
+            "window": window_doc, "rho": rho_doc, "rho0": rho_doc, "z": 0.6,
+            "route": route_field, "mixed_route": mixed_route or "direct",
+            "mixing": {"atoms": [{"z": z, "w": w, "p": p}
+                                 for z, w, p in WRITER_MIXING]},
+            "n": 30, "seed": 11, "eps": 1e-3,
+        })
+        out = tmp_path / f"out.{fmt}"
+        assert main(["simulate", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        header = json.loads(text)["provenance"] if fmt == "json" else None
+        batch, latents = sample_route(route, window_doc, rho_doc, 0.6, 1e-3,
+                                      30, 11)
+        assert text == object_text(batch, latents, header)
+
+    @pytest.mark.parametrize("route, key", [("direct", "points"),
+                                            ("gamma", "atoms")])
+    def test_zero_z_gives_empty_replicas(self, route, key):
+        window_doc, rho_doc = WRITER_WINDOWS["box-atoms"]
+        batch, _ = sample_route(route, window_doc, rho_doc, 0.0, 1e-3, 5, 1)
+        for header in (None, {"seed": 1}):
+            text = _write_records(batch, None, header)
+            assert text == object_text(batch, None, header)
+            assert text.count(f'"{key}": []') == 5
+
+    @pytest.mark.parametrize("window", ["box-atoms", "sites"])
+    def test_gamma_merges_repeated_locations(self, window):
+        # gamma batches are not merged at sampling: here replicas hold
+        # several jumps at one location, which the writer must sum in
+        # record order at the first occurrence
+        window_doc, rho_doc = WRITER_WINDOWS[window]
+        batch, _ = sample_route("gamma", window_doc, rho_doc, 0.6, 1e-3, 30,
+                                11)
+        measures = batch.to_measures()
+        assert batch.rep.size > sum(len(m.atoms) for m in measures)
+        for head in (None, {"seed": 11}):
+            assert _write_records(batch, None, head) == object_text(
+                batch, None, head)
+
+    def test_signed_zeros_merge_at_first_occurrence(self):
+        window = Window.interval(-1.0, 1.0, 2)
+        batch = AtomicBatch(window, 2, np.array([1, 0, 0, 1, 0]),
+                            np.array([1, 1, 1, 1, 0]),
+                            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                            np.array([[0.0], [-0.0], [0.0], [0.5], [-0.5]]))
+        text = _write_records(batch)
+        assert text == object_text(batch, None, None)
+        first = json.loads(text.splitlines()[0])["atoms"]
+        assert first == [{"loc": [-0.0], "weight": 5.0},
+                         {"loc": [-0.5], "weight": 5.0}]
+        assert '"loc": [-0.0]' in text
 
 
 class TestPosterior:
@@ -282,6 +418,39 @@ class TestConfigErrors:
             "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 1.5,
         })
         assert main(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", "window", [1, 2]),
+        ("simulate", "rho", [1, 2]),
+        ("posterior", "mu", [1]),
+        ("verify mixed-ibp", "fixed_zw", 5),
+        ("simulate", "n", 1.7),
+        ("simulate", "seed", 1.5),
+        ("simulate", "n", "5"),
+        ("simulate", "seed", True),
+        ("simulate", "eps", None),
+        ("verify polya-ibp", "kernel_z_factor", None),
+        ("simulate", "out", 7),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, capsys, command,
+                                      field, value):
+        doc = {"window": BASE_WINDOW, "rho": {"uniform_mass": 1.0},
+               "rho0": {"uniform_mass": 30.0}, "z": 0.5, "n": 100,
+               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]}}
+        doc[field] = value
+        args = command.split() + ["--config", write_config(tmp_path, doc)]
+        assert main(args) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_integral_float_n_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 0.5,
+            "n": 3.0, "seed": 2.0,
+        })
+        out = tmp_path / "out.jsonl"
+        assert main(["simulate", "--config", cfg, "--format", "jsonl",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
     def test_infinite_g_parses(self, tmp_path):
         cfg = write_config(tmp_path, {

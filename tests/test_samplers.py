@@ -121,8 +121,10 @@ class TestGammaMeasure:
         assert kappa.atoms == ()
 
     def test_eps_must_be_positive(self, rho_mass2):
-        with pytest.raises(ParameterError):
-            sample_gamma_measure(PolyaParams(0.5, rho_mass2), 0.0, RngSeed(0))
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="truncation threshold"):
+                sample_gamma_measure(PolyaParams(0.5, rho_mass2), eps,
+                                     RngSeed(0))
 
     def test_atomic_reference_mass_handled_proportionally(self):
         w = Window.interval(0.0, 1.0, 2)
