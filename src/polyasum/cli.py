@@ -202,9 +202,12 @@ def provenance(config: ExperimentConfig) -> dict:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
 
 
 def _emit_json(doc: dict, config: ExperimentConfig) -> None:

@@ -442,6 +442,18 @@ class TestConfigErrors:
         assert main(args) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["", "missing/out.json"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, out):
+        # an existing directory, and a file in a directory that does
+        # not exist
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 0.5,
+            "n": 3,
+        })
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_integral_float_n_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {
             "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 0.5,

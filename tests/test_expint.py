@@ -2,6 +2,7 @@
 
 import hashlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from scipy.special import exp1
 from polyasum import (MixingMeasure, PolyaParams, ReferenceMeasure, RngSeed,
                       Window, sample_mixed_batch, sample_poisson_batch,
                       sample_polya_direct_batch)
+from polyasum import expint
 from polyasum.expint import e1, e1_inverse
 
 
@@ -43,6 +45,11 @@ def test_rejects_nonpositive():
         e1(np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         e1_inverse(0.0)
+    for bad in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            e1(bad)
+        with pytest.raises(ValueError):
+            e1_inverse(bad)
 
 
 @given(st.floats(min_value=1e-8, max_value=500.0))
@@ -58,11 +65,53 @@ def test_inverse_is_right_inverse(y):
 
 
 def test_inverse_residual_over_full_range():
-    # both Newton branches, from roots near 690 down to roots near 1e-304
+    # both branches, from roots near 690 down to roots near 1e-304
     y = np.concatenate([np.geomspace(1e-300, 1.0, 20000),
                         np.geomspace(1.0, 700.0, 20000)])
     x = e1_inverse(y)
     assert np.abs(exp1(x) / y - 1.0).max() <= 1e-13
+
+
+@given(st.floats(min_value=1e-300, max_value=745.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_inverse_residual_property(y):
+    x = e1_inverse(y)
+    if x >= np.finfo(float).tiny:
+        assert abs(exp1(x) / y - 1.0) <= 1e-13
+    else:
+        # above y ~ 708 the root is subnormal, above ~744.55 it rounds
+        # to 0, and no double has a residual of 1e-13: the root must lie
+        # within one spacing of x instead
+        assert exp1(np.nextafter(x, 0.0)) >= y >= exp1(np.nextafter(x, 1.0))
+
+
+def _mp_root(y, guess):
+    # the root of E1(x) = y at 50 digits, by the secant method in ln x
+    with mp.workdps(50):
+        return mp.exp(mp.findroot(lambda u: mp.e1(mp.exp(u)) - y,
+                                  mp.log(guess)))
+
+
+def test_fitted_d_matches_mpmath():
+    # y > 1 returns x = w e^d with d = w P(w / w1), w = e^(-gamma - y)
+    with mp.workdps(50):
+        for s in (np.arange(200) + 0.5) / 200:
+            w = s * expint._W1
+            d = w * expint._horner(expint._D_COEFFS,
+                                   np.array([w / expint._W1]))[0]
+            y = -mp.euler - mp.log(w)
+            exact = mp.log(_mp_root(y, w) / w)
+            assert abs(d - exact) <= 2e-15, s
+
+
+def test_fitted_seed_matches_mpmath():
+    # y <= 1, t = -ln y <= 8: the seed of the one Halley step
+    with mp.workdps(50):
+        for t in (np.arange(200) + 0.5) / 200 * expint._SEED_T:
+            x0 = expint._horner(expint._SEED_COEFFS,
+                                np.array([t / expint._SEED_T]))[0]
+            exact = _mp_root(mp.exp(-t), max(t - np.log1p(t), 0.2))
+            assert abs(x0 / exact - 1) <= 1e-6, t
 
 
 def test_inverse_strictly_decreasing_across_branches():
