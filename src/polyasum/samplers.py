@@ -34,7 +34,8 @@ import numpy as np
 from .expint import e1, e1_inverse
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _merge, _records, _tile)
+                          ReferenceMeasure, Window, _categorical, _merge,
+                          _records, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -257,7 +258,7 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     n_clusters = rng.poisson(lam, size=n)
     rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
     cells, coords = params.rho.sample_locations(rep.size, rng)
-    mult = rng.logseries(z, size=rep.size).astype(np.int64)
+    mult = rng.logseries(z, size=rep.size).astype(np.int64, copy=False)
     return ConfigurationBatch(window, n, *_merge(
         window, params.rho.atoms, rep, cells, mult, coords))
 
@@ -349,10 +350,9 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     if route not in ("direct", "cox"):
         raise ParameterError(f"route must be 'direct' or 'cox', got {route!r}")
     rng = as_generator(rng)
-    probs = np.array([p for _, _, p in mixing.atoms])
-    comp = rng.choice(len(mixing.atoms), size=n, p=probs / probs.sum())
-    z_lat = np.array([mixing.atoms[c][0] for c in comp])
-    w_lat = np.array([mixing.atoms[c][1] for c in comp])
+    z_atom, w_atom, probs = np.array(mixing.atoms).T
+    comp = _categorical(probs / probs.sum(), n, rng)
+    z_lat, w_lat = z_atom[comp], w_atom[comp]
 
     parts = []
     for c, (z, w, _) in enumerate(mixing.atoms):

@@ -172,7 +172,10 @@ class Window:
         """Draw one uniform location inside each listed cell.
 
         Returns an (M, d) coordinate array (box mode only; discrete
-        sites are their own locations).
+        sites are their own locations).  Axis by axis from the last one
+        back, with one ``rng.random(M)`` per axis, coordinate k of a
+        point in cell index i_k is ``lo + (i_k + U) * ((hi - lo) / n)``
+        bit for bit.
         """
         if self.mode == "sites":
             raise InvalidMeasureError("uniform_in_cells needs a box window")
@@ -180,14 +183,20 @@ class Window:
         d = self.dimension
         coords = np.empty((cells.size, d))
         rem = cells
-        # decode the flat index from the last axis backwards
+        # decode the flat index from the last axis backwards; what is
+        # left for the leading axis is already its index
         for axis in range(d - 1, -1, -1):
             lo, hi = self.bounds[axis]
             n = self.cells_per_axis[axis]
-            idx = rem % n
-            rem = rem // n
-            width = (hi - lo) / n
-            coords[:, axis] = lo + (idx + rng.random(cells.size)) * width
+            if axis:
+                rem, idx = np.divmod(rem, n)
+            else:
+                idx = rem
+            # the formula's operations in its order, written in place
+            col = coords[:, axis]
+            np.add(idx, rng.random(cells.size), out=col)
+            col *= (hi - lo) / n
+            col += lo
         return coords
 
     def to_dict(self) -> dict:
@@ -303,6 +312,33 @@ class AtomicMeasure:
         return cls(win, atoms)
 
 
+def _categorical(p: np.ndarray, size: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """``size`` indices drawn from the probabilities ``p``, bit for bit
+    as ``rng.choice(p.size, size, p=p)`` draws them.
+
+    The same cdf (``p.cumsum()`` divided by its last entry), the same
+    ``rng.random(size)`` doubles, so the generator ends in the same
+    state, and the same answer as ``cdf.searchsorted(u, side="right")``.
+    A guide table of max(256, 2 * p.size) buckets finds that answer for
+    most draws; the draws it cannot settle use ``searchsorted`` itself.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    g = max(256, 2 * cdf.size)
+    # x -> fl(x * g) is monotone, so an entry whose scaled value is
+    # below j lies below every u with int(fl(u * g)) == j: start[j] is
+    # a lower bound of the answer for that bucket, and the answer
+    # itself when the entry it points at exceeds u.  fl(u * g) < g for
+    # every u < 1, so j < g.
+    start = (cdf * g).searchsorted(np.arange(g), side="left")
+    idx = start[(u * g).astype(np.intp)]
+    todo = np.flatnonzero(cdf[idx] <= u)
+    idx[todo] = cdf.searchsorted(u[todo], side="right")
+    return idx
+
+
 @dataclass(frozen=True)
 class ReferenceMeasure:
     """A reference measure: nonnegative mass per cell plus optional atoms.
@@ -340,6 +376,13 @@ class ReferenceMeasure:
                 raise InvalidMeasureError(f"duplicate atom location {loc!r}")
             seen.add(loc)
             cleaned.append((loc, w))
+        # the sum that sample_locations normalises by
+        with np.errstate(over="ignore"):
+            total = np.concatenate([masses, [w for _, w in cleaned]]).sum()
+        if not math.isfinite(total):
+            raise InvalidMeasureError(
+                "total mass overflows: cell masses plus atom weights must "
+                "sum to a finite number")
         object.__setattr__(self, "atoms", tuple(cleaned))
 
     @classmethod
@@ -386,6 +429,11 @@ class ReferenceMeasure:
         coordinates ((size, d) float array for box windows, site
         indices for discrete ones).  A draw on an atom carries the
         atom's coordinates bit for bit.  Used by every sampler.
+
+        The draws are those of ``rng.choice(K, size, p=weights / total)``
+        over the K cells then atoms, bit for bit and leaving the
+        generator in the same state, followed for box windows by
+        :meth:`Window.uniform_in_cells` on the cells drawn.
         """
         _, atom_cells, atom_weights, atom_coords = _tile(
             self.window, self.atoms, 1)
@@ -394,7 +442,7 @@ class ReferenceMeasure:
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
-        cells = rng.choice(weights.size, size=size, p=weights / total)
+        cells = _categorical(weights / total, size, rng)
         hit = np.flatnonzero(cells >= n_cells)
         atom_idx = cells[hit] - n_cells
         cells[hit] = atom_cells[atom_idx]

@@ -403,6 +403,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "'window'" in err and "distinct" in err
 
+    def test_overflowing_total_mass_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": {"mode": "box", "bounds": [[0, 1]], "cells": [2]},
+            "rho": {"masses": [1e308, 1e308]}, "z": 0.5,
+        })
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "'rho'" in err and "overflows" in err
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "posterior",
                                       "window": BASE_WINDOW})

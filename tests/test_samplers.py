@@ -5,6 +5,7 @@ transforms; Gamma-measure routes get an additional linear allowance
 for the documented truncation threshold eps.
 """
 
+import hashlib
 import json
 import math
 
@@ -382,6 +383,72 @@ class TestReproducibility:
         assert np.array_equal(b1.rep, b2.rep)
         assert np.array_equal(b1.mult, b2.mult)
         assert np.array_equal(b1.coords, b2.coords)
+
+    def test_location_draws_keep_their_bits(self):
+        # every sampler draws its locations through sample_locations;
+        # these digests were recorded when it called rng.choice, with
+        # numpy 2.4.  A 3x5 box decodes cells on two axes, the sites
+        # window has an atom, and 1000 cells make a long cdf.  Gamma
+        # weights pass through e1_inverse, whose last bits may depend on
+        # the platform's exp and log, so only locations are digested.
+        fine = np.geomspace(1e-4, 1.0, 1000)
+        fine[3::10] = 0.0
+        rhos = {
+            "box3x5": ReferenceMeasure(
+                Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]),
+                np.linspace(0.05, 0.75, 15), (((0.5, 0.25), 0.4),)),
+            "sites": ReferenceMeasure(
+                Window.discrete(["a", "b", "c", "d"]),
+                np.array([0.5, 0.0, 1.0, 0.25]), (("b", 0.75),)),
+            "fine1000": ReferenceMeasure(
+                Window.interval(0.0, 1.0, 1000), fine * (3.0 / fine.sum())),
+        }
+        digests = {}
+        for name, rho in rhos.items():
+            params = PolyaParams(0.6, rho)
+            mu = sample_polya_direct(params, RngSeed(5))
+            for route, batch in (
+                    ("direct", sample_polya_direct_batch(params, 300,
+                                                         RngSeed(11))),
+                    ("poisson", sample_poisson_batch(rho, 300, RngSeed(12))),
+                    ("gamma", sample_gamma_measure_batch(params, 1e-3, 100,
+                                                         RngSeed(13))),
+                    ("posterior", sample_posterior_batch(
+                        mu, params, 1e-3, 100, RngSeed(14)))):
+                h = hashlib.sha256()
+                values = ([batch.mult] if route in ("direct", "poisson")
+                          else [])
+                for arr in [batch.rep, batch.cell, *values, batch.coords]:
+                    arr = np.ascontiguousarray(arr)
+                    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                    h.update(arr.tobytes())
+                digests[f"{name}/{route}"] = h.hexdigest()
+        assert digests == {
+            "box3x5/direct":
+                "f78cfebe3db0cd57371aad63777725d04cf967d34e9a1e9c18529a7a6163b6f1",
+            "box3x5/poisson":
+                "83894a6bdc05fcba6e1ef7c3eb1a48b8ffdd5c2f0fe4596cbae589e74b14553b",
+            "box3x5/gamma":
+                "8014cd62519cd0b07e56ef3ecec77e71b089830925950fdaa1bfb7af2b092961",
+            "box3x5/posterior":
+                "957351ed21f2d35e321efc2d99f2b3569633b14e9c1043e5f0436836e52b8464",
+            "sites/direct":
+                "bddc1006a41781ea33292a1b3d3bca3569a2e69aaddc9aa89d8760640039ae37",
+            "sites/poisson":
+                "d6bebac5194c3070fe72615237e4a6a181f2381322c63b4f752fa39fe1e9c808",
+            "sites/gamma":
+                "50a974ea210bf1b0d2f868cc577f759b99fc5ed7cefd826501acdd818188e409",
+            "sites/posterior":
+                "c65b4c5a9563eab515ecccb338e34867e27d78bdccb656a4eaeaf7eca5c0ac35",
+            "fine1000/direct":
+                "9b8b1f27916373fd7ad1a84609f2472e45860388a49e21cdb824c26723200958",
+            "fine1000/poisson":
+                "1d84cba9f0209bf06ac57ed3f1d052d9223aadc9e6a5d039907ee1ac2c6f3916",
+            "fine1000/gamma":
+                "5900e7587a5e633f2a961122cc39ebd963fd63e92e9617d7a1b2a06e85a72af9",
+            "fine1000/posterior":
+                "8ac8cf382ca353590487f8934dfaf3b661eb3ced163611fc8319343b859d56fc",
+        }
 
     def test_streams_are_independent(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)

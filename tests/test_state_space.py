@@ -1,6 +1,7 @@
 """Measure substrate: evaluation maps, counting, superposition, JSON."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
                       WindowMismatchError, count, distinct_count, samplers,
                       superpose, zeta)
-from polyasum.state_space import (AtomicBatch, ConfigurationBatch, _merge,
-                                  _tile)
+from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
+                                  _categorical, _merge, _tile)
 
 
 @pytest.fixture
@@ -190,6 +191,21 @@ class TestInvariants:
         with pytest.raises(InvalidMeasureError):
             ReferenceMeasure(w, np.ones(3))
 
+    def test_total_mass_must_be_finite(self):
+        # each mass is finite but their sum is not, so normalising by it
+        # would give NaN probabilities; no overflow warning either
+        w = Window.interval(0.0, 1.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for masses, atoms in (([1e308, 1e308], ()),
+                                  ([1e308, 0.0], (((0.5,), 1e308),))):
+                with pytest.raises(InvalidMeasureError, match="overflows"):
+                    ReferenceMeasure(w, masses, atoms)
+            rho = ReferenceMeasure(w, [1e308, 1e307])
+            with pytest.raises(InvalidMeasureError, match="overflows"):
+                rho.scale(1.7)
+            assert rho.scale(1.5).total_mass == pytest.approx(1.65e308)
+
     def test_test_function_validation(self, w):
         with pytest.raises(InvalidMeasureError):
             TestFunction(w, np.array([0.1, -0.2, 0.0, 0.0]))
@@ -361,3 +377,50 @@ class TestMerge:
                 np.array([[0.3], [0.3]]))
         out = _merge(w, (), *cols)
         assert all(x is y for x, y in zip(out, cols))
+
+
+def _categorical_probs(k, seed, zeros, log_min):
+    """k probabilities spread over 10**log_min..1, with zero entries."""
+    gen = np.random.default_rng(seed)
+    p = 10.0 ** gen.uniform(log_min, 0.0, k)
+    if k > 1:
+        p[{"none": [], "first": [0], "middle": [k // 2], "last": [k - 1],
+           "all but one": gen.permutation(k)[1:]}[zeros]] = 0.0
+    return p / p.sum()
+
+
+class TestCategorical:
+    """``_categorical`` against the ``Generator.choice`` it reproduces:
+    equal draws, equal dtype and the generator left in the same state."""
+
+    @staticmethod
+    def _assert_as_choice(p, size, seed):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _categorical(p, size, ours)
+        want = numpys.choice(p.size, size, p=p)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert ours.random() == numpys.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from(["none", "first", "middle", "last",
+                                  "all but one"]),
+           log_min=st.floats(-300.0, 0.0), size=st.sampled_from([0, 1, 7, 2000]))
+    def test_matches_choice(self, k, seed, zeros, log_min, size):
+        self._assert_as_choice(_categorical_probs(k, seed, zeros, log_min),
+                               size, seed)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 17, 100, 1000])
+    def test_matches_choice_on_a_grid(self, k):
+        for seed in range(5):
+            for zeros in ("none", "first", "middle", "last"):
+                self._assert_as_choice(
+                    _categorical_probs(k, seed, zeros, -3.0), 20_000, seed)
+
+    def test_equal_entries_and_long_zero_runs(self):
+        # cdf values k/8 fall on bucket edges; a run of equal cdf values
+        # fills one bucket with thousands of entries
+        self._assert_as_choice(np.full(8, 0.125), 50_000, 1)
+        for p in (np.r_[np.zeros(4999), 1.0], np.r_[0.5, np.zeros(9998), 0.5]):
+            self._assert_as_choice(p, 50_000, 2)
