@@ -12,7 +12,7 @@ from .bayes import (DecompositionError, PosteriorSpec, bayes_estimator,
                     convolution_split, posterior_intensity, posterior_params)
 from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
                          density_ratio, density_stats, papangelou_kernel,
-                         solve_zw, solve_zw_batch, stat_U, stat_V)
+                         solve_zw, solve_zw_batch)
 from .expint import e1, e1_inverse
 from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
                        sample_gamma_measure, sample_gamma_measure_batch,
@@ -24,8 +24,7 @@ from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, TestFunction, Window,
-                          WindowMismatchError, count, distinct_count,
-                          superpose, zeta)
+                          WindowMismatchError, superpose, zeta)
 from .transforms import (ParameterError, TransformResult, empirical_laplace,
                          joint_laplace, laplace_gp, laplace_polya,
                          logseries_mean, logseries_pmf, nb_pmf, nb_pmf_table,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .state_space import (InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, superpose)
-from .transforms import ParameterError, _check_z_open
+from .transforms import _check_z_open
 
 
 class DecompositionError(ValueError):
@@ -25,38 +25,30 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class PosteriorSpec:
-    """Posterior parameters: z_post, the base measure rho + mu, and the
-    rate a_post stored redundantly.
-
-    z and a are linked by a = (1-z)/z; the constructor enforces the
-    link so silent drift between the two parametrizations cannot
-    corrupt downstream computations.
-    """
+    """Posterior parameters: z_post and the base measure rho + mu."""
 
     z_post: float
     base: ReferenceMeasure
-    a_post: float
 
     def __post_init__(self):
         _check_z_open(self.z_post)
-        implied = (1.0 - self.z_post) / self.z_post
-        if not np.isclose(self.a_post, implied, rtol=1e-12, atol=0.0):
-            raise ParameterError(
-                f"a_post={self.a_post} inconsistent with z_post={self.z_post} "
-                f"(implied a={implied})")
+
+    @property
+    def a_post(self) -> float:
+        """The posterior rate a = (1 - z_post)/z_post, the prior a + 1."""
+        return (1.0 - self.z_post) / self.z_post
 
 
 def posterior_params(z: float, rho: ReferenceMeasure,
                      mu: PointConfiguration) -> PosteriorSpec:
     """Posterior of a (z, rho) Gamma-measure prior given observation mu.
 
-    Returns (z/(1+z), rho + mu, a + 1).  An empty observation still
-    updates the parameters: seeing zero points is evidence too.
+    Returns (z/(1+z), rho + mu), whose rate is a + 1.  An empty
+    observation still updates the parameters: seeing zero points is
+    evidence too.
     """
     z = _check_z_open(z)
-    z_post = z / (1.0 + z)
-    a_post = (1.0 - z) / z + 1.0
-    return PosteriorSpec(z_post=z_post, base=superpose(rho, mu), a_post=a_post)
+    return PosteriorSpec(z_post=z / (1.0 + z), base=superpose(rho, mu))
 
 
 def bayes_estimator(z: float, rho: ReferenceMeasure,
@@ -105,5 +97,5 @@ def convolution_split(spec: PosteriorSpec, mu: PointConfiguration):
     mu_part = ReferenceMeasure(
         window, np.zeros(window.n_cells),
         tuple((loc, float(k)) for loc, k in mu.points))
-    return (PosteriorSpec(spec.z_post, rho_part, spec.a_post),
-            PosteriorSpec(spec.z_post, mu_part, spec.a_post))
+    return (PosteriorSpec(spec.z_post, rho_part),
+            PosteriorSpec(spec.z_post, mu_part))

@@ -44,7 +44,8 @@ from .samplers import (MixingMeasure, PolyaParams, RngSeed,
                        sample_polya_direct_batch)
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, TestFunction, Window, _merged)
+                          ReferenceMeasure, TestFunction, Window, _by_replica,
+                          _json_int)
 from .transforms import ParameterError
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
@@ -158,9 +159,7 @@ class ExperimentConfig:
 
 
 def _int_field(raw: dict, key: str, default: int) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    value = _json_int(raw.get(key, default))
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config field '{key}' must be an integer; "
                           f"got {value!r}")
@@ -223,15 +222,16 @@ def _write_records(batch, latents=None, header=None) -> str:
     ``to_dict()`` of each object of ``to_configurations()`` or
     ``to_measures()`` (``indent=2`` under a header), each with a
     ``latent`` object from the per-replica arrays in ``latents``.
-    json renders the layout once, around sentinel slots; after the
-    merge (``_merged``) every record is one %-format of its values.
+    A sampled batch holds each location once per replica, so every
+    record, grouped by replica (``_by_replica``), is one %-format of
+    its values into a layout json renders once, around sentinel slots.
     """
     window = batch.window
     configs = isinstance(batch, ConfigurationBatch)
     list_key, value_key = (("points", "mult") if configs
                            else ("atoms", "weight"))
-    first, values, bounds = _merged(batch,
-                                    batch.mult if configs else batch.weight)
+    order, bounds = _by_replica(batch)
+    values = (batch.mult if configs else batch.weight)[order]
     wdoc = window.to_dict()
     # longer than any string in the fixed parts, so that its rendering
     # occurs only where it was put
@@ -273,7 +273,7 @@ def _write_records(batch, latents=None, header=None) -> str:
     head, rec, empty = fmt(head[len(doc_head):]), fmt(rec), fmt(empty)
     tail = tail[:len(tail) - len(doc_tail)]
 
-    coords = batch.coords[first]
+    coords = batch.coords[order]
     if window.mode == "sites":
         labels = [json.dumps(site) for site in window.sites]
         cols = [[labels[c] for c in coords.tolist()]]

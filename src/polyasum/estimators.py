@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_space import (PointConfiguration, ReferenceMeasure, count,
-                          distinct_count, superpose)
+from .state_space import (PointConfiguration, ReferenceMeasure,
+                          _one_replica, superpose)
 
 _Z_TOL = 1e-13
 _Z_LO = 1e-15
@@ -71,28 +71,19 @@ class ZWEstimate:
     residual: float
 
 
-def stat_U(mu: PointConfiguration, rho0: ReferenceMeasure,
-           cells=None) -> float:
-    """Point density with multiplicity: count(mu, B) / rho0(B)."""
-    return density_stats(mu, rho0, cells).u
-
-
-def stat_V(mu: PointConfiguration, rho0: ReferenceMeasure,
-           cells=None) -> float:
-    """Distinct-point density: distinct_count(mu, B) / rho0(B)."""
-    return density_stats(mu, rho0, cells).v
-
-
 def density_stats(mu: PointConfiguration, rho0: ReferenceMeasure,
                   cells=None) -> DensityStats:
-    """Both empirical densities of a configuration over one region."""
+    """Both empirical densities of a configuration over one region B:
+    u = (points of mu in B, with multiplicity) / rho0(B) and
+    v = (distinct points of mu in B) / rho0(B)."""
     if cells is None:
         cells = rho0.window.all_cells
     mass = rho0.mass_of_cells(cells)
     if mass <= 0:
         raise ValueError("estimation region has zero reference mass")
-    return DensityStats(u=count(mu, cells) / mass,
-                        v=distinct_count(mu, cells) / mass,
+    batch = _one_replica(mu)
+    return DensityStats(u=int(batch.counts(cells)[0]) / mass,
+                        v=int(batch.distinct_counts(cells)[0]) / mass,
                         window_mass=mass)
 
 

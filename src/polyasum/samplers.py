@@ -16,10 +16,10 @@ Three routes produce Polya samples:
 Every sampler has a single-draw form returning state_space objects and
 a ``*_batch`` form returning flat record arrays (one row per located
 point or atom) for Monte Carlo at scale.  The samplers here only draw
-columns: state_space builds the batches, and the Poisson, direct and
-Cox samplers (so also the mixed ones) pass their records through its
-merge, so each location of a sampled configuration is one record.
-Gamma-measure and posterior batches are not merged.  Samplers are
+columns: state_space builds the batches and merges the records of
+each location where they are drawn, so each location of a sampled
+configuration or measure is one record; the Cox and mixed samplers
+inherit that from the samplers they call.  Samplers are
 deterministic functions of (inputs, rng state); parallel use should
 give each replica stream its own :class:`RngSeed`.
 """
@@ -146,9 +146,7 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
         hits = _poisson_from_atomic_batch(
             AtomicBatch(window, n, *_tile(window, live, n)), rng)
         parts.append((hits.rep, hits.cell, hits.mult, hits.coords))
-    batch = _records(ConfigurationBatch, window, n, parts)
-    return ConfigurationBatch(window, n, *_merge(
-        window, atoms, batch.rep, batch.cell, batch.mult, batch.coords))
+    return _merge(_records(ConfigurationBatch, window, n, parts), atoms)
 
 
 def sample_poisson(intensity, rng) -> PointConfiguration:
@@ -225,7 +223,8 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     live = weights > 0
     reps, weights = reps[live], weights[live]
     cells, coords = params.rho.sample_locations(weights.size, rng)
-    return AtomicBatch(window, n, reps, cells, weights, coords)
+    return _merge(AtomicBatch(window, n, reps, cells, weights, coords),
+                  params.rho.atoms)
 
 
 def sample_gamma_measure(params: PolyaParams, eps: float, rng) -> AtomicMeasure:
@@ -259,8 +258,8 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
     cells, coords = params.rho.sample_locations(rep.size, rng)
     mult = rng.logseries(z, size=rep.size).astype(np.int64, copy=False)
-    return ConfigurationBatch(window, n, *_merge(
-        window, params.rho.atoms, rep, cells, mult, coords))
+    return _merge(ConfigurationBatch(window, n, rep, cells, mult, coords),
+                  params.rho.atoms)
 
 
 def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
@@ -271,16 +270,12 @@ def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
 def sample_polya_cox_batch(params: PolyaParams, eps: float, n: int,
                            rng) -> ConfigurationBatch:
     """n Polya configurations via the Cox representation: draw a Gamma
-    random measure, then a Poisson process with that intensity."""
+    random measure, then a Poisson process with that intensity, whose
+    hits are as unique per replica as the measure's merged atoms."""
     _check_z_open(params.z)
     rng = as_generator(rng)
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
-    # merge after the Poisson step: merging jumps at one atom first
-    # would change the draws, not just their order
-    hits = _poisson_from_atomic_batch(kappa, rng)
-    return ConfigurationBatch(hits.window, n, *_merge(
-        hits.window, params.rho.atoms, hits.rep, hits.cell, hits.mult,
-        hits.coords))
+    return _poisson_from_atomic_batch(kappa, rng)
 
 
 def sample_polya_cox(params: PolyaParams, eps: float, rng) -> PointConfiguration:
@@ -326,12 +321,11 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     a_post = params.a + 1.0
     diffuse = sample_gamma_measure_batch(
         PolyaParams(z_post, params.rho), eps, mus.n, rng)
-    if not mus.rep.size:
-        return diffuse
     weights = rng.gamma(shape=mus.mult.astype(float), scale=1.0 / a_post)
-    return _records(AtomicBatch, mus.window, mus.n, [
+    # an observed point on an atom of rho is one atom of rho + mu
+    return _merge(_records(AtomicBatch, mus.window, mus.n, [
         (diffuse.rep, diffuse.cell, diffuse.weight, diffuse.coords),
-        (mus.rep, mus.cell, weights, mus.coords)])
+        (mus.rep, mus.cell, weights, mus.coords)]), params.rho.atoms)
 
 
 # ---------------------------------------------------------------------------

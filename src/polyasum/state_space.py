@@ -14,13 +14,13 @@ Samples of any size share one record format: a batch holds n replicas
 as flat arrays with one row per located point or atom (replica index,
 flat cell index, multiplicity or weight, raw coordinates).  This
 module builds every batch (``_records``) and holds the one merge rule
-for records at one location (``_groups``).  The point samplers apply
-it through ``_merge``, so a sampled configuration batch holds each
-location once per replica; conversion to objects and the CLI writer
-apply it through ``_merged``, which also merges the unmerged gamma and
-posterior batches.  Single configurations and measures convert to and
-from batches here, and their evaluation maps are one-replica batch
-views.
+for records at one location (``_merge``).  Every sampler applies it
+where it draws, so a sampled batch holds each location once per
+replica, as the objects it converts to do; conversion to objects and
+the CLI writer only group records by replica (``_by_replica``), and a
+hand-built batch that repeats a location fails to convert.  Single
+configurations and measures convert to and from batches here, and
+their evaluation maps are one-replica batch views.
 
 The measure types are immutable values after construction and safe to
 share across threads.
@@ -226,6 +226,12 @@ def _check_location(window: Window, loc: Location) -> Location:
     return loc
 
 
+def _json_int(v):
+    """An integral JSON float such as 2.0 as its int; any other value
+    unchanged, for the caller's integer check to accept or reject."""
+    return int(v) if isinstance(v, float) and v.is_integer() else v
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """A finite point configuration with integer multiplicities."""
@@ -238,7 +244,8 @@ class PointConfiguration:
         seen = set()
         for loc, mult in self.points:
             loc = _check_location(self.window, loc)
-            if not (isinstance(mult, (int, np.integer)) and mult >= 1):
+            if isinstance(mult, bool) or not (
+                    isinstance(mult, (int, np.integer)) and mult >= 1):
                 raise InvalidMeasureError(
                     f"multiplicity {mult!r} at {loc!r} must be an int >= 1")
             if loc in seen:
@@ -267,7 +274,7 @@ class PointConfiguration:
     def from_dict(cls, data: dict, window: Window | None = None) -> "PointConfiguration":
         win = window or Window.from_dict(data["window"])
         pts = tuple((tuple(p["loc"]) if isinstance(p["loc"], list) else p["loc"],
-                     int(p["mult"])) for p in data.get("points", ()))
+                     _json_int(p["mult"])) for p in data.get("points", ()))
         return cls(win, pts)
 
 
@@ -402,8 +409,8 @@ class ReferenceMeasure:
     def mass_of_cells(self, cells) -> float:
         """Mass of a finite union of cells, atoms included.
 
-        A repeated cell index counts once, as in ``count`` and
-        ``distinct_count``; the first occurrences keep their order.
+        A repeated cell index counts once, as in the batch ``counts``;
+        the first occurrences keep their order.
         """
         cells = np.asarray(cells, dtype=np.int64).ravel()
         _, first = np.unique(cells, return_index=True)
@@ -563,52 +570,27 @@ def _tile(window: Window, pairs, n: int):
             cells[idx], values[idx], coords[idx])
 
 
-def _groups(rep: np.ndarray, keys, values: np.ndarray) -> tuple:
-    """The one merge rule: records with equal (replica, *keys) merge,
-    keys compared with ``==``.
+def _by_replica(batch) -> tuple:
+    """The records of ``batch`` grouped by replica: (order, bounds).
 
-    Returns (first, summed): the first record of each group, groups
-    ordered by (replica, keys), and the group's ``values`` summed in
-    record order.
+    ``order`` lists the record indices replica by replica, in record
+    order within each; replica i owns positions bounds[i]:bounds[i+1].
+    Nothing is merged and no coordinate is compared.
     """
-    order = np.lexsort((*keys[::-1], rep))
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = np.any([col[order][1:] != col[order][:-1]
-                        for col in (rep, *keys)], axis=0)
-    inverse = np.empty(order.size, dtype=np.int64)
-    inverse[order] = np.cumsum(start) - 1
-    summed = np.bincount(inverse, weights=values, minlength=start.sum())
-    return order[start], summed.astype(values.dtype)
+    order = np.argsort(batch.rep, kind="stable")
+    bounds = np.searchsorted(batch.rep[order], np.arange(batch.n + 1))
+    return order, bounds
 
 
-def _merged(batch, values: np.ndarray) -> tuple:
-    """The locations of each replica of ``batch``, records at one
-    location merged: (first, summed, bounds).
-
-    ``first`` is each location's first record, ordered by replica and
-    then by first occurrence; ``summed`` adds its records' ``values``
-    in record order; replica i owns positions bounds[i]:bounds[i+1].
-    Coordinates compare with ``==``, as Python floats do, so -0.0 and
-    0.0 coincide.
-    """
-    keys = ((batch.coords,) if batch.window.mode == "sites"
-            else tuple(batch.coords.T))
-    first, summed = _groups(batch.rep, keys, values)
-    out = np.lexsort((first, batch.rep[first]))
-    first = first[out]
-    bounds = np.searchsorted(batch.rep[first], np.arange(batch.n + 1))
-    return first, summed[out], bounds
-
-
-def _split(batch, values: np.ndarray, cls, cast) -> list:
-    """One ``cls`` object per replica of ``batch``; records at the same
-    location merge by adding their ``values`` (``_merged``)."""
-    first, summed, bounds = _merged(batch, values)
+def _split(batch, values: np.ndarray, cls) -> list:
+    """One ``cls`` object per replica of ``batch``, its records in
+    order; ``cls`` rejects a replica that repeats a location."""
+    order, bounds = _by_replica(batch)
     window = batch.window
-    coords = batch.coords[first].tolist()
+    coords = batch.coords[order].tolist()
     locs = ([window.sites[c] for c in coords] if window.mode == "sites"
             else list(map(tuple, coords)))
-    points = list(zip(locs, map(cast, summed.tolist())))
+    points = list(zip(locs, values[order].tolist()))
     return [cls(window, tuple(points[a:b]))
             for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -621,8 +603,8 @@ class ConfigurationBatch:
     multiplicity, and raw coordinates.  Every sampler merges the
     records of a replica at one location (``_merge``), so a sampled
     batch holds each location once per replica and ``distinct_counts``
-    counts locations.  A hand-built batch may repeat a location;
-    conversion to objects merges such records.
+    counts locations.  Converting a hand-built batch that repeats a
+    location raises :class:`InvalidMeasureError`.
     """
 
     window: Window
@@ -654,12 +636,13 @@ class ConfigurationBatch:
         return np.bincount(self.rep[mask], minlength=self.n)
 
     def to_configurations(self) -> list:
-        return _split(self, self.mult, PointConfiguration, int)
+        return _split(self, self.mult, PointConfiguration)
 
 
 @dataclass
 class AtomicBatch:
-    """n atomic measures as flat record arrays (rep, cell, weight, coords)."""
+    """n atomic measures as flat record arrays (rep, cell, weight, coords),
+    one location once per replica as in :class:`ConfigurationBatch`."""
 
     window: Window
     n: int
@@ -676,7 +659,7 @@ class AtomicBatch:
         return np.bincount(self.rep, weights=self.weight, minlength=self.n)
 
     def to_measures(self) -> list:
-        return _split(self, self.weight, AtomicMeasure, float)
+        return _split(self, self.weight, AtomicMeasure)
 
 
 def _records(cls, window: Window, n: int, parts=()):
@@ -689,34 +672,44 @@ def _records(cls, window: Window, n: int, parts=()):
     return cls(window, n, none, none, value, _empty_coords(window))
 
 
-def _merge(window: Window, atoms, rep, cell, value, coords):
-    """Merge the records of one replica that share a location.
+def _merge(batch, atoms):
+    """The one merge rule: ``batch`` with the records of one replica at
+    one location merged.
 
     On a sites window a record's location is its cell; on a box window
     it is atom k of ``atoms`` ((location, weight), ...) when its
-    coordinates are bit-equal to that atom's, and no other location
-    can repeat.  Other records keep their order; each merged location
-    follows once, ordered by (replica, location), with its values
-    summed in record order.  Box windows without atoms are untouched.
+    coordinates equal that atom's (``==``, so -0.0 and 0.0 coincide),
+    and no other location can repeat.  Other records keep their order;
+    each merged location follows once, ordered by (replica, location),
+    with its first record's cell and coordinates and its values summed
+    in record order.  A batch with nothing to merge is returned as is.
     """
-    if window.mode == "sites":
+    rep, cell, coords = batch.rep, batch.cell, batch.coords
+    value = (batch.mult if isinstance(batch, ConfigurationBatch)
+             else batch.weight)
+    if batch.window.mode == "sites":
         loc = cell
     elif not atoms:
-        return rep, cell, value, coords
+        return batch
     else:
         loc = np.full(rep.size, -1, dtype=np.int64)
         for k, (atom, _) in enumerate(atoms):
             loc[(coords == atom).all(axis=1)] = k
     on = loc >= 0
     if not on.any():
-        return rep, cell, value, coords
-    first, summed = _groups(rep[on], (loc[on],), value[on])
-    first = np.flatnonzero(on)[first]
-    keep = ~on
-    return (np.concatenate([rep[keep], rep[first]]),
-            np.concatenate([cell[keep], cell[first]]),
-            np.concatenate([value[keep], summed]),
-            np.concatenate([coords[keep], coords[first]]))
+        return batch
+    # stable, so each group lists its records in record order
+    order = np.flatnonzero(on)[np.lexsort((loc[on], rep[on]))]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ((rep[order][1:] != rep[order][:-1])
+                 | (loc[order][1:] != loc[order][:-1]))
+    summed = np.bincount(np.cumsum(start) - 1, weights=value[order])
+    first, keep = order[start], ~on
+    return type(batch)(
+        batch.window, batch.n, np.concatenate([rep[keep], rep[first]]),
+        np.concatenate([cell[keep], cell[first]]),
+        np.concatenate([value[keep], summed.astype(value.dtype)]),
+        np.concatenate([coords[keep], coords[first]]))
 
 
 def _one_replica(measure: PointConfiguration | AtomicMeasure):
@@ -755,16 +748,6 @@ def zeta(measure: Measure, f: TestFunction) -> float:
     if isinstance(measure, (PointConfiguration, AtomicMeasure)):
         return float(_one_replica(measure).zeta(f)[0])
     raise TypeError(f"cannot integrate against {type(measure).__name__}")
-
-
-def count(mu: PointConfiguration, cells) -> int:
-    """Number of points of ``mu`` in a cell union, with multiplicity."""
-    return int(_one_replica(mu).counts(cells)[0])
-
-
-def distinct_count(mu: PointConfiguration, cells) -> int:
-    """Number of distinct point locations of ``mu`` in a cell union."""
-    return int(_one_replica(mu).distinct_counts(cells)[0])
 
 
 def superpose(rho: ReferenceMeasure, mu: PointConfiguration) -> ReferenceMeasure:

@@ -52,10 +52,6 @@ class TestPosteriorParams:
             with pytest.raises(ParameterError):
                 posterior_params(bad, rho_mass2, mu)
 
-    def test_spec_consistency_enforced(self, window4, rho_mass2):
-        with pytest.raises(ParameterError):
-            PosteriorSpec(z_post=0.5, base=rho_mass2, a_post=3.0)
-
 
 class TestConjugacyClosure:
     def test_n_fold_update_closed_form(self, window4, rho_mass2):
@@ -121,7 +117,7 @@ class TestPosteriorIntensity:
 
     def test_mass_scaling(self, window4):
         base = ReferenceMeasure.uniform(window4, 5.0)
-        spec = PosteriorSpec(z_post=1.0 / 3.0, base=base, a_post=2.0)
+        spec = PosteriorSpec(z_post=1.0 / 3.0, base=base)
         assert posterior_intensity(spec).total_mass == pytest.approx(
             2.5, rel=1e-14)
 

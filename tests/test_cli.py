@@ -243,29 +243,26 @@ class TestWriter:
 
     @pytest.mark.parametrize("window", ["box-atoms", "sites"])
     def test_gamma_merges_repeated_locations(self, window):
-        # gamma batches are not merged at sampling: here replicas hold
-        # several jumps at one location, which the writer must sum in
-        # record order at the first occurrence
+        # replicas here draw several jumps at one location; the sampler
+        # merges them, so each record is one atom of its measure
         window_doc, rho_doc = WRITER_WINDOWS[window]
         batch, _ = sample_route("gamma", window_doc, rho_doc, 0.6, 1e-3, 30,
                                 11)
         measures = batch.to_measures()
-        assert batch.rep.size > sum(len(m.atoms) for m in measures)
+        assert batch.rep.size == sum(len(m.atoms) for m in measures)
         for head in (None, {"seed": 11}):
             assert _write_records(batch, None, head) == object_text(
                 batch, None, head)
 
-    def test_signed_zeros_merge_at_first_occurrence(self):
+    def test_signed_zero_renders_as_object_path(self):
         window = Window.interval(-1.0, 1.0, 2)
-        batch = AtomicBatch(window, 2, np.array([1, 0, 0, 1, 0]),
-                            np.array([1, 1, 1, 1, 0]),
-                            np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                            np.array([[0.0], [-0.0], [0.0], [0.5], [-0.5]]))
+        batch = AtomicBatch(window, 2, np.array([1, 0, 1]),
+                            np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
+                            np.array([[0.0], [-0.0], [-0.5]]))
         text = _write_records(batch)
         assert text == object_text(batch, None, None)
-        first = json.loads(text.splitlines()[0])["atoms"]
-        assert first == [{"loc": [-0.0], "weight": 5.0},
-                         {"loc": [-0.5], "weight": 5.0}]
+        assert json.loads(text.splitlines()[0])["atoms"] == [
+            {"loc": [-0.0], "weight": 2.0}]
         assert '"loc": [-0.0]' in text
 
 
@@ -450,6 +447,19 @@ class TestConfigErrors:
         args = command.split() + ["--config", write_config(tmp_path, doc)]
         assert main(args) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["posterior", "estimate-zw"])
+    @pytest.mark.parametrize("mult", [2.5, True, "3"])
+    def test_non_integer_multiplicity_is_named(self, tmp_path, capsys,
+                                               command, mult):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0},
+            "rho0": {"uniform_mass": 30.0}, "z": 0.5,
+            "mu": {"points": [{"loc": [0.1], "mult": mult},
+                              {"loc": [0.6], "mult": 1}]},
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert "'mu'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["", "missing/out.json"])
     def test_unwritable_output_exits_two(self, tmp_path, capsys, out):

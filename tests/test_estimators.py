@@ -11,8 +11,7 @@ from polyasum import (DensityStats, InfeasibleDensitiesError, MixingMeasure,
                       PointConfiguration, PolyaParams, ReferenceMeasure,
                       RngSeed, Window, density_ratio, density_stats,
                       papangelou_kernel, sample_mixed_batch,
-                      sample_polya_direct_batch, solve_zw, solve_zw_batch,
-                      stat_U, stat_V)
+                      sample_polya_direct_batch, solve_zw, solve_zw_batch)
 
 
 def forward(z, w):
@@ -24,25 +23,25 @@ class TestDensityStats:
     def test_u_direct(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 100.0)
         mu = PointConfiguration(window4, (((0.1,), 60), ((0.6,), 40)))
-        assert stat_U(mu, rho0) == pytest.approx(1.0)
+        assert density_stats(mu, rho0).u == pytest.approx(1.0)
 
     def test_empty_configuration(self, window4, rho_mass2):
         mu = PointConfiguration(window4)
-        assert stat_U(mu, rho_mass2) == 0.0
-        assert stat_V(mu, rho_mass2) == 0.0
+        assert density_stats(mu, rho_mass2).u == 0.0
+        assert density_stats(mu, rho_mass2).v == 0.0
 
     def test_v_counts_without_multiplicity(self):
         w = Window.interval(0.0, 1.0, 1)
         rho0 = ReferenceMeasure.uniform(w, 1.0)
         mu = PointConfiguration(w, (((0.5,), 5),))
-        assert stat_V(mu, rho0) == pytest.approx(1.0)
-        assert stat_U(mu, rho0) == pytest.approx(5.0)
+        assert density_stats(mu, rho0).v == pytest.approx(1.0)
+        assert density_stats(mu, rho0).u == pytest.approx(5.0)
 
     def test_zero_mass_region_rejected(self, window4):
         rho0 = ReferenceMeasure(window4, np.array([0.0, 0.0, 1.0, 1.0]))
         mu = PointConfiguration(window4)
         with pytest.raises(ValueError):
-            stat_U(mu, rho0, cells=[0, 1])
+            density_stats(mu, rho0, cells=[0, 1])
 
     def test_bundled_stats(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 4.0)
@@ -192,9 +191,8 @@ class TestPapangelouKernel:
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho0), 1,
                                           RngSeed(62))
         mu = batch.to_configurations()[0]
-        est_u = stat_U(mu, rho0)
-        est_v = stat_V(mu, rho0)
-        est = solve_zw(est_u, est_v)
+        stats = density_stats(mu, rho0)
+        est = solve_zw(stats.u, stats.v)
         kernel = papangelou_kernel(mu, rho0)
         atom_weights = dict(kernel.atoms)
         for loc, k in mu.points:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
-                      WindowMismatchError, count, distinct_count, samplers,
-                      superpose, zeta)
+                      WindowMismatchError, samplers, superpose, zeta)
 from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
-                                  _categorical, _merge, _tile)
+                                  _categorical, _merge, _one_replica, _tile)
 
 
 @pytest.fixture
@@ -119,6 +118,15 @@ class TestZeta:
         g = TestFunction(w, rng.uniform(0, 2, 5))
         assert zeta(rho, f + g) == pytest.approx(
             zeta(rho, f) + zeta(rho, g), rel=1e-12)
+
+
+# counts of one configuration are its one-replica batch's counts
+def count(mu, cells):
+    return _one_replica(mu).counts(cells)[0]
+
+
+def distinct_count(mu, cells):
+    return _one_replica(mu).distinct_counts(cells)[0]
 
 
 class TestCounting:
@@ -244,6 +252,20 @@ class TestSerialization:
         assert PointConfiguration.from_dict(
             json.loads(json.dumps(mu.to_dict()))) == mu
 
+    def test_multiplicity_must_be_an_integer(self, w):
+        # 2.0 is an integer that JSON may spell as a float; nothing
+        # else is cast to an int
+        mu = PointConfiguration.from_dict(
+            {"points": [{"loc": [0.3], "mult": 2.0}]}, window=w)
+        assert mu.points == (((0.3,), 2),)
+        assert type(mu.points[0][1]) is int
+        for bad in (2.5, True, "3", float("inf"), None):
+            with pytest.raises(InvalidMeasureError, match="multiplicity"):
+                PointConfiguration.from_dict(
+                    {"points": [{"loc": [0.3], "mult": bad}]}, window=w)
+        with pytest.raises(InvalidMeasureError, match="multiplicity"):
+            PointConfiguration(w, (((0.3,), True),))
+
 
 # Per-point loop forms of the evaluation maps, kept as references for
 # the one-replica batch views that replaced them.
@@ -325,11 +347,33 @@ class TestOneReplicaViews:
             kappa.window, n, *_tile(kappa.window, kappa.atoms, n)).to_measures()
         assert configs == [mu] * n
         assert measures == [kappa] * n
-        # records repeating a location merge into one point or atom
-        doubled = ConfigurationBatch(
-            mu.window, n, *_tile(mu.window, mu.points * 2, n))
-        assert doubled.to_configurations() == [PointConfiguration(
-            mu.window, tuple((loc, 2 * m) for loc, m in mu.points))] * n
+
+    def test_repeated_location_fails_to_convert(self):
+        # conversion groups records by replica and merges nothing, so
+        # a location twice in one replica meets the objects' own check;
+        # -0.0 equals 0.0 there, as Python floats compare
+        window = Window.interval(-1.0, 1.0, 2)
+        rep = np.array([1, 0, 1, 0])
+
+        def batches(second):
+            coords = np.array([[0.5], [0.0], [-0.5], [second]])
+            cell = window.cells_of(coords)
+            return (ConfigurationBatch(window, 2, rep, cell,
+                                       np.array([1, 2, 3, 4]), coords),
+                    AtomicBatch(window, 2, rep, cell,
+                                np.array([1.0, 2.0, 3.0, 4.0]), coords))
+
+        configs, measures = batches(0.25)
+        assert configs.to_configurations()[0].points == (
+            ((0.0,), 2), ((0.25,), 4))
+        assert measures.to_measures()[1].atoms == (
+            ((0.5,), 1.0), ((-0.5,), 3.0))
+        for second in (0.0, -0.0):
+            configs, measures = batches(second)
+            with pytest.raises(InvalidMeasureError, match="duplicate"):
+                configs.to_configurations()
+            with pytest.raises(InvalidMeasureError, match="duplicate"):
+                measures.to_measures()
 
     def test_samplers_reexport_the_batch_types(self):
         assert samplers.ConfigurationBatch is ConfigurationBatch
@@ -350,8 +394,9 @@ class TestMerge:
         cell = window.cells_of(coords)
         # replica 0 holds a three times: 1e16, -1e16, 1.0 sum to 1.0 in
         # record order, and to 0.0 in any order that adds 1.0 earlier
-        out_rep, out_cell, out_value, out_coords = _merge(
-            window, atoms, rep, cell, value, coords)
+        out = _merge(AtomicBatch(window, 2, rep, cell, value, coords), atoms)
+        out_rep, out_cell, out_value, out_coords = (
+            out.rep, out.cell, out.weight, out.coords)
         off = [3, 5, 7]
         assert np.array_equal(out_rep[:3], rep[off])
         assert np.array_equal(out_value[:3], value[off])
@@ -367,16 +412,17 @@ class TestMerge:
         rep = np.array([0, 1, 0, 0, 1])
         cell = np.array([2, 0, 1, 2, 0])
         mult = np.array([1, 2, 3, 4, 5])
-        out = _merge(window, (), rep, cell, mult, cell.copy())
-        assert [col.tolist() for col in out] == [
+        out = _merge(ConfigurationBatch(window, 2, rep, cell, mult,
+                                        cell.copy()), ())
+        assert [col.tolist() for col in (out.rep, out.cell, out.mult,
+                                         out.coords)] == [
             [0, 0, 1], [1, 2, 0], [3, 5, 7], [1, 2, 0]]
-        assert out[2].dtype == mult.dtype
+        assert out.mult.dtype == mult.dtype
 
     def test_box_without_atoms_is_untouched(self, w):
-        cols = (np.array([0, 0]), np.array([1, 1]), np.array([1, 1]),
-                np.array([[0.3], [0.3]]))
-        out = _merge(w, (), *cols)
-        assert all(x is y for x, y in zip(out, cols))
+        batch = ConfigurationBatch(w, 1, np.array([0, 0]), np.array([1, 1]),
+                                   np.array([1, 1]), np.array([[0.3], [0.3]]))
+        assert _merge(batch, ()) is batch
 
 
 def _categorical_probs(k, seed, zeros, log_min):
