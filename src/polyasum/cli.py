@@ -16,7 +16,10 @@ varying byte between identical runs.
 ``simulate`` writes json and jsonl through one columnar writer that
 formats the sampled batch's records straight to text, byte-identical
 to ``json.dumps`` of the ``to_dict()`` of each object the batch
-converts to; csv is a count histogram of point configurations.
+converts to: it builds one %-template for the whole output, one
+layout per distinct record count, and applies it once to a flat tuple
+of the batch's values.  csv is a count histogram of point
+configurations.
 
 Exit codes: 0 success / all checks pass, 1 check or estimation
 failure, 2 usage or config error.
@@ -45,7 +48,7 @@ from .samplers import (MixingMeasure, PolyaParams, RngSeed,
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, TestFunction, Window, _by_replica,
-                          _json_int)
+                          _json_float, _json_int)
 from .transforms import ParameterError
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
@@ -96,8 +99,8 @@ class ExperimentConfig:
         data = self.section(key)
         try:
             if "uniform_mass" in data:
-                return ReferenceMeasure.uniform(window,
-                                                float(data["uniform_mass"]))
+                return ReferenceMeasure.uniform(window, _json_float(
+                    data["uniform_mass"], "uniform_mass"))
             doc = {"atoms": data.get("atoms", [])}
             if "masses" in data:
                 doc["masses"] = data["masses"]
@@ -222,9 +225,13 @@ def _write_records(batch, latents=None, header=None) -> str:
     ``to_dict()`` of each object of ``to_configurations()`` or
     ``to_measures()`` (``indent=2`` under a header), each with a
     ``latent`` object from the per-replica arrays in ``latents``.
-    A sampled batch holds each location once per replica, so every
-    record, grouped by replica (``_by_replica``), is one %-format of
-    its values into a layout json renders once, around sentinel slots.
+    A sampled batch holds each location once per replica, so, grouped
+    by replica (``_by_replica``), a replica's text depends only on its
+    values and its record count.  json renders each piece of that
+    layout once, around sentinel slots; the pieces, %-escaped, make one
+    template for the whole output, with one layout per distinct record
+    count, and one ``%`` fills it from a flat tuple of every replica's
+    latents and record columns, in text order.
     """
     window = batch.window
     configs = isinstance(batch, ConfigurationBatch)
@@ -270,8 +277,17 @@ def _write_records(batch, latents=None, header=None) -> str:
     loc = slot if window.mode == "sites" else [slot] * window.dimension
     head, rec, rec_sep, tail = pieces(
         lambda items: render([sample(items)]), {"loc": loc, value_key: slot})
-    head, rec, empty = fmt(head[len(doc_head):]), fmt(rec), fmt(empty)
+    head = head[len(doc_head):]
     tail = tail[:len(tail) - len(doc_tail)]
+    # the latent object sorts before "points" but after "atoms"
+    latents_first = json.dumps(slot) in head
+    head, rec, rec_sep, tail, empty = map(fmt, (head, rec, rec_sep, tail,
+                                                empty))
+    counts = np.diff(bounds).tolist()
+    layouts = {k: head + rec_sep.join([rec] * k) + tail if k else empty
+               for k in set(counts)}
+    template = (fmt(doc_head) + fmt(sample_sep).join(
+        [layouts[k] for k in counts]) + fmt(doc_tail) + "\n")
 
     coords = batch.coords[order]
     if window.mode == "sites":
@@ -279,14 +295,20 @@ def _write_records(batch, latents=None, header=None) -> str:
         cols = [[labels[c] for c in coords.tolist()]]
     else:
         cols = coords.T.tolist()
-    recs = [rec % t for t in zip(*cols, values.tolist())]
-    lats = ([()] * batch.n if latents is None else
-            zip(*(latents[k].tolist() for k in sorted(latents))))
-    samples = [head % lat + rec_sep.join(recs[a:b]) + tail if b > a
-               else empty % lat
-               for lat, a, b in zip(lats, bounds[:-1].tolist(),
-                                    bounds[1:].tolist())]
-    return doc_head + sample_sep.join(samples) + doc_tail + "\n"
+    cols.append(values.tolist())
+    width = len(cols)
+    args = [None] * (width * len(values))
+    for i, col in enumerate(cols):
+        args[i::width] = col
+    if latents is not None:
+        lats = zip(*(latents[k].tolist() for k in sorted(latents)))
+        flat = []
+        for lat, a, b in zip(lats, (bounds[:-1] * width).tolist(),
+                             (bounds[1:] * width).tolist()):
+            flat += ((*lat, *args[a:b]) if latents_first
+                     else (*args[a:b], *lat))
+        args = flat
+    return template % tuple(args)
 
 
 # ---------------------------------------------------------------------------

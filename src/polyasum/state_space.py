@@ -29,6 +29,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -232,6 +233,14 @@ def _json_int(v):
     return int(v) if isinstance(v, float) and v.is_integer() else v
 
 
+def _json_float(v, what: str) -> float:
+    """A JSON number as a float; a string, bool or null raises
+    :class:`InvalidMeasureError`, where ``float`` casts "2" and true."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidMeasureError(f"{what} {v!r} must be a number")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """A finite point configuration with integer multiplicities."""
@@ -315,7 +324,8 @@ class AtomicMeasure:
     def from_dict(cls, data: dict, window: Window | None = None) -> "AtomicMeasure":
         win = window or Window.from_dict(data["window"])
         atoms = tuple((tuple(a["loc"]) if isinstance(a["loc"], list) else a["loc"],
-                       float(a["weight"])) for a in data.get("atoms", ()))
+                       _json_float(a["weight"], "atom weight"))
+                      for a in data.get("atoms", ()))
         return cls(win, atoms)
 
 
@@ -471,9 +481,11 @@ class ReferenceMeasure:
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "ReferenceMeasure":
         win = window or Window.from_dict(data["window"])
-        masses = np.asarray(data.get("masses", np.zeros(win.n_cells)), dtype=float)
+        masses = ([_json_float(m, "cell mass") for m in data["masses"]]
+                  if "masses" in data else np.zeros(win.n_cells))
         atoms = tuple((tuple(a["loc"]) if isinstance(a["loc"], list) else a["loc"],
-                       float(a["weight"])) for a in data.get("atoms", ()))
+                       _json_float(a["weight"], "atom weight"))
+                      for a in data.get("atoms", ()))
         return cls(win, masses, atoms)
 
     def __eq__(self, other):

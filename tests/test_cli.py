@@ -5,13 +5,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyasum.cli import _write_records, main
 from polyasum.samplers import (MixingMeasure, PolyaParams, RngSeed,
                                sample_gamma_measure_batch, sample_mixed_batch,
                                sample_poisson_batch, sample_polya_cox_batch,
                                sample_polya_direct_batch)
-from polyasum.state_space import AtomicBatch, ReferenceMeasure, Window
+from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
+                                  ReferenceMeasure, Window)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -92,6 +95,62 @@ def sample_route(route, window_doc, rho_doc, z, eps, n, seed):
     if route == "direct":
         return sample_polya_direct_batch(params, n, rng), None
     return sample_polya_cox_batch(params, eps, n, rng), None
+
+
+# doubles whose text is easy to get wrong, and any other finite one
+EDGE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1,
+                     1 / 3, 1e16, 1e-5]),
+    st.floats(min_value=-1e300, max_value=1e300))
+HAND_WINDOWS = [
+    Window.box([(-1e300, 1e300)], [3]),
+    Window.box([(-1e300, 1e300), (-1e300, 1e300)], [2, 3]),
+    Window.discrete(["a", "b\u00e9", "c%s", "100%"]),
+]
+
+
+@st.composite
+def hand_built_batch(draw):
+    """A batch of 1-5 replicas, each holding 0-4 distinct locations,
+    with its records in any order."""
+    window = draw(st.sampled_from(HAND_WINDOWS))
+    measures = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    if window.mode == "sites":
+        locs = st.integers(0, len(window.sites) - 1)
+    else:
+        locs = st.tuples(*[EDGE_DOUBLES] * window.dimension)
+    values = (st.one_of(st.sampled_from([5e-324, 1e300]),
+                        st.floats(min_value=5e-324, max_value=1e300))
+              if measures else st.integers(1, 10**6))
+    records = [(r, loc, draw(values)) for r in range(n)
+               for loc in draw(st.lists(locs, max_size=4, unique=True))]
+    records = draw(st.permutations(records))
+    rep = np.array([r for r, _, _ in records], dtype=np.int64)
+    value = np.array([v for _, _, v in records],
+                     dtype=float if measures else np.int64)
+    if window.mode == "sites":
+        coords = np.array([loc for _, loc, _ in records], dtype=np.int64)
+        cell = coords.copy()
+    else:
+        coords = np.array([loc for _, loc, _ in records],
+                          dtype=float).reshape(-1, window.dimension)
+        cell = window.cells_of(coords)
+    cls = AtomicBatch if measures else ConfigurationBatch
+    return cls(window, n, rep, cell, value, coords)
+
+
+@st.composite
+def writer_case(draw):
+    batch = draw(hand_built_batch())
+    latents = draw(st.none() | st.fixed_dictionaries({
+        k: st.lists(EDGE_DOUBLES, min_size=batch.n, max_size=batch.n).map(
+            np.array) for k in ("z", "w")}))
+    header = draw(st.none() | st.dictionaries(
+        st.sampled_from(["config_hash", "seed", "100%", "%s"]),
+        st.sampled_from(["100%", "%s", "%%d", "\0"]) | st.integers()
+        | st.text(max_size=6)))
+    return batch, latents, header
 
 
 class TestSimulate:
@@ -253,6 +312,16 @@ class TestWriter:
         for head in (None, {"seed": 11}):
             assert _write_records(batch, None, head) == object_text(
                 batch, None, head)
+
+    @given(writer_case())
+    @settings(max_examples=300, deadline=None)
+    def test_hand_built_batches_equal_object_path(self, case):
+        # every literal piece of the one template is %-escaped: site
+        # labels and header strings hold "%", and latents sort after
+        # "atoms" but before "points"
+        batch, latents, header = case
+        assert _write_records(batch, latents, header) == object_text(
+            batch, latents, header)
 
     def test_signed_zero_renders_as_object_path(self):
         window = Window.interval(-1.0, 1.0, 2)
@@ -437,6 +506,14 @@ class TestConfigErrors:
         ("simulate", "eps", None),
         ("verify polya-ibp", "kernel_z_factor", None),
         ("simulate", "out", 7),
+        # measure values that float() would cast
+        ("simulate", "rho", {"masses": ["1", 0.5, 0.5, 1.0]}),
+        ("simulate", "rho", {"masses": [1.0, True, 0.5, 1.0]}),
+        ("simulate", "rho", {"atoms": [{"loc": [0.3], "weight": "2"}]}),
+        ("simulate", "rho", {"masses": [1.0, 0.0, 0.5, 1.0],
+                             "atoms": [{"loc": [0.3], "weight": False}]}),
+        ("simulate", "rho", {"uniform_mass": "2"}),
+        ("simulate", "rho", {"uniform_mass": True}),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, command,
                                       field, value):

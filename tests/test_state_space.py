@@ -266,6 +266,25 @@ class TestSerialization:
         with pytest.raises(InvalidMeasureError, match="multiplicity"):
             PointConfiguration(w, (((0.3,), True),))
 
+    @pytest.mark.parametrize("bad", ["2", True, None])
+    def test_measure_values_must_be_numbers(self, w, bad):
+        # float() would cast "2" and true; integers stay numbers
+        rho = ReferenceMeasure.from_dict(
+            {"masses": [1, 0, 2.5, 0], "atoms": [{"loc": [0.3], "weight": 2}]},
+            window=w)
+        assert rho == ReferenceMeasure(w, np.array([1.0, 0.0, 2.5, 0.0]),
+                                       (((0.3,), 2.0),))
+        cases = [
+            (ReferenceMeasure, {"masses": [1.0, bad, 0.0, 0.0]}, "cell mass"),
+            (ReferenceMeasure, {"atoms": [{"loc": [0.3], "weight": bad}]},
+             "atom weight"),
+            (AtomicMeasure, {"atoms": [{"loc": [0.3], "weight": bad}]},
+             "atom weight"),
+        ]
+        for cls, doc, what in cases:
+            with pytest.raises(InvalidMeasureError, match=what):
+                cls.from_dict(doc, window=w)
+
 
 # Per-point loop forms of the evaluation maps, kept as references for
 # the one-replica batch views that replaced them.
