@@ -135,7 +135,7 @@ class ExperimentConfig:
 
     def z(self) -> float:
         try:
-            return float(self.require("z"))
+            return _json_float(self.require("z"), "z")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config field 'z' is invalid: {exc}")
 
@@ -143,7 +143,7 @@ class ExperimentConfig:
         rho0 = self.reference_measure("rho0", window)
         data = self.section("mixing")
         try:
-            atoms = tuple((float(a["z"]), float(a["w"]), float(a["p"]))
+            atoms = tuple(tuple(_json_float(a[k], f"atom {k}") for k in "zwp")
                           for a in data["atoms"])
             return MixingMeasure(rho0, atoms)
         except (ParameterError, KeyError, TypeError, ValueError) as exc:
@@ -154,7 +154,7 @@ class ExperimentConfig:
         if data is None:
             return None
         try:
-            z, w = (float(v) for v in data)
+            z, w = (_json_float(v, "entry") for v in data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config field 'fixed_zw' must be a [z, w] "
                               f"pair; got {data!r} ({exc})")
@@ -171,7 +171,7 @@ def _int_field(raw: dict, key: str, default: int) -> int:
 
 def _float_field(raw: dict, key: str, default: float) -> float:
     try:
-        return float(raw.get(key, default))
+        return _json_float(raw.get(key, default), key)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field '{key}' is invalid: {exc}")
 
@@ -258,6 +258,9 @@ def _write_records(batch, latents=None, header=None) -> str:
             return "\n".join(json.dumps(s, sort_keys=True) for s in samples)
         return json.dumps({"provenance": header, "samples": samples},
                           sort_keys=True, indent=2)
+
+    if not batch.n:  # no replica to lay out
+        return "" if header is None else render([]) + "\n"
 
     def pieces(render_list, item):
         # render_list([item]) is head + body + tail and

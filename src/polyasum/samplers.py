@@ -146,7 +146,8 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
         hits = _poisson_from_atomic_batch(
             AtomicBatch(window, n, *_tile(window, live, n)), rng)
         parts.append((hits.rep, hits.cell, hits.mult, hits.coords))
-    return _merge(_records(ConfigurationBatch, window, n, parts), atoms)
+    # on a box each atom is hit at most once per replica
+    return _merge(_records(ConfigurationBatch, window, n, parts))
 
 
 def sample_poisson(intensity, rng) -> PointConfiguration:
@@ -196,7 +197,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
         # emit only the remainder atom
         weights = np.full(n, mean_total)
         reps = np.arange(n, dtype=np.int64)
-        cells, coords = params.rho.sample_locations(n, rng)
+        cells, coords, _, _ = params.rho.sample_locations(n, rng)
         return AtomicBatch(window, n, reps, cells, weights, coords)
 
     r_eps = -math.log1p(-eps * a / m) / a
@@ -222,9 +223,9 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     # law unchanged and keeps every replica a valid measure
     live = weights > 0
     reps, weights = reps[live], weights[live]
-    cells, coords = params.rho.sample_locations(weights.size, rng)
+    cells, coords, hit, atom = params.rho.sample_locations(weights.size, rng)
     return _merge(AtomicBatch(window, n, reps, cells, weights, coords),
-                  params.rho.atoms)
+                  hit, atom)
 
 
 def sample_gamma_measure(params: PolyaParams, eps: float, rng) -> AtomicMeasure:
@@ -256,10 +257,10 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     lam = -math.log1p(-z) * m
     n_clusters = rng.poisson(lam, size=n)
     rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
-    cells, coords = params.rho.sample_locations(rep.size, rng)
+    cells, coords, hit, atom = params.rho.sample_locations(rep.size, rng)
     mult = rng.logseries(z, size=rep.size).astype(np.int64, copy=False)
     return _merge(ConfigurationBatch(window, n, rep, cells, mult, coords),
-                  params.rho.atoms)
+                  hit, atom)
 
 
 def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
@@ -322,10 +323,11 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     diffuse = sample_gamma_measure_batch(
         PolyaParams(z_post, params.rho), eps, mus.n, rng)
     weights = rng.gamma(shape=mus.mult.astype(float), scale=1.0 / a_post)
-    # an observed point on an atom of rho is one atom of rho + mu
-    return _merge(_records(AtomicBatch, mus.window, mus.n, [
+    batch = _records(AtomicBatch, mus.window, mus.n, [
         (diffuse.rep, diffuse.cell, diffuse.weight, diffuse.coords),
-        (mus.rep, mus.cell, weights, mus.coords)]), params.rho.atoms)
+        (mus.rep, mus.cell, weights, mus.coords)])
+    # an observed point on an atom of rho is one atom of rho + mu
+    return _merge(batch, *params.rho._atoms_at(batch.coords))
 
 
 # ---------------------------------------------------------------------------

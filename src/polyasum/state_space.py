@@ -12,12 +12,13 @@ measure can be hit twice.
 
 Samples of any size share one record format: a batch holds n replicas
 as flat arrays with one row per located point or atom (replica index,
-flat cell index, multiplicity or weight, raw coordinates).  This
+flat cell index, multiplicity or weight, raw coordinates); a reference
+measure decodes its atoms once into such read-only columns.  This
 module builds every batch (``_records``) and holds the one merge rule
-for records at one location (``_merge``).  Every sampler applies it
-where it draws, so a sampled batch holds each location once per
-replica, as the objects it converts to do; conversion to objects and
-the CLI writer only group records by replica (``_by_replica``), and a
+for records at one location (``_merge``), which every sampler applies
+where it draws, keyed by the atom drawn.  So a sampled batch holds
+each location once per replica, as its objects do; conversion and the
+CLI writer only group records by replica (``_by_replica``), and a
 hand-built batch that repeats a location fails to convert.  Single
 configurations and measures convert to and from batches here, and
 their evaluation maps are one-replica batch views.
@@ -118,7 +119,7 @@ class Window:
     def n_cells(self) -> int:
         if self.mode == "sites":
             return len(self.sites)
-        return int(np.prod(self.cells_per_axis))
+        return math.prod(self.cells_per_axis)
 
     @property
     def all_cells(self) -> np.ndarray:
@@ -150,11 +151,7 @@ class Window:
                 raise InvalidMeasureError(f"unknown site {loc!r}") from None
         if not self.contains(loc):
             raise InvalidMeasureError(f"location {loc!r} outside window")
-        flat = 0
-        for x, (lo, hi), n in zip(loc, self.bounds, self.cells_per_axis):
-            i = min(int((x - lo) / (hi - lo) * n), n - 1)
-            flat = flat * n + i
-        return flat
+        return int(self.cells_of(np.array([loc]))[0])
 
     def cells_of(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized cell lookup for an (M, d) coordinate array."""
@@ -164,7 +161,7 @@ class Window:
         flat = np.zeros(len(coords), dtype=np.int64)
         for axis, ((lo, hi), n) in enumerate(zip(self.bounds, self.cells_per_axis)):
             i = ((coords[:, axis] - lo) / (hi - lo) * n).astype(np.int64)
-            np.clip(i, 0, n - 1, out=i)
+            np.minimum(np.maximum(i, 0, out=i), n - 1, out=i)  # a fast clip
             flat = flat * n + i
         return flat
 
@@ -225,6 +222,15 @@ def _check_location(window: Window, loc: Location) -> Location:
     if not window.contains(loc):
         raise InvalidMeasureError(f"location {loc!r} outside window")
     return loc
+
+
+def _check_cells(window: Window, cells) -> np.ndarray:
+    """Flat cell indices as int64; one outside [0, n_cells) raises."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if ((cells < 0) | (cells >= window.n_cells)).any():
+        raise InvalidMeasureError(
+            f"cell indices {cells.tolist()} must lie in [0, {window.n_cells})")
+    return cells
 
 
 def _json_int(v):
@@ -379,8 +385,6 @@ class ReferenceMeasure:
         if np.any(masses < 0) or not np.all(np.isfinite(masses)):
             raise InvalidMeasureError("cell masses must be finite and >= 0")
         masses = masses.copy()
-        masses.setflags(write=False)
-        object.__setattr__(self, "cell_masses", masses)
 
         cleaned = []
         seen = set()
@@ -393,14 +397,20 @@ class ReferenceMeasure:
                 raise InvalidMeasureError(f"duplicate atom location {loc!r}")
             seen.add(loc)
             cleaned.append((loc, w))
+        object.__setattr__(self, "atoms", tuple(cleaned))
+        # read-only columns: the cell masses, then the atoms decoded once
+        _, cell, weight, coords = _tile(self.window, cleaned, 1)
+        for name, col in (("cell_masses", masses), ("_atom_cell", cell),
+                          ("_atom_weight", weight), ("_atom_coords", coords)):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
         # the sum that sample_locations normalises by
         with np.errstate(over="ignore"):
-            total = np.concatenate([masses, [w for _, w in cleaned]]).sum()
+            total = np.concatenate([masses, weight]).sum()
         if not math.isfinite(total):
             raise InvalidMeasureError(
                 "total mass overflows: cell masses plus atom weights must "
                 "sum to a finite number")
-        object.__setattr__(self, "atoms", tuple(cleaned))
 
     @classmethod
     def uniform(cls, window: Window, total_mass: float) -> "ReferenceMeasure":
@@ -409,12 +419,8 @@ class ReferenceMeasure:
         return cls(window, np.full(n, float(total_mass) / n))
 
     @property
-    def is_diffuse(self) -> bool:
-        return not self.atoms
-
-    @property
     def total_mass(self) -> float:
-        return float(self.cell_masses.sum() + sum(w for _, w in self.atoms))
+        return float(self.cell_masses.sum() + sum(self._atom_weight.tolist()))
 
     def mass_of_cells(self, cells) -> float:
         """Mass of a finite union of cells, atoms included.
@@ -422,15 +428,13 @@ class ReferenceMeasure:
         A repeated cell index counts once, as in the batch ``counts``;
         the first occurrences keep their order.
         """
-        cells = np.asarray(cells, dtype=np.int64).ravel()
+        cells = _check_cells(self.window, cells).ravel()
         _, first = np.unique(cells, return_index=True)
         cells = cells[np.sort(first)]
-        mass = float(self.cell_masses[cells].sum())
-        if self.atoms:
-            cell_set = set(cells.tolist())
-            mass += sum(w for loc, w in self.atoms
-                        if self.window.cell_of(loc) in cell_set)
-        return mass
+        inside = np.zeros(self.window.n_cells, dtype=bool)
+        inside[cells] = True
+        return float(self.cell_masses[cells].sum()) + sum(
+            self._atom_weight[inside[self._atom_cell]].tolist())
 
     def scale(self, factor: float) -> "ReferenceMeasure":
         if factor < 0:
@@ -442,32 +446,45 @@ class ReferenceMeasure:
     def sample_locations(self, size: int, rng: np.random.Generator):
         """Draw i.i.d. locations from this measure normalized to mass 1.
 
-        Returns ``(cells, coords)``: flat cell indices and raw
-        coordinates ((size, d) float array for box windows, site
-        indices for discrete ones).  A draw on an atom carries the
-        atom's coordinates bit for bit.  Used by every sampler.
+        Returns ``(cells, coords, hit, atom)``: flat cell indices, raw
+        coordinates ((size, d) floats on a box, site indices on sites),
+        the draws on an atom (ascending) and the atom drawn, whose
+        coordinates they carry bit for bit.  Used by every sampler.
 
         The draws are those of ``rng.choice(K, size, p=weights / total)``
         over the K cells then atoms, bit for bit and leaving the
         generator in the same state, followed for box windows by
         :meth:`Window.uniform_in_cells` on the cells drawn.
         """
-        _, atom_cells, atom_weights, atom_coords = _tile(
-            self.window, self.atoms, 1)
-        weights = np.concatenate([self.cell_masses, atom_weights])
+        weights = np.concatenate([self.cell_masses, self._atom_weight])
         total = weights.sum()
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
         cells = _categorical(weights / total, size, rng)
         hit = np.flatnonzero(cells >= n_cells)
-        atom_idx = cells[hit] - n_cells
-        cells[hit] = atom_cells[atom_idx]
+        atom = cells[hit] - n_cells
+        cells[hit] = self._atom_cell[atom]
         if self.window.mode == "sites":
-            return cells, cells.copy()
+            return cells, cells.copy(), hit, atom
         coords = self.window.uniform_in_cells(cells, rng)
-        coords[hit] = atom_coords[atom_idx]
-        return cells, coords
+        coords[hit] = self._atom_coords[atom]
+        return cells, coords, hit, atom
+
+    def _atoms_at(self, coords: np.ndarray):
+        """``(at, atom)``: the rows of box ``coords`` equal to an atom's
+        (-0.0 and 0.0 coincide), ascending, and that atom's index; none
+        on sites, which ``_merge`` keys by cell."""
+        if not self.atoms or self.window.mode == "sites":
+            return (), ()
+        # -0.0 + 0.0 is 0.0, so rows equal as floats have equal bytes
+        rows = np.concatenate([self._atom_coords, coords]) + 0.0
+        keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+        k = len(self.atoms)
+        order = keys[:k].argsort()
+        pos = np.minimum(keys[:k][order].searchsorted(keys[k:]), k - 1)
+        at = np.flatnonzero((self._atom_coords[order[pos]] == coords).all(1))
+        return at, order[pos[at]]
 
     def to_dict(self) -> dict:
         return {
@@ -533,7 +550,7 @@ class TestFunction:
     @classmethod
     def indicator(cls, window: Window, cells, value: float = 1.0) -> "TestFunction":
         vals = np.zeros(window.n_cells)
-        vals[np.asarray(cells, dtype=np.int64)] = float(value)
+        vals[_check_cells(window, cells)] = float(value)
         return cls(window, vals)
 
     def __call__(self, loc: Location) -> float:
@@ -568,14 +585,14 @@ def _tile(window: Window, pairs, n: int):
     Returns (rep, cell, value, coords) in replica-major order; site
     windows store the cell index as the coordinate.
     """
-    cells = np.array([window.cell_of(loc) for loc, _ in pairs],
-                     dtype=np.int64)
     if window.mode == "sites":
-        coords = cells
-    elif pairs:
-        coords = np.array([loc for loc, _ in pairs], dtype=float)
+        index = {site: i for i, site in enumerate(window.sites)}
+        cells = coords = np.array([index[loc] for loc, _ in pairs],
+                                  dtype=np.int64)
     else:
-        coords = _empty_coords(window)
+        coords = np.array([loc for loc, _ in pairs], dtype=float).reshape(
+            -1, window.dimension)
+        cells = window.cells_of(coords)
     values = np.array([v for _, v in pairs])
     idx = np.tile(np.arange(len(pairs)), n)
     return (np.repeat(np.arange(n, dtype=np.int64), len(pairs)),
@@ -684,44 +701,37 @@ def _records(cls, window: Window, n: int, parts=()):
     return cls(window, n, none, none, value, _empty_coords(window))
 
 
-def _merge(batch, atoms):
+def _merge(batch, at=(), key=()):
     """The one merge rule: ``batch`` with the records of one replica at
     one location merged.
 
-    On a sites window a record's location is its cell; on a box window
-    it is atom k of ``atoms`` ((location, weight), ...) when its
-    coordinates equal that atom's (``==``, so -0.0 and 0.0 coincide),
-    and no other location can repeat.  Other records keep their order;
-    each merged location follows once, ordered by (replica, location),
-    with its first record's cell and coordinates and its values summed
-    in record order.  A batch with nothing to merge is returned as is.
+    The records ``at`` (ascending) are grouped by (replica, ``key``):
+    on a box window the draws on an atom by the atom drawn, as a
+    diffuse draw bit-equal to an atom is a null event (chance at most
+    2**-53 per draw); on a sites window every record by its cell.
+    Other records keep their order; each group follows once, in
+    (replica, key) order, with its first record's cell and coordinates
+    and its values summed in record order.  Nothing to group: ``batch``.
     """
     rep, cell, coords = batch.rep, batch.cell, batch.coords
     value = (batch.mult if isinstance(batch, ConfigurationBatch)
              else batch.weight)
     if batch.window.mode == "sites":
-        loc = cell
-    elif not atoms:
-        return batch
-    else:
-        loc = np.full(rep.size, -1, dtype=np.int64)
-        for k, (atom, _) in enumerate(atoms):
-            loc[(coords == atom).all(axis=1)] = k
-    on = loc >= 0
-    if not on.any():
+        at, key = np.arange(rep.size), cell
+    if not len(at):
         return batch
     # stable, so each group lists its records in record order
-    order = np.flatnonzero(on)[np.lexsort((loc[on], rep[on]))]
+    perm = np.lexsort((key, rep[at]))
+    order, key = np.asarray(at)[perm], np.asarray(key)[perm]
     start = np.ones(order.size, dtype=bool)
-    start[1:] = ((rep[order][1:] != rep[order][:-1])
-                 | (loc[order][1:] != loc[order][:-1]))
+    start[1:] = (rep[order][1:] != rep[order][:-1]) | (key[1:] != key[:-1])
     summed = np.bincount(np.cumsum(start) - 1, weights=value[order])
-    first, keep = order[start], ~on
-    return type(batch)(
-        batch.window, batch.n, np.concatenate([rep[keep], rep[first]]),
-        np.concatenate([cell[keep], cell[first]]),
-        np.concatenate([value[keep], summed.astype(value.dtype)]),
-        np.concatenate([coords[keep], coords[first]]))
+    first = order[start]
+    groups = (rep[first], cell[first], summed.astype(value.dtype),
+              coords[first])
+    return type(batch)(batch.window, batch.n, *(
+        np.concatenate([np.delete(col, order, axis=0), group])
+        for col, group in zip((rep, cell, value, coords), groups)))
 
 
 def _one_replica(measure: PointConfiguration | AtomicMeasure):
@@ -741,10 +751,10 @@ def _integrate_cellwise(rho: ReferenceMeasure, values: np.ndarray) -> float:
     mass = rho.cell_masses
     pos = mass > 0
     total = float(np.dot(mass[pos], values[pos])) if pos.any() else 0.0
-    for loc, w in rho.atoms:
-        if w > 0:
-            total += w * float(values[rho.window.cell_of(loc)])
-    return total
+    live = rho._atom_weight > 0
+    # added one by one in atom order, as a loop over the atoms would
+    return sum((rho._atom_weight[live]
+                * values[rho._atom_cell[live]]).tolist(), total)
 
 
 def zeta(measure: Measure, f: TestFunction) -> float:

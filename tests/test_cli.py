@@ -300,6 +300,21 @@ class TestWriter:
             assert text == object_text(batch, None, header)
             assert text.count(f'"{key}": []') == 5
 
+    @pytest.mark.parametrize("cls", [ConfigurationBatch, AtomicBatch])
+    @pytest.mark.parametrize("window", sorted(WRITER_WINDOWS))
+    def test_no_replicas_render_as_object_path(self, cls, window):
+        window = Window.from_dict(WRITER_WINDOWS[window][0])
+        none = np.empty(0, dtype=np.int64)
+        coords = (none if window.mode == "sites"
+                  else np.empty((0, window.dimension)))
+        batch = cls(window, 0, none, none, none, coords)
+        assert _write_records(batch) == object_text(batch, None, None) == ""
+        header = {"seed": 1}
+        text = _write_records(batch, None, header)
+        assert text == object_text(batch, None, header)
+        assert json.loads(text)["samples"] == []
+        assert '"samples": []' in text
+
     @pytest.mark.parametrize("window", ["box-atoms", "sites"])
     def test_gamma_merges_repeated_locations(self, window):
         # replicas here draw several jumps at one location; the sampler
@@ -524,6 +539,39 @@ class TestConfigErrors:
         args = command.split() + ["--config", write_config(tmp_path, doc)]
         assert main(args) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("simulate", "z", "0.5"),
+        ("simulate", "z", True),
+        ("simulate", "eps", "0.001"),
+        ("simulate", "mixing", {"atoms": [{"z": "0.3", "w": 1.0, "p": 1.0}]}),
+        ("simulate", "mixing", {"atoms": [{"z": 0.3, "w": True, "p": 1.0}]}),
+        ("simulate", "mixing", {"atoms": [{"z": 0.3, "w": 1.0, "p": "1"}]}),
+        ("verify mixed-ibp", "fixed_zw", ["0.5", 1.0]),
+        ("verify mixed-ibp", "fixed_zw", [0.5, True]),
+        ("verify polya-ibp", "kernel_z_factor", "0.5"),
+    ])
+    def test_number_fields_reject_strings_and_bools(self, tmp_path, capsys,
+                                                    command, field, value):
+        # float() would cast each of these, and the run would go on
+        doc = {"window": BASE_WINDOW, "rho": {"uniform_mass": 1.0},
+               "rho0": {"uniform_mass": 30.0}, "z": 0.5, "n": 100,
+               "route": "mixed" if field == "mixing" else "direct",
+               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]},
+               "f": {"const": 1.0}, "g": {"const": 0.0}}
+        doc[field] = value
+        args = command.split() + ["--config", write_config(tmp_path, doc)]
+        assert main(args) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_mixed_config_of_strings_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho0": {"uniform_mass": 2.0},
+            "route": "mixed", "z": "0.5", "eps": "0.001", "n": 5,
+            "mixing": {"atoms": [{"z": "0.3", "w": True, "p": "0.5"},
+                                 {"z": 0.7, "w": 2.0, "p": 0.5}]}})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "'eps'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["posterior", "estimate-zw"])
     @pytest.mark.parametrize("mult", [2.5, True, "3"])

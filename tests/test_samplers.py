@@ -293,6 +293,30 @@ class TestPosterior:
         se = weights.std(ddof=1) / math.sqrt(weights.size)
         assert abs(weights.mean() - 1.5) < 3 * se
 
+    def test_observed_points_on_atoms_of_rho(self):
+        # a point of mu on an atom of rho is one atom of rho + mu: its
+        # weight is the prior's jump there plus its own Gamma weight,
+        # also where mu writes 0.0 and the atom -0.0
+        rho = _atom_heavy_rho(2)
+        params = PolyaParams(0.6, rho)
+        mu = _on_atoms_mu(rho)
+        batch = sample_posterior_batch(mu, params, 1e-3, 50, RngSeed(44))
+        rng = RngSeed(44).generator()
+        prior = sample_gamma_measure_batch(PolyaParams(0.6 / 1.6, rho), 1e-3,
+                                           50, rng).to_measures()
+        mults = np.array([k for _, k in mu.points] * 50, dtype=float)
+        own = rng.gamma(shape=mults, scale=1.0 / (params.a + 1.0))
+        shared = 0
+        for i, post in enumerate(batch.to_measures()):
+            weights, jumps = dict(post.atoms), dict(prior[i].atoms)
+            assert len(weights) == len(set(jumps) | dict(mu.points).keys())
+            for (loc, _), g in zip(mu.points, own[4 * i:4 * i + 4]):
+                assert weights[loc] == jumps.get(loc, 0.0) + g
+                shared += loc in jumps
+            assert all(weights[loc] == w for loc, w in jumps.items()
+                       if loc not in dict(mu.points))
+        assert shared > 50
+
     def test_diffuse_cell_mean(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
         mu = PointConfiguration(window4, ())
@@ -365,6 +389,80 @@ class TestMixed:
     def test_probabilities_must_sum_to_one(self, window4, rho_mass2):
         with pytest.raises(ParameterError):
             MixingMeasure(rho_mass2, ((0.3, 1.0, 0.6), (0.6, 1.0, 0.6)))
+
+
+def _atom_heavy_rho(dim):
+    """4000 atoms over a diffuse part, five of them heavy, one at a -0.0
+    coordinate and one at a 0.0 coordinate."""
+    gen = np.random.default_rng(2024 + dim)
+    if dim == 1:
+        window = Window.interval(0.0, 1.0, 8)
+        locs = gen.uniform(0.0, 1.0, (4000, 1))
+        locs[:2] = [[-0.0], [0.5]]
+    else:
+        window = Window.box([(0.0, 1.0), (-1.0, 1.0)], [2, 3])
+        locs = np.column_stack([gen.uniform(0.0, 1.0, 4000),
+                                gen.uniform(-1.0, 1.0, 4000)])
+        locs[:2] = [[-0.0, 0.5], [0.25, 0.0]]
+    weights = gen.permutation(np.geomspace(1e-4, 1.0, 4000))
+    weights *= 6.0 / weights.sum()
+    weights[:5] = 0.5
+    atoms = tuple(zip(map(tuple, locs.tolist()), weights.tolist()))
+    return ReferenceMeasure(window, np.full(window.n_cells,
+                                            2.0 / window.n_cells), atoms)
+
+
+def _on_atoms_mu(rho):
+    """Observed points on rho's heavy atoms (the first written with 0.0
+    where the atom has -0.0) and one off them."""
+    flip = tuple(0.0 if v == 0.0 else v for v in rho.atoms[0][0])
+    off = tuple(0.123456789 for _ in flip)
+    return PointConfiguration(rho.window, (
+        (flip, 2), (rho.atoms[1][0], 1), (rho.atoms[3][0], 3), (off, 1)))
+
+
+_ATOM_HEAVY = {
+    "direct": lambda p, rng: sample_polya_direct_batch(p, 40, rng),
+    "poisson": lambda p, rng: sample_poisson_batch(p.rho, 40, rng),
+    "gamma": lambda p, rng: sample_gamma_measure_batch(p, 1e-3, 10, rng),
+    "posterior": lambda p, rng: sample_posterior_batch(
+        _on_atoms_mu(p.rho), p, 1e-3, 10, rng),
+    "cox": lambda p, rng: sample_polya_cox_batch(p, 1e-3, 10, rng),
+    "mixed": lambda p, rng: sample_mixed_batch(
+        MixingMeasure(p.rho, ((0.6, 1.0, 0.7), (0.3, 2.0, 0.3))), "direct",
+        1e-3, 40, rng)[0],
+}
+
+_ATOM_HEAVY_DIGESTS = {
+    1: {
+        "cox":
+            "4fdbe31a4d3c5793c1e4c988db8e08c6807851d72322d6bf417ba24562395400",
+        "direct":
+            "773b7fafd2e8a9a1bd04ba1a200440be90aa88419c235c791f5e5665f2b18782",
+        "gamma":
+            "e2540b0e30b67f6b7f16ff413f3c604c252bbc9fa4328eab94a81d350a17b93c",
+        "mixed":
+            "0f5230dff2dc8871411d4dedcd69c7311f15b3de0554f6d7d5aeb48e4e410ab6",
+        "poisson":
+            "392673ab78a2da6a93c86ee7531ea44fb404ff902d0259d53e552d76003dfa63",
+        "posterior":
+            "5be1cd8bfc65d943fae8e4023c46b9f1ae838a5231a867f1bdd284800f796672",
+    },
+    2: {
+        "cox":
+            "eac0f7b80dd51da62bad5fa26df5129049cfe5e182ef054a3f91a68565ae081e",
+        "direct":
+            "927aef89505bd8a71449ebef0ec0eebfe1b515a16fdb7c53067fca8ed07804ea",
+        "gamma":
+            "cc0c4000ef93111e98459297ca5633a95451a8653459d7ca77a90f76379313ca",
+        "mixed":
+            "db5e508fcad896eb10dc10c6b79ddc3196ab6ca99ef6220542d4c98e294093a8",
+        "poisson":
+            "8a8ab0afb3ea1d1fe8b4d355ea04d7139f13133ffe3b71068fbed67eb215ad26",
+        "posterior":
+            "fc8fb6692ad7a146e011147fdb530020e2f318f49c7a12919b05fd5f9221be9c",
+    },
+}
 
 
 class TestReproducibility:
@@ -453,6 +551,25 @@ class TestReproducibility:
             "fine1000/posterior":
                 "8ac8cf382ca353590487f8934dfaf3b661eb3ced163611fc8319343b859d56fc",
         }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_atom_heavy_draws_keep_their_bits(self, dim):
+        # 4000 atoms, recorded when every record was compared with every
+        # atom; gamma-driven routes digest locations only, as above
+        params = PolyaParams(0.6, _atom_heavy_rho(dim))
+        digests = {}
+        for seed, (route, draw) in enumerate(sorted(_ATOM_HEAVY.items())):
+            batch = draw(params, RngSeed(40 + seed))
+            h = hashlib.sha256()
+            cols = [batch.rep, batch.cell, batch.coords]
+            if route in ("direct", "poisson", "mixed"):
+                cols.insert(2, batch.mult)
+            for arr in cols:
+                arr = np.ascontiguousarray(arr)
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(arr.tobytes())
+            digests[route] = h.hexdigest()
+        assert digests == _ATOM_HEAVY_DIGESTS[dim]
 
     def test_streams_are_independent(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
@@ -560,8 +677,8 @@ _INVARIANT_ROUTES = {
 def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
     merged = []
 
-    def counting_merge(batch, atoms):
-        out = _merge(batch, atoms)
+    def counting_merge(batch, *keys):
+        out = _merge(batch, *keys)
         merged.append(batch.rep.size - out.rep.size)
         return out
 

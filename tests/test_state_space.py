@@ -12,7 +12,8 @@ from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
                       WindowMismatchError, samplers, superpose, zeta)
 from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
-                                  _categorical, _merge, _one_replica, _tile)
+                                  _categorical, _integrate_cellwise, _merge,
+                                  _one_replica, _tile)
 
 
 @pytest.fixture
@@ -411,9 +412,13 @@ class TestMerge:
         coords = np.array([x for _, x, _ in records])
         value = np.array([v for _, _, v in records])
         cell = window.cells_of(coords)
+        at, key = ReferenceMeasure(window, None, atoms)._atoms_at(coords)
+        assert at.tolist() == [0, 1, 2, 4, 6]
+        assert key.tolist() == [1, 0, 0, 0, 0]
         # replica 0 holds a three times: 1e16, -1e16, 1.0 sum to 1.0 in
         # record order, and to 0.0 in any order that adds 1.0 earlier
-        out = _merge(AtomicBatch(window, 2, rep, cell, value, coords), atoms)
+        out = _merge(AtomicBatch(window, 2, rep, cell, value, coords), at,
+                     key)
         out_rep, out_cell, out_value, out_coords = (
             out.rep, out.cell, out.weight, out.coords)
         off = [3, 5, 7]
@@ -442,6 +447,172 @@ class TestMerge:
         batch = ConfigurationBatch(w, 1, np.array([0, 0]), np.array([1, 1]),
                                    np.array([1, 1]), np.array([[0.3], [0.3]]))
         assert _merge(batch, ()) is batch
+
+
+    @pytest.mark.parametrize("cls", [ConfigurationBatch, AtomicBatch])
+    def test_keys_drawn_equal_the_per_atom_loop(self, cls):
+        # merging by the atom each draw landed on gives the batch that
+        # comparing every record with every atom gave
+        rho = _atom_heavy_rho()
+        gen = np.random.default_rng(5)
+        cells, coords, hit, atom = rho.sample_locations(3000, gen)
+        assert np.array_equal(coords[hit], rho._atom_coords[atom])
+        assert np.signbit(coords[hit]).any()  # some draws hit -0.0
+        rep = gen.integers(0, 40, coords.shape[0])
+        value = (gen.integers(1, 5, rep.size) if cls is ConfigurationBatch
+                 else gen.exponential(size=rep.size))
+        batch = cls(rho.window, 40, rep, cells, value, coords)
+        new, old = _merge(batch, hit, atom), _merge_loop(batch, rho.atoms)
+        assert new.rep.size < rep.size
+        for a, b in zip(_columns(new), _columns(old)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _atom_heavy_rho():
+    """4000 atoms on a 2-d box, five of them heavy; zero coordinates
+    of both signs sit on and off the window's edges."""
+    gen = np.random.default_rng(2024)
+    window = Window.box([(0.0, 1.0), (-1.0, 1.0)], [2, 3])
+    locs = np.column_stack([gen.uniform(0.0, 1.0, 4000),
+                            gen.uniform(-1.0, 1.0, 4000)])
+    locs[:4] = [[-0.0, 0.5], [0.25, 0.0], [0.0, -0.0], [0.5, -0.25]]
+    weights = gen.uniform(1e-3, 1e-2, 4000)
+    weights[:5] = 0.5
+    return ReferenceMeasure(window, np.full(6, 0.25), tuple(
+        zip(map(tuple, locs.tolist()), weights.tolist())))
+
+
+def _merge_loop(batch, atoms):
+    """The merge that compared every record with every atom, kept as
+    the oracle of the keys drawn and the keys matched."""
+    rep, cell, coords = batch.rep, batch.cell, batch.coords
+    value = (batch.mult if isinstance(batch, ConfigurationBatch)
+             else batch.weight)
+    loc = _atom_loop(coords, atoms)
+    on = loc >= 0
+    if not on.any():
+        return batch
+    order = np.flatnonzero(on)[np.lexsort((loc[on], rep[on]))]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ((rep[order][1:] != rep[order][:-1])
+                 | (loc[order][1:] != loc[order][:-1]))
+    summed = np.bincount(np.cumsum(start) - 1, weights=value[order])
+    first, keep = order[start], ~on
+    return type(batch)(
+        batch.window, batch.n, np.concatenate([rep[keep], rep[first]]),
+        np.concatenate([cell[keep], cell[first]]),
+        np.concatenate([value[keep], summed.astype(value.dtype)]),
+        np.concatenate([coords[keep], coords[first]]))
+
+
+def _atom_loop(coords, atoms):
+    """Per record, the atom whose coordinates it equals, or -1."""
+    loc = np.full(coords.shape[0], -1, dtype=np.int64)
+    for k, (atom, _) in enumerate(atoms):
+        loc[(coords == atom).all(axis=1)] = k
+    return loc
+
+
+def _columns(batch):
+    value = (batch.mult if isinstance(batch, ConfigurationBatch)
+             else batch.weight)
+    return batch.rep, batch.cell, value, batch.coords
+
+
+class TestAtomMatch:
+    """``ReferenceMeasure._atoms_at`` against the per-atom loop."""
+
+    def test_equals_the_per_atom_loop(self):
+        rho = _atom_heavy_rho()
+        gen = np.random.default_rng(9)
+        atoms = rho._atom_coords
+        # atoms, atoms with each zero's sign flipped, rows sharing one
+        # coordinate with an atom, and diffuse rows
+        flipped = np.where(atoms == 0.0, np.copysign(0.0, -atoms), atoms)
+        half = atoms.copy()
+        half[:, 1] = gen.uniform(-1.0, 1.0, half.shape[0])
+        diffuse = np.column_stack([gen.uniform(0.0, 1.0, 500),
+                                   gen.uniform(-1.0, 1.0, 500)])
+        coords = np.concatenate([atoms, flipped, half, diffuse])
+        coords = coords[gen.permutation(coords.shape[0])]
+        loc = _atom_loop(coords, rho.atoms)
+        at, key = rho._atoms_at(coords)
+        assert np.array_equal(at, np.flatnonzero(loc >= 0))
+        assert np.array_equal(key, loc[loc >= 0])
+        assert at.size == 2 * atoms.shape[0]
+
+    def test_signed_zero_rows_meet(self):
+        window = Window.box([(-1.0, 1.0), (-1.0, 1.0)], [2, 2])
+        rho = ReferenceMeasure(window, None, (((-0.0, 0.0), 1.0),
+                                              ((0.5, -0.0), 2.0)))
+        coords = np.array([[0.0, -0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.0]])
+        at, key = rho._atoms_at(coords)
+        assert at.tolist() == [0, 1, 3] and key.tolist() == [0, 1, 0]
+
+    def test_finds_nothing_without_atoms_or_on_sites(self, w):
+        coords = np.array([[0.3], [0.3]])
+        assert ReferenceMeasure.uniform(w, 1.0)._atoms_at(coords) == ((), ())
+        sites = ReferenceMeasure(Window.discrete(["a", "b"]), None,
+                                 (("a", 1.0),))
+        assert sites._atoms_at(np.array([0, 0])) == ((), ())
+
+
+class TestAtomColumns:
+    """The atoms decoded once agree with the per-atom loops they
+    replace, bit for bit."""
+
+    @pytest.mark.parametrize("sites", [False, True])
+    def test_reductions_equal_the_atom_loops(self, sites):
+        gen = np.random.default_rng(3)
+        if sites:
+            window = Window.discrete([f"s{i}" for i in range(50)])
+            locs = list(window.sites)
+        else:
+            window = Window.box([(0.0, 1.0), (-1.0, 1.0)], [2, 3])
+            locs = list(map(tuple, gen.uniform(0.0, 1.0, (4000, 2))))
+        weights = gen.exponential(size=len(locs)) * 10.0 ** gen.integers(
+            -8, 8, len(locs))
+        weights[::7] = 0.0
+        rho = ReferenceMeasure(window, gen.uniform(0.0, 2.0, window.n_cells),
+                               tuple(zip(locs, weights.tolist())))
+        assert rho._atom_cell.tolist() == [window.cell_of(loc)
+                                           for loc in locs]
+        for col in (rho._atom_cell, rho._atom_weight, rho._atom_coords):
+            assert not col.flags.writeable
+        assert rho.total_mass == float(rho.cell_masses.sum() + sum(
+            w for _, w in rho.atoms))
+        for cells in ([0], [2, 0, 2], list(range(window.n_cells))):
+            masses = rho.cell_masses[list(dict.fromkeys(cells))].sum()
+            assert rho.mass_of_cells(cells) == float(masses) + sum(
+                w for loc, w in rho.atoms if window.cell_of(loc) in cells)
+        values = gen.uniform(0.0, 3.0, window.n_cells)
+        total = float(np.dot(rho.cell_masses, values))
+        for loc, w in rho.atoms:
+            if w > 0:
+                total += w * float(values[window.cell_of(loc)])
+        assert _integrate_cellwise(rho, values) == total
+
+
+class TestCellRanges:
+    """Cell lists name cells of the window: a negative index does not
+    wrap to the end, and one past the end is a typed error."""
+
+    def test_mass_of_cells_rejects_indices_outside(self, w):
+        rho = ReferenceMeasure(w, np.array([1.0, 2.0, 3.0, 4.0]),
+                               (((0.9,), 10.0),))
+        assert rho.mass_of_cells([3]) == 14.0
+        for cells in ([-1], [4], [0, 4]):
+            with pytest.raises(InvalidMeasureError, match="cell indices"):
+                rho.mass_of_cells(cells)
+        assert rho.mass_of_cells([]) == 0.0
+
+    def test_indicator_rejects_indices_outside(self, w):
+        assert TestFunction.indicator(w, [3]).values.tolist() == [
+            0.0, 0.0, 0.0, 1.0]
+        for cells in ([-1], [4]):
+            with pytest.raises(InvalidMeasureError, match="cell indices"):
+                TestFunction.indicator(w, cells)
 
 
 def _categorical_probs(k, seed, zeros, log_min):
