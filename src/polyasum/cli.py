@@ -46,15 +46,15 @@ from .samplers import (MixingMeasure, PolyaParams, RngSeed,
                        sample_poisson_batch, sample_polya_cox_batch,
                        sample_polya_direct_batch)
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
-                          InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, TestFunction, Window, _by_replica,
-                          _json_float, _json_int)
-from .transforms import ParameterError
+                          PointConfiguration, ReferenceMeasure, TestFunction,
+                          Window, _by_replica, _json_float, _json_int)
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
 
 CHECK_NAMES = ("mecke", "polya-ibp", "conjugacy", "mixed-ibp",
                "transform-identity")
+ROUTES = ("direct", "cox")  # the routes of the checks and of mixed draws
+_REQUIRED = object()  # no default: the field must be given
 
 
 class ConfigError(ValueError):
@@ -74,112 +74,83 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "json"
 
-    def require(self, key: str):
-        if key not in self.raw:
+    def read(self, key: str, parse, default=_REQUIRED):
+        """Config field ``key``, or ``default`` when it is absent, passed
+        through ``parse``.  The one place a field is judged: a KeyError,
+        TypeError or ValueError from ``parse`` (the typed errors of the
+        measure types among them) becomes a :class:`ConfigError` that
+        names the field."""
+        value = self.raw.get(key, default)
+        if value is _REQUIRED:
             raise ConfigError(f"config field '{key}' is required for "
                               f"command '{self.command}'")
-        return self.raw[key]
-
-    def section(self, key: str, default=None) -> dict:
-        """A config field that must be a JSON object."""
-        data = self.require(key) if default is None else self.raw.get(
-            key, default)
-        if not isinstance(data, dict):
-            raise ConfigError(f"config field '{key}' must be a JSON object; "
-                              f"got {data!r}")
-        return data
+        try:
+            return parse(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config field '{key}' is invalid: {exc}")
 
     def window(self) -> Window:
-        try:
-            return Window.from_dict(self.section("window"))
-        except (InvalidMeasureError, KeyError, TypeError) as exc:
-            raise ConfigError(f"config field 'window' is invalid: {exc}")
+        return self.read("window", lambda data: Window.from_dict(
+            _object(data)))
 
     def reference_measure(self, key: str, window: Window) -> ReferenceMeasure:
-        data = self.section(key)
-        try:
-            if "uniform_mass" in data:
-                return ReferenceMeasure.uniform(window, _json_float(
-                    data["uniform_mass"], "uniform_mass"))
-            doc = {"atoms": data.get("atoms", [])}
-            if "masses" in data:
-                doc["masses"] = data["masses"]
-            return ReferenceMeasure.from_dict(doc, window=window)
-        except (InvalidMeasureError, ValueError, TypeError) as exc:
-            raise ConfigError(f"config field '{key}' is invalid: {exc}")
+        def parse(data):
+            if "uniform_mass" in _object(data):
+                return ReferenceMeasure.uniform(window, data["uniform_mass"])
+            return ReferenceMeasure.from_dict(data, window=window)
+        return self.read(key, parse)
 
     def configuration(self, key: str, window: Window) -> PointConfiguration:
-        data = self.section(key, {"points": []})
-        try:
-            return PointConfiguration.from_dict({"points": data.get(
-                "points", [])}, window=window)
-        except (InvalidMeasureError, ValueError, TypeError) as exc:
-            raise ConfigError(f"config field '{key}' is invalid: {exc}")
+        return self.read(key, lambda data: PointConfiguration.from_dict(
+            _object(data), window=window), {})
 
     def test_function(self, key: str, window: Window,
-                      default=None) -> TestFunction:
-        data = self.raw.get(key)
-        if data is None:
-            if default is not None:
-                return TestFunction.constant(window, default)
-            raise ConfigError(f"config field '{key}' is required for "
-                              f"command '{self.command}'")
-        try:
-            if "const" in data:
-                return TestFunction.constant(window, _parse_value(
-                    data["const"]))
-            values = [_parse_value(v) for v in data["values"]]
-            return TestFunction(window, np.asarray(values))
-        except (InvalidMeasureError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"config field '{key}' is invalid: {exc}")
+                      default: float) -> TestFunction:
+        def parse(data):
+            if "const" in _object(data):
+                return TestFunction.constant(window, _inf(data["const"]))
+            return TestFunction(window, [_inf(v) for v in data["values"]])
+        return self.read(key, parse, {"const": default})
 
     def z(self) -> float:
-        try:
-            return _json_float(self.require("z"), "z")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field 'z' is invalid: {exc}")
+        return self.read("z", _json_float)
 
     def mixing(self, window: Window) -> MixingMeasure:
         rho0 = self.reference_measure("rho0", window)
-        data = self.section("mixing")
-        try:
-            atoms = tuple(tuple(_json_float(a[k], f"atom {k}") for k in "zwp")
-                          for a in data["atoms"])
-            return MixingMeasure(rho0, atoms)
-        except (ParameterError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config field 'mixing' is invalid: {exc}")
+        return self.read("mixing", lambda data: MixingMeasure(rho0, tuple(
+            tuple(_json_float(a[k], f"atom {k}") for k in "zwp")
+            for a in _object(data)["atoms"])))
 
     def fixed_zw(self) -> tuple | None:
-        data = self.raw.get("fixed_zw")
-        if data is None:
-            return None
-        try:
-            z, w = (_json_float(v, "entry") for v in data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field 'fixed_zw' must be a [z, w] "
-                              f"pair; got {data!r} ({exc})")
-        return z, w
+        def parse(data):
+            if data is None:
+                return None
+            z, w = data
+            return _json_float(z, "z"), _json_float(w, "w")
+        return self.read("fixed_zw", parse, None)
+
+    def choice(self, key: str, choices: tuple) -> str:
+        """One of ``choices``; the first when the field is absent."""
+        def parse(value):
+            if value not in choices:
+                raise ValueError(f"must be one of {', '.join(choices)}; "
+                                 f"got {value!r}")
+            return value
+        return self.read(key, parse, choices[0])
 
 
-def _int_field(raw: dict, key: str, default: int) -> int:
-    value = _json_int(raw.get(key, default))
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config field '{key}' must be an integer; "
-                          f"got {value!r}")
-    return value
+def _object(data) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(data, dict):
+        raise TypeError(f"must be a JSON object; got {data!r}")
+    return data
 
 
-def _float_field(raw: dict, key: str, default: float) -> float:
-    try:
-        return _json_float(raw.get(key, default), key)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field '{key}' is invalid: {exc}")
-
-
-def _parse_value(v) -> float:
+def _inf(v):
+    """A test-function value with the spellings of infinity mapped."""
     if isinstance(v, str) and v.lower() in ("inf", "infinity", "+inf"):
         return float("inf")
-    return float(v)
+    return v
 
 
 def _canonical_json(doc) -> str:
@@ -320,11 +291,11 @@ def _write_records(batch, latents=None, header=None) -> str:
 
 def run_simulate(config: ExperimentConfig) -> int:
     window = config.window()
-    route = config.raw.get("route", "direct")
+    route = config.choice("route", (*ROUTES, "poisson", "gamma", "mixed"))
     rng = RngSeed(config.seed).generator()
     n = config.n
     latents = None
-    if route in ("direct", "cox", "poisson", "gamma"):
+    if route != "mixed":
         rho = config.reference_measure("rho", window)
         if route == "poisson":
             batch = sample_poisson_batch(rho, n, rng)
@@ -336,15 +307,11 @@ def run_simulate(config: ExperimentConfig) -> int:
                 batch = sample_polya_direct_batch(params, n, rng)
             else:
                 batch = sample_polya_cox_batch(params, config.eps, n, rng)
-    elif route == "mixed":
+    else:
         mixing = config.mixing(window)
         batch, z_lat, w_lat = sample_mixed_batch(
-            mixing, config.raw.get("mixed_route", "direct"), config.eps, n,
-            rng)
+            mixing, config.choice("mixed_route", ROUTES), config.eps, n, rng)
         latents = {"z": z_lat, "w": w_lat}
-    else:
-        raise ConfigError(f"config field 'route' must be one of direct, cox, "
-                          f"poisson, gamma, mixed; got {route!r}")
 
     if config.fmt == "csv":
         # flat count histogram; measures stay JSON-only
@@ -417,10 +384,10 @@ def _run_one_check(check: str, config: ExperimentConfig, stream: int):
         params = PolyaParams(config.z(),
                              config.reference_measure("rho", window))
         return check_polya_ibp(
-            params, config.raw.get("route", "direct"),
+            params, config.choice("route", ROUTES),
             config.test_function("f", window, 1.0),
             config.test_function("g", window, 0.0), n, rng, eps=config.eps,
-            kernel_z_factor=_float_field(config.raw, "kernel_z_factor", 1.0))
+            kernel_z_factor=config.read("kernel_z_factor", _json_float, 1.0))
     if check == "conjugacy":
         params = PolyaParams(config.z(),
                              config.reference_measure("rho", window))
@@ -432,7 +399,7 @@ def _run_one_check(check: str, config: ExperimentConfig, stream: int):
         return check_mixed_ibp(
             mixing, config.test_function("f", window, 1.0),
             config.test_function("g", window, 0.0), n, rng, eps=config.eps,
-            route=config.raw.get("route", "direct"),
+            route=config.choice("route", ROUTES),
             fixed_zw=config.fixed_zw())
     raise ConfigError(f"unknown check {check!r}; choose from "
                       f"{', '.join(CHECK_NAMES)}")
@@ -513,22 +480,22 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError(f"config field 'command' says {declared!r} but the "
                           f"{args.command!r} subcommand was invoked")
     config = ExperimentConfig(command=args.command, raw=raw)
-    config.seed = args.seed if args.seed is not None else _int_field(
-        raw, "seed", 0)
-    config.n = args.n if args.n is not None else _int_field(raw, "n", 100)
-    config.eps = args.eps if args.eps is not None else _float_field(
-        raw, "eps", 1e-6)
+    config.seed = args.seed if args.seed is not None else config.read(
+        "seed", _json_int, 0)
+    config.n = args.n if args.n is not None else config.read(
+        "n", _json_int, 100)
+    config.eps = args.eps if args.eps is not None else config.read(
+        "eps", _json_float, 1e-6)
     config.out = args.out if args.out is not None else raw.get("out")
     if config.out is not None and not isinstance(config.out, str):
         raise ConfigError(f"config field 'out' must be a path; "
                           f"got {config.out!r}")
-    config.fmt = args.fmt if args.fmt is not None else raw.get(
-        "format", "json")
-    if config.fmt not in ("json", "jsonl", "csv"):
-        raise ConfigError(f"config field 'format' must be json, jsonl or "
-                          f"csv; got {config.fmt!r}")
+    config.fmt = args.fmt if args.fmt is not None else config.choice(
+        "format", ("json", "jsonl", "csv"))
     if config.n < 1:
         raise ConfigError("config field 'n' must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("config field 'seed' must be >= 0")
     return config
 
 

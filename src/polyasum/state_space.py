@@ -23,6 +23,9 @@ hand-built batch that repeats a location fails to convert.  Single
 configurations and measures convert to and from batches here, and
 their evaluation maps are one-replica batch views.
 
+Each type checks the numbers it stores (``_json_float``, ``_json_int``),
+whether it is read from JSON or built in Python: a string or a bool
+raises :class:`InvalidMeasureError`, where ``float`` would cast it.
 The measure types are immutable values after construction and safe to
 share across threads.
 """
@@ -76,16 +79,18 @@ class Window:
             if len(self.bounds) != len(self.cells_per_axis):
                 raise InvalidMeasureError(
                     "bounds and cells_per_axis must have equal length")
-            for (lo, hi) in self.bounds:
+            bounds = tuple((_json_float(lo, "axis bound"),
+                            _json_float(hi, "axis bound"))
+                           for lo, hi in self.bounds)
+            for (lo, hi) in bounds:
                 if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                     raise InvalidMeasureError(f"bad axis bounds ({lo}, {hi})")
-            for n in self.cells_per_axis:
-                if not (isinstance(n, (int, np.integer)) and n >= 1):
-                    raise InvalidMeasureError("cell counts must be ints >= 1")
-            object.__setattr__(self, "bounds",
-                               tuple((float(lo), float(hi)) for lo, hi in self.bounds))
-            object.__setattr__(self, "cells_per_axis",
-                               tuple(int(n) for n in self.cells_per_axis))
+            cells = tuple(_json_int(n, "cell count")
+                          for n in self.cells_per_axis)
+            if min(cells) < 1:
+                raise InvalidMeasureError("cell counts must be ints >= 1")
+            object.__setattr__(self, "bounds", bounds)
+            object.__setattr__(self, "cells_per_axis", cells)
         elif self.mode == "sites":
             if not self.sites:
                 raise InvalidMeasureError("sites window needs at least one site")
@@ -216,12 +221,89 @@ class Window:
         raise InvalidMeasureError(f"unknown window mode {mode!r}")
 
 
-def _check_location(window: Window, loc: Location) -> Location:
-    if window.mode == "box":
-        loc = tuple(float(v) for v in loc) if isinstance(loc, (tuple, list)) else loc
-    if not window.contains(loc):
-        raise InvalidMeasureError(f"location {loc!r} outside window")
-    return loc
+def _json_float(v, what: str = "value") -> float:
+    """A number as a float; a string, bool or null raises
+    :class:`InvalidMeasureError`, where ``float`` casts "2" and true."""
+    if isinstance(v, float):  # numpy's float64 included
+        return float(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidMeasureError(f"{what} {v!r} must be a number")
+    return float(v)
+
+
+def _json_int(v, what: str = "value") -> int:
+    """An integer as an int, an integral float such as 2.0 included; any
+    other value, a bool among them, raises :class:`InvalidMeasureError`."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InvalidMeasureError(f"{what} {v!r} must be an integer")
+    return int(v)
+
+
+def _cell_values(window: Window, values, what: str) -> np.ndarray:
+    """One number per cell as a new float array, zeros for None: a
+    numeric numpy array is cast whole, anything else checked entry by
+    entry by :func:`_json_float`."""
+    if values is None:
+        return np.zeros(window.n_cells)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        values = np.array(values, dtype=object)
+        for v in values.flat:
+            _json_float(v, what)
+    values = values.astype(float)
+    if values.shape != (window.n_cells,):
+        raise InvalidMeasureError(f"one {what} per cell: expected shape "
+                                  f"({window.n_cells},), got {values.shape}")
+    return values
+
+
+def _check_pairs(window: Window, pairs, value) -> tuple:
+    """(location, value) pairs of a measure: each location inside the
+    window (box coordinates as a tuple of numbers) and given once, each
+    value passed through its type's rule ``value``, which raises on a
+    value the type does not admit."""
+    box = window.mode == "box"
+    checked = {}
+    for loc, v in pairs:
+        if box and isinstance(loc, (tuple, list)):
+            loc = tuple([_json_float(x, "location coordinate") for x in loc])
+        if not window.contains(loc):
+            raise InvalidMeasureError(f"location {loc!r} outside window")
+        if loc in checked:
+            raise InvalidMeasureError(f"duplicate location {loc!r}")
+        checked[loc] = value(v)
+    return tuple(checked.items())
+
+
+def _multiplicity(v) -> int:
+    v = _json_int(v, "multiplicity")
+    if v < 1:
+        raise InvalidMeasureError(f"multiplicity {v!r} must be >= 1")
+    return v
+
+
+def _weight(v, positive: bool = False) -> float:
+    v = _json_float(v, "atom weight")
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        raise InvalidMeasureError(f"atom weight {v!r} must be finite "
+                                  f"{'>' if positive else '>='} 0")
+    return v
+
+
+def _pairs(data: dict, key: str, value_key: str) -> tuple:
+    """The (location, value) pairs of a measure document's list ``key``."""
+    return tuple((d["loc"], d[value_key]) for d in data.get(key, ()))
+
+
+def _add_in_order(values, total: float = 0.0) -> float:
+    """``total`` plus each of ``values`` in turn, rounded at every step,
+    on every Python: ``sum`` of floats compensates its rounding from
+    Python 3.12 on, so 1.0 + 1e16 + 1.0 would give 1.0000000000000002e16
+    there and 1e16 here."""
+    for v in values:
+        total += v
+    return total
 
 
 def _check_cells(window: Window, cells) -> np.ndarray:
@@ -233,20 +315,6 @@ def _check_cells(window: Window, cells) -> np.ndarray:
     return cells
 
 
-def _json_int(v):
-    """An integral JSON float such as 2.0 as its int; any other value
-    unchanged, for the caller's integer check to accept or reject."""
-    return int(v) if isinstance(v, float) and v.is_integer() else v
-
-
-def _json_float(v, what: str) -> float:
-    """A JSON number as a float; a string, bool or null raises
-    :class:`InvalidMeasureError`, where ``float`` casts "2" and true."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise InvalidMeasureError(f"{what} {v!r} must be a number")
-    return float(v)
-
-
 @dataclass(frozen=True)
 class PointConfiguration:
     """A finite point configuration with integer multiplicities."""
@@ -255,19 +323,8 @@ class PointConfiguration:
     points: tuple = ()  # ((location, multiplicity), ...)
 
     def __post_init__(self):
-        cleaned = []
-        seen = set()
-        for loc, mult in self.points:
-            loc = _check_location(self.window, loc)
-            if isinstance(mult, bool) or not (
-                    isinstance(mult, (int, np.integer)) and mult >= 1):
-                raise InvalidMeasureError(
-                    f"multiplicity {mult!r} at {loc!r} must be an int >= 1")
-            if loc in seen:
-                raise InvalidMeasureError(f"duplicate location {loc!r}")
-            seen.add(loc)
-            cleaned.append((loc, int(mult)))
-        object.__setattr__(self, "points", tuple(cleaned))
+        object.__setattr__(self, "points", _check_pairs(
+            self.window, self.points, _multiplicity))
 
     @property
     def total_count(self) -> int:
@@ -288,9 +345,7 @@ class PointConfiguration:
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "PointConfiguration":
         win = window or Window.from_dict(data["window"])
-        pts = tuple((tuple(p["loc"]) if isinstance(p["loc"], list) else p["loc"],
-                     _json_int(p["mult"])) for p in data.get("points", ()))
-        return cls(win, pts)
+        return cls(win, _pairs(data, "points", "mult"))
 
 
 @dataclass(frozen=True)
@@ -301,22 +356,12 @@ class AtomicMeasure:
     atoms: tuple = ()  # ((location, weight), ...)
 
     def __post_init__(self):
-        cleaned = []
-        seen = set()
-        for loc, w in self.atoms:
-            loc = _check_location(self.window, loc)
-            w = float(w)
-            if not (w > 0.0 and math.isfinite(w)):
-                raise InvalidMeasureError(f"atom weight {w!r} must be finite > 0")
-            if loc in seen:
-                raise InvalidMeasureError(f"duplicate atom location {loc!r}")
-            seen.add(loc)
-            cleaned.append((loc, w))
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        object.__setattr__(self, "atoms", _check_pairs(
+            self.window, self.atoms, lambda w: _weight(w, positive=True)))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(w for _, w in self.atoms))
+        return _add_in_order(w for _, w in self.atoms)
 
     def to_dict(self) -> dict:
         return {
@@ -329,10 +374,7 @@ class AtomicMeasure:
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "AtomicMeasure":
         win = window or Window.from_dict(data["window"])
-        atoms = tuple((tuple(a["loc"]) if isinstance(a["loc"], list) else a["loc"],
-                       _json_float(a["weight"], "atom weight"))
-                      for a in data.get("atoms", ()))
-        return cls(win, atoms)
+        return cls(win, _pairs(data, "atoms", "weight"))
 
 
 def _categorical(p: np.ndarray, size: int,
@@ -375,31 +417,13 @@ class ReferenceMeasure:
     atoms: tuple = ()  # ((location, weight >= 0), ...)
 
     def __post_init__(self):
-        masses = self.cell_masses
-        if masses is None:
-            masses = np.zeros(self.window.n_cells)
-        masses = np.asarray(masses, dtype=float)
-        if masses.shape != (self.window.n_cells,):
-            raise InvalidMeasureError(
-                f"cell_masses must have shape ({self.window.n_cells},)")
+        masses = _cell_values(self.window, self.cell_masses, "cell mass")
         if np.any(masses < 0) or not np.all(np.isfinite(masses)):
             raise InvalidMeasureError("cell masses must be finite and >= 0")
-        masses = masses.copy()
-
-        cleaned = []
-        seen = set()
-        for loc, w in self.atoms:
-            loc = _check_location(self.window, loc)
-            w = float(w)
-            if w < 0 or not math.isfinite(w):
-                raise InvalidMeasureError(f"atom weight {w!r} must be finite >= 0")
-            if loc in seen:
-                raise InvalidMeasureError(f"duplicate atom location {loc!r}")
-            seen.add(loc)
-            cleaned.append((loc, w))
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        atoms = _check_pairs(self.window, self.atoms, _weight)
+        object.__setattr__(self, "atoms", atoms)
         # read-only columns: the cell masses, then the atoms decoded once
-        _, cell, weight, coords = _tile(self.window, cleaned, 1)
+        _, cell, weight, coords = _tile(self.window, atoms, 1)
         for name, col in (("cell_masses", masses), ("_atom_cell", cell),
                           ("_atom_weight", weight), ("_atom_coords", coords)):
             col.setflags(write=False)
@@ -416,11 +440,13 @@ class ReferenceMeasure:
     def uniform(cls, window: Window, total_mass: float) -> "ReferenceMeasure":
         """Spread ``total_mass`` evenly over the window's cells."""
         n = window.n_cells
-        return cls(window, np.full(n, float(total_mass) / n))
+        return cls(window, np.full(n, _json_float(total_mass, "total mass")
+                                   / n))
 
     @property
     def total_mass(self) -> float:
-        return float(self.cell_masses.sum() + sum(self._atom_weight.tolist()))
+        return float(self.cell_masses.sum()
+                     + _add_in_order(self._atom_weight.tolist()))
 
     def mass_of_cells(self, cells) -> float:
         """Mass of a finite union of cells, atoms included.
@@ -433,7 +459,7 @@ class ReferenceMeasure:
         cells = cells[np.sort(first)]
         inside = np.zeros(self.window.n_cells, dtype=bool)
         inside[cells] = True
-        return float(self.cell_masses[cells].sum()) + sum(
+        return float(self.cell_masses[cells].sum()) + _add_in_order(
             self._atom_weight[inside[self._atom_cell]].tolist())
 
     def scale(self, factor: float) -> "ReferenceMeasure":
@@ -498,12 +524,8 @@ class ReferenceMeasure:
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "ReferenceMeasure":
         win = window or Window.from_dict(data["window"])
-        masses = ([_json_float(m, "cell mass") for m in data["masses"]]
-                  if "masses" in data else np.zeros(win.n_cells))
-        atoms = tuple((tuple(a["loc"]) if isinstance(a["loc"], list) else a["loc"],
-                       _json_float(a["weight"], "atom weight"))
-                      for a in data.get("atoms", ()))
-        return cls(win, masses, atoms)
+        masses = data["masses"] if "masses" in data else None
+        return cls(win, masses, _pairs(data, "atoms", "weight"))
 
     def __eq__(self, other):
         if not isinstance(other, ReferenceMeasure):
@@ -530,27 +552,22 @@ class TestFunction:
     values: np.ndarray = None
 
     def __post_init__(self):
-        vals = self.values
-        if vals is None:
-            vals = np.zeros(self.window.n_cells)
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != (self.window.n_cells,):
-            raise InvalidMeasureError(
-                f"values must have shape ({self.window.n_cells},)")
+        vals = _cell_values(self.window, self.values, "test function value")
         if np.any(np.isnan(vals)) or np.any(vals < 0):
             raise InvalidMeasureError("test function values must be >= 0")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def constant(cls, window: Window, value: float) -> "TestFunction":
-        return cls(window, np.full(window.n_cells, float(value)))
+        return cls(window, np.full(window.n_cells, _json_float(
+            value, "test function value")))
 
     @classmethod
     def indicator(cls, window: Window, cells, value: float = 1.0) -> "TestFunction":
         vals = np.zeros(window.n_cells)
-        vals[_check_cells(window, cells)] = float(value)
+        vals[_check_cells(window, cells)] = _json_float(
+            value, "test function value")
         return cls(window, vals)
 
     def __call__(self, loc: Location) -> float:
@@ -653,7 +670,7 @@ class ConfigurationBatch:
         if cells is None:
             return np.bincount(self.rep, weights=self.mult,
                                minlength=self.n).astype(np.int64)
-        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
+        mask = np.isin(self.cell, _check_cells(self.window, cells))
         return np.bincount(self.rep[mask], weights=self.mult[mask],
                            minlength=self.n).astype(np.int64)
 
@@ -661,7 +678,7 @@ class ConfigurationBatch:
         """Per-replica counts of distinct locations."""
         if cells is None:
             return np.bincount(self.rep, minlength=self.n)
-        mask = np.isin(self.cell, np.asarray(cells, dtype=np.int64))
+        mask = np.isin(self.cell, _check_cells(self.window, cells))
         return np.bincount(self.rep[mask], minlength=self.n)
 
     def to_configurations(self) -> list:
@@ -752,9 +769,8 @@ def _integrate_cellwise(rho: ReferenceMeasure, values: np.ndarray) -> float:
     pos = mass > 0
     total = float(np.dot(mass[pos], values[pos])) if pos.any() else 0.0
     live = rho._atom_weight > 0
-    # added one by one in atom order, as a loop over the atoms would
-    return sum((rho._atom_weight[live]
-                * values[rho._atom_cell[live]]).tolist(), total)
+    return _add_in_order((rho._atom_weight[live]
+                          * values[rho._atom_cell[live]]).tolist(), total)
 
 
 def zeta(measure: Measure, f: TestFunction) -> float:

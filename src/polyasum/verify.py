@@ -39,6 +39,11 @@ EPS_ALLOWANCE = 10.0
 
 _DEGENERATE_ATOL = 1e-12
 
+# check_transform_identity: windows of 1 to IDENTITY_MAX_CELLS cells,
+# and the largest relative deviation of the log transforms it passes
+IDENTITY_MAX_CELLS = 8
+IDENTITY_TOL = 1e-12
+
 
 @dataclass
 class CheckReport:
@@ -247,7 +252,7 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
 
 def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
                     n: int, rng, eps: float = 1e-6, route: str = "direct",
-                    fixed_zw: tuple | None = None, estimate_cells=None,
+                    fixed_zw: tuple | None = None,
                     name: str = "mixed-ibp") -> CheckReport:
     """Integration-by-parts for the doubly stochastic process.
 
@@ -265,9 +270,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     rng = as_generator(rng)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
     rho0 = mixing.rho0
-    mass = rho0.mass_of_cells(
-        estimate_cells if estimate_cells is not None
-        else rho0.window.all_cells)
+    mass = rho0.total_mass
 
     zg = batch.zeta(g)
     weight = np.exp(-zg)
@@ -279,8 +282,8 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     zeta_feg = batch.zeta(feg_fn)
 
     if fixed_zw is None:
-        u = batch.counts(estimate_cells) / mass
-        v = batch.distinct_counts(estimate_cells) / mass
+        u = batch.counts() / mass
+        v = batch.distinct_counts() / mass
         z_hat, w_hat, feasible = solve_zw_batch(u, v)
         kernel_mode = "plug-in"
     else:
@@ -308,8 +311,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
          "branches": branches})
 
 
-def check_transform_identity(n_tuples: int, rng, max_cells: int = 8,
-                             tol: float = 1e-12,
+def check_transform_identity(n_tuples: int, rng,
                              name: str = "transform-identity") -> CheckReport:
     """Deterministic identity between three closed forms of the joint
     Laplace functional.
@@ -325,7 +327,7 @@ def check_transform_identity(n_tuples: int, rng, max_cells: int = 8,
     worst_gp = 0.0
     worst_composition = 0.0
     for _ in range(n_tuples):
-        n_cells = int(rng.integers(1, max_cells + 1))
+        n_cells = int(rng.integers(1, IDENTITY_MAX_CELLS + 1))
         window = Window.interval(0.0, 1.0, n_cells)
         rho = ReferenceMeasure(window, rng.uniform(0.0, 3.0, n_cells))
         z = float(rng.uniform(0.05, 0.95))
@@ -346,10 +348,10 @@ def check_transform_identity(n_tuples: int, rng, max_cells: int = 8,
             worst_composition,
             abs(composition - joint.log_value)
             / max(abs(joint.log_value), 1e-300))
-    passed = worst_gp < tol and worst_composition < tol
+    passed = worst_gp < IDENTITY_TOL and worst_composition < IDENTITY_TOL
     return CheckReport(
         name=name, lhs=worst_gp, lhs_stderr=0.0, rhs=worst_composition,
         rhs_stderr=0.0, exact=0.0, z_score=0.0 if passed else math.inf,
         passed=passed, n=n_tuples, runtime=time.perf_counter() - t0,
-        details={"tolerance": tol, "comparison": "max relative deviation "
-                 "of log transforms"})
+        details={"tolerance": IDENTITY_TOL, "comparison": "max relative "
+                 "deviation of log transforms"})

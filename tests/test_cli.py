@@ -529,12 +529,20 @@ class TestConfigErrors:
                              "atoms": [{"loc": [0.3], "weight": False}]}),
         ("simulate", "rho", {"uniform_mass": "2"}),
         ("simulate", "rho", {"uniform_mass": True}),
+        # numpy's error on a negative seed names no field
+        ("simulate", "seed", -1),
+        ("simulate --seed -1", "seed", 3),
+        # routes are read where they are used, each under its own name
+        ("simulate", "mixed_route", "x"),
+        ("verify polya-ibp", "route", "x"),
+        ("verify mixed-ibp", "route", "x"),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, command,
                                       field, value):
         doc = {"window": BASE_WINDOW, "rho": {"uniform_mass": 1.0},
                "rho0": {"uniform_mass": 30.0}, "z": 0.5, "n": 100,
-               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]}}
+               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]},
+               "route": "mixed" if field == "mixed_route" else "direct"}
         doc[field] = value
         args = command.split() + ["--config", write_config(tmp_path, doc)]
         assert main(args) == 2
@@ -550,6 +558,23 @@ class TestConfigErrors:
         ("verify mixed-ibp", "fixed_zw", ["0.5", 1.0]),
         ("verify mixed-ibp", "fixed_zw", [0.5, True]),
         ("verify polya-ibp", "kernel_z_factor", "0.5"),
+        # test-function values; a string of digits is not a list of them
+        ("verify polya-ibp", "f", {"const": "2"}),
+        ("verify polya-ibp", "g", {"const": True}),
+        ("verify polya-ibp", "f", {"values": "1234"}),
+        # location coordinates, of observed points and of atoms
+        *((command, "mu", {"points": [{"loc": loc, "mult": 2},
+                                      {"loc": [0.6], "mult": 1}]})
+          for command in ("posterior", "estimate-zw")
+          for loc in (["0.1"], [True])),
+        *(("simulate", "rho", {"masses": [1.0, 0.0, 0.5, 1.0],
+                               "atoms": [{"loc": loc, "weight": 1.0}]})
+          for loc in (["0.1"], [True])),
+        # window bounds and cell counts
+        ("simulate", "window", {"mode": "box", "bounds": [[False, True]],
+                                "cells": [4]}),
+        ("simulate", "window", {"mode": "box", "bounds": [[0.0, 1.0]],
+                                "cells": [True]}),
     ])
     def test_number_fields_reject_strings_and_bools(self, tmp_path, capsys,
                                                     command, field, value):

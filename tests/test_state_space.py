@@ -285,6 +285,32 @@ class TestSerialization:
         for cls, doc, what in cases:
             with pytest.raises(InvalidMeasureError, match=what):
                 cls.from_dict(doc, window=w)
+        # each type checks its own numbers, however it is built
+        calls = [
+            (lambda: AtomicMeasure(w, (((0.3,), bad),)), "atom weight"),
+            (lambda: ReferenceMeasure(w, [1.0, bad, 0, 0]), "cell mass"),
+            (lambda: ReferenceMeasure(w, None, (((0.3,), bad),)),
+             "atom weight"),
+            (lambda: ReferenceMeasure.uniform(w, bad), "total mass"),
+            (lambda: TestFunction(w, [1.0, bad, 0, 0]),
+             "test function value"),
+            (lambda: TestFunction.constant(w, bad), "test function value"),
+            (lambda: TestFunction.indicator(w, [0], bad),
+             "test function value"),
+            (lambda: PointConfiguration(w, (((bad,), 1),)),
+             "location coordinate"),
+            (lambda: AtomicMeasure(w, (((bad,), 1.0),)),
+             "location coordinate"),
+            (lambda: Window.box([(0.0, bad)], [4]), "axis bound"),
+            (lambda: Window.box([(0.0, 1.0)], [bad]), "cell count"),
+        ]
+        for call, what in calls:
+            with pytest.raises(InvalidMeasureError, match=what):
+                call()
+        with pytest.raises(InvalidMeasureError, match="cell mass"):
+            ReferenceMeasure(w, ["1", True, 0, 0])
+        with pytest.raises(InvalidMeasureError, match="test function value"):
+            TestFunction(Window.interval(0.0, 1.0, 2), ["1", True])
 
 
 # Per-point loop forms of the evaluation maps, kept as references for
@@ -593,6 +619,18 @@ class TestAtomColumns:
                 total += w * float(values[window.cell_of(loc)])
         assert _integrate_cellwise(rho, values) == total
 
+    def test_atoms_add_in_order(self, w):
+        # compensated summation (``sum`` of floats from Python 3.12 on,
+        # math.fsum) gives 1.0000000000000002e16 here; the samplers take
+        # their mass from total_mass, so the draws depend on the order
+        weights = (1.0, 1e16, 1.0)
+        locs = [(0.1,), (0.2,), (0.3,)]
+        rho = ReferenceMeasure(w, None, tuple(zip(locs, weights)))
+        assert rho.total_mass == 1e16
+        assert rho.mass_of_cells([0]) == 1e16
+        assert _integrate_cellwise(rho, np.ones(4)) == 1e16
+        assert AtomicMeasure(w, tuple(zip(locs, weights))).total_mass == 1e16
+
 
 class TestCellRanges:
     """Cell lists name cells of the window: a negative index does not
@@ -613,6 +651,17 @@ class TestCellRanges:
         for cells in ([-1], [4]):
             with pytest.raises(InvalidMeasureError, match="cell indices"):
                 TestFunction.indicator(w, cells)
+
+    def test_batch_counts_reject_indices_outside(self, w):
+        batch = ConfigurationBatch(
+            w, 2, np.array([0, 1]), np.array([3, 0]), np.array([2, 1]),
+            np.array([[0.9], [0.1]]))
+        assert batch.counts([3]).tolist() == [2, 0]
+        assert batch.distinct_counts([0, 3]).tolist() == [1, 1]
+        for cells in ([4], [-1], [7]):
+            for count in (batch.counts, batch.distinct_counts):
+                with pytest.raises(InvalidMeasureError, match="cell indices"):
+                    count(cells)
 
 
 def _categorical_probs(k, seed, zeros, log_min):
