@@ -5,7 +5,9 @@ Three routes produce Polya samples:
 
 * ``direct`` -- a Poisson number of clusters placed i.i.d. from the
   normalized reference measure, each carrying an independent
-  logarithmic-series multiplicity.  Exact; validated against the
+  logarithmic-series multiplicity: numpy's ``logseries`` draws bit for
+  bit, replayed over buffers of doubles for large requests
+  (``state_space._logseries``).  Exact; validated against the
   closed-form Laplace functional.
 * ``cox`` -- draw a Gamma random measure by truncated inverse-Levy
   (Ferguson-Klass) and then a Poisson process with that atomic
@@ -34,8 +36,8 @@ import numpy as np
 from .expint import e1, e1_inverse
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _categorical, _merge,
-                          _records, _tile)
+                          ReferenceMeasure, Window, _categorical,
+                          _logseries, _merge, _records, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -244,7 +246,9 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
 
     A Poisson(-log(1-z) * m) number of cluster locations is drawn
     i.i.d. from rho/m and each receives an independent
-    logarithmic-series(z) multiplicity.  This reproduces the process's
+    logarithmic-series(z) multiplicity, ``rng.logseries(z, size)``'s
+    draws bit for bit, the generator left in the same state
+    (``state_space._logseries``).  This reproduces the process's
     Laplace functional exactly (verified in the test suite, since it is
     a construction rather than a definition).
     """
@@ -258,7 +262,7 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     n_clusters = rng.poisson(lam, size=n)
     rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
     cells, coords, hit, atom = params.rho.sample_locations(rep.size, rng)
-    mult = rng.logseries(z, size=rep.size).astype(np.int64, copy=False)
+    mult = _logseries(z, rep.size, rng)
     return _merge(ConfigurationBatch(window, n, rep, cells, mult, coords),
                   hit, atom)
 

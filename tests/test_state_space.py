@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       ReferenceMeasure, TestFunction, Window,
-                      WindowMismatchError, samplers, superpose, zeta)
+                      WindowMismatchError, samplers, state_space, superpose,
+                      zeta)
 from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
-                                  _categorical, _integrate_cellwise, _merge,
-                                  _one_replica, _tile)
+                                  _categorical, _integrate_cellwise,
+                                  _logseries, _merge, _one_replica, _tile)
 
 
 @pytest.fixture
@@ -81,6 +82,14 @@ class TestWindow:
     def test_accepts_numpy_cell_counts(self):
         w = Window.box([(0, 1)], np.array([4]))
         assert w.n_cells == 4
+
+    def test_cells_of_takes_only_real_numbers(self, w):
+        # a cast to float would read "0.3" as 0.3 (cell 1) and True as
+        # 1.0 (cell 3)
+        for coords in ([["0.3"]], [[True]]):
+            with pytest.raises(InvalidMeasureError, match="real numbers"):
+                w.cells_of(coords)
+        assert w.cells_of([[0.3], [1]]).tolist() == [1, 3]
 
 
 class TestZeta:
@@ -214,6 +223,32 @@ class TestInvariants:
             with pytest.raises(InvalidMeasureError, match="overflows"):
                 rho.scale(1.7)
             assert rho.scale(1.5).total_mass == pytest.approx(1.65e308)
+
+    @pytest.mark.parametrize("window, masses, atoms", [
+        (Window.box([(0, 1), (0, 2)], [2, 3]), np.arange(6.0),
+         (((0.1, 0.2), 3.0), ((0.7, 1.9), 0.0), ((1.0, 0.0), 1e-300))),
+        (Window.discrete(["a", "b", "c"]), [1.0, 0.0, 2.5],
+         (("b", 4.0), ("c", 0.1))),
+    ])
+    def test_scale_equals_the_checked_construction(self, window, masses,
+                                                   atoms):
+        rho = ReferenceMeasure(window, masses, atoms)
+        for factor in (0.0, 1.0, 0.1, 3, 1e300):
+            scaled = rho.scale(factor)
+            built = ReferenceMeasure(window, rho.cell_masses * factor, tuple(
+                (loc, w * factor) for loc, w in atoms))
+            assert scaled == built and hash(scaled) == hash(built)
+            for col in ("cell_masses", "_atom_cell", "_atom_weight",
+                        "_atom_coords"):
+                got, want = getattr(scaled, col), getattr(built, col)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+        with pytest.raises(InvalidMeasureError, match=">= 0"):
+            rho.scale(-1.0)
+        with pytest.raises(InvalidMeasureError, match="must be finite"):
+            rho.scale(float("nan"))
+        with pytest.raises(InvalidMeasureError, match="must be a number"):
+            rho.scale(True)
 
     def test_test_function_validation(self, w):
         with pytest.raises(InvalidMeasureError):
@@ -709,3 +744,86 @@ class TestCategorical:
         self._assert_as_choice(np.full(8, 0.125), 50_000, 1)
         for p in (np.r_[np.zeros(4999), 1.0], np.r_[0.5, np.zeros(9998), 0.5]):
             self._assert_as_choice(p, 50_000, 2)
+
+
+class TestLogseries:
+    """``_logseries`` against the ``rng.logseries`` it reproduces: equal
+    draws and dtype, and both generators left in one state (the next 16
+    doubles, then the next 32-bit draw, agree)."""
+
+    BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.SFC64,
+                      np.random.Philox)
+    PS = (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.999999, 1 - 1e-12,
+          np.nextafter(1.0, 0.0))
+    MIN = state_space._LOGSERIES_MIN_SIZE
+    # the last size takes more than two buffers
+    SIZES = (0, 1, MIN - 1, MIN, MIN + 1,
+             state_space._LOGSERIES_CHUNK * 2 + 3)
+
+    @staticmethod
+    def _assert_as_logseries(bit_generator, p, size, seed=5,
+                             buffered=False):
+        ours, numpys = (np.random.Generator(bit_generator(seed))
+                        for _ in range(2))
+        if buffered:  # a 32-bit half of a 64-bit draw waits in the state
+            for gen in (ours, numpys):
+                gen.integers(2**32, dtype=np.uint32)
+        got = _logseries(p, size, ours)
+        want = numpys.logseries(p, size)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(ours.random(16), numpys.random(16))
+        assert (ours.integers(2**32, dtype=np.uint32)
+                == numpys.integers(2**32, dtype=np.uint32))
+
+    def test_the_replay_runs_on_this_numpy(self):
+        # else every other test here compares numpy with itself
+        assert state_space._logseries_replays()
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("p", PS)
+    def test_matches_logseries(self, bit_generator, p):
+        for size in self.SIZES:
+            self._assert_as_logseries(bit_generator, p, size)
+        self._assert_as_logseries(bit_generator, p, self.MIN, buffered=True)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_replay_matches_at_every_p_and_size(self, bit_generator,
+                                                monkeypatch):
+        # below the dispatch's cutoffs too: small p, one or two draws
+        monkeypatch.setattr(state_space, "_LOGSERIES_MIN_P", 0.0)
+        monkeypatch.setattr(state_space, "_LOGSERIES_MIN_SIZE", 0)
+        for p in self.PS:
+            for size in (0, 1, 2, 7, 4097) + self.SIZES[-1:]:
+                self._assert_as_logseries(bit_generator, p, size)
+            self._assert_as_logseries(bit_generator, p, 7, buffered=True)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_every_pair_through_libm(self, bit_generator, monkeypatch):
+        # a band of 2**62 ulps spans every double in [0, 1] and every
+        # floor argument, so every variate takes the math path
+        monkeypatch.setattr(state_space, "_LOGSERIES_BAND", 2**62)
+        for p in (0.6, 0.7, 0.9, 0.999999, np.nextafter(1.0, 0.0)):
+            self._assert_as_logseries(bit_generator, p, self.MIN + 1)
+
+    def test_a_variate_numpy_would_draw_again_goes_to_numpy(self,
+                                                            monkeypatch):
+        # numpy draws a variate again when V == 0 (chance 2**-53 per
+        # draw); here every variate looks so to the replay, which must
+        # hand the whole request to numpy from the state it was given
+        monkeypatch.setattr(state_space, "_LOGSERIES_BAND", 2**62)
+        monkeypatch.setattr(state_space, "_logseries_exact",
+                            lambda *args: 0)
+        self._assert_as_logseries(np.random.PCG64, 0.7, self.MIN + 1)
+
+    def test_a_numpy_the_replay_does_not_match_gets_numpys_loop(
+            self, monkeypatch):
+        monkeypatch.setattr(state_space, "_logseries_replay",
+                            lambda p, size, rng: np.ones(size, np.int64))
+        state_space._logseries_replays.cache_clear()
+        try:
+            assert not state_space._logseries_replays()
+            for size in (self.MIN, self.SIZES[-1]):
+                self._assert_as_logseries(np.random.PCG64, 0.7, size)
+        finally:
+            state_space._logseries_replays.cache_clear()
