@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from polyasum import (MixingMeasure, PolyaParams, ReferenceMeasure, RngSeed,
-                      Window, sample_mixed_batch, sample_polya_direct_batch,
-                      solve_zw_batch)
+                      Window, density_batch, sample_mixed_batch,
+                      sample_polya_direct_batch, solve_zw_batch)
 
 
 def consistency_table(replicas: int, seed: int) -> None:
@@ -33,8 +33,8 @@ def consistency_table(replicas: int, seed: int) -> None:
         batch = sample_polya_direct_batch(
             PolyaParams(z_true, rho0.scale(w_true)), replicas,
             RngSeed(seed, stream=10 + i))
-        z_hat, w_hat, ok = solve_zw_batch(batch.counts() / mass,
-                                          batch.distinct_counts() / mass)
+        u, v, _ = density_batch(batch, rho0)
+        z_hat, w_hat, ok = solve_zw_batch(u, v)
         print(f"{mass:>10.0e} "
               f"{np.median(np.abs(z_hat[ok] - z_true)):>12.5f} "
               f"{np.median(np.abs(w_hat[ok] - w_true)):>12.5f} "
@@ -52,8 +52,8 @@ def classification_table(replicas: int, seed: int) -> None:
         mixing = MixingMeasure(rho0, atoms)
         batch, z_lat, _ = sample_mixed_batch(
             mixing, "direct", 1e-6, replicas, RngSeed(seed, stream=20 + i))
-        z_hat, w_hat, ok = solve_zw_batch(batch.counts() / mass,
-                                          batch.distinct_counts() / mass)
+        u, v, _ = density_batch(batch, rho0)
+        z_hat, w_hat, ok = solve_zw_batch(u, v)
         d0 = (z_hat - 0.3) ** 2 + (w_hat - 1.0) ** 2
         d1 = (z_hat - 0.7) ** 2 + (w_hat - 1.0) ** 2
         assigned = np.where(d0 < d1, 0.3, 0.7)

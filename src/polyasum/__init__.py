@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .bayes import (DecompositionError, PosteriorSpec, bayes_estimator,
                     convolution_split, posterior_intensity, posterior_params)
 from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
-                         density_ratio, density_stats, papangelou_kernel,
-                         solve_zw, solve_zw_batch)
+                         density_batch, density_ratio, density_stats,
+                         papangelou_kernel, solve_zw, solve_zw_batch)
 from .expint import e1, e1_inverse
 from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
                        sample_gamma_measure, sample_gamma_measure_batch,

@@ -41,10 +41,9 @@ import numpy as np
 from . import __version__
 from .bayes import posterior_intensity, posterior_params
 from .estimators import InfeasibleDensitiesError, density_stats, solve_zw
-from .samplers import (MixingMeasure, PolyaParams, RngSeed,
-                       sample_gamma_measure_batch, sample_mixed_batch,
-                       sample_poisson_batch, sample_polya_cox_batch,
-                       sample_polya_direct_batch)
+from .samplers import (ROUTES, MixingMeasure, PolyaParams, RngSeed,
+                       _route_sampler, sample_gamma_measure_batch,
+                       sample_mixed_batch, sample_poisson_batch)
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
                           PointConfiguration, ReferenceMeasure, TestFunction,
                           Window, _by_replica, _json_float, _json_int)
@@ -53,7 +52,9 @@ from .verify import (check_conjugacy, check_transform_identity, check_mecke,
 
 CHECK_NAMES = ("mecke", "polya-ibp", "conjugacy", "mixed-ibp",
                "transform-identity")
-ROUTES = ("direct", "cox")  # the routes of the checks and of mixed draws
+# the formats each subcommand writes, its default first
+FORMATS = {"simulate": ("json", "jsonl", "csv"), "verify": ("json", "csv"),
+           "posterior": ("json",), "estimate-zw": ("json",)}
 _REQUIRED = object()  # no default: the field must be given
 
 
@@ -118,8 +119,7 @@ class ExperimentConfig:
     def mixing(self, window: Window) -> MixingMeasure:
         rho0 = self.reference_measure("rho0", window)
         return self.read("mixing", lambda data: MixingMeasure(rho0, tuple(
-            tuple(_json_float(a[k], f"atom {k}") for k in "zwp")
-            for a in _object(data)["atoms"])))
+            tuple(a[k] for k in "zwp") for a in _object(data)["atoms"])))
 
     def fixed_zw(self) -> tuple | None:
         def parse(data):
@@ -301,12 +301,9 @@ def run_simulate(config: ExperimentConfig) -> int:
             batch = sample_poisson_batch(rho, n, rng)
         else:
             params = PolyaParams(config.z(), rho)
-            if route == "gamma":
-                batch = sample_gamma_measure_batch(params, config.eps, n, rng)
-            elif route == "direct":
-                batch = sample_polya_direct_batch(params, n, rng)
-            else:
-                batch = sample_polya_cox_batch(params, config.eps, n, rng)
+            sample = (sample_gamma_measure_batch if route == "gamma"
+                      else _route_sampler(route))
+            batch = sample(params, config.eps, n, rng)
     else:
         mixing = config.mixing(window)
         batch, z_lat, w_lat = sample_mixed_batch(
@@ -439,27 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "sum processes and the Gamma random measures directing "
                     "them.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, text in (
+            ("simulate", "draw seeded samples"),
+            ("posterior", "conjugate update and Bayes estimator"),
+            ("estimate-zw", "recover (z, w) from a configuration"),
+            ("verify", "run verification checks")):
+        p = sub.add_parser(command, help=text)
+        if command == "verify":
+            p.add_argument("checks", nargs="+", metavar="CHECK",
+                           help=f"one or more of: {', '.join(CHECK_NAMES)}")
         p.add_argument("--config", help="JSON experiment configuration")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--n", type=int, help="replica count (overrides config)")
         p.add_argument("--eps", type=float,
                        help="Gamma-measure truncation threshold")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", dest="fmt",
-                       choices=("json", "jsonl", "csv"), default=None,
+        p.add_argument("--format", dest="fmt", choices=FORMATS[command],
                        help="output format (measures are always JSON)")
-
-    common(sub.add_parser("simulate", help="draw seeded samples"))
-    common(sub.add_parser("posterior",
-                          help="conjugate update and Bayes estimator"))
-    common(sub.add_parser("estimate-zw",
-                          help="recover (z, w) from a configuration"))
-    p_verify = sub.add_parser("verify", help="run verification checks")
-    p_verify.add_argument("checks", nargs="+", metavar="CHECK",
-                          help=f"one or more of: {', '.join(CHECK_NAMES)}")
-    common(p_verify)
     return parser
 
 
@@ -491,7 +484,7 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError(f"config field 'out' must be a path; "
                           f"got {config.out!r}")
     config.fmt = args.fmt if args.fmt is not None else config.choice(
-        "format", ("json", "jsonl", "csv"))
+        "format", FORMATS[args.command])
     if config.n < 1:
         raise ConfigError("config field 'n' must be >= 1")
     if config.seed < 0:

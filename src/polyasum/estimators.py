@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_space import (PointConfiguration, ReferenceMeasure,
-                          _one_replica, superpose)
+from .state_space import (ConfigurationBatch, PointConfiguration,
+                          ReferenceMeasure, _one_replica, superpose)
 
 _Z_TOL = 1e-13
 _Z_LO = 1e-15
@@ -71,20 +71,25 @@ class ZWEstimate:
     residual: float
 
 
-def density_stats(mu: PointConfiguration, rho0: ReferenceMeasure,
-                  cells=None) -> DensityStats:
-    """Both empirical densities of a configuration over one region B:
-    u = (points of mu in B, with multiplicity) / rho0(B) and
-    v = (distinct points of mu in B) / rho0(B)."""
-    if cells is None:
-        cells = rho0.window.all_cells
-    mass = rho0.mass_of_cells(cells)
+def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure,
+                  cells=None):
+    """Both empirical densities of every replica over one region B:
+    ``(u, v, mass)`` with u = (points in B, with multiplicity) / rho0(B),
+    v = (distinct points in B) / rho0(B), shape (n,) each, and
+    mass = rho0(B).  B defaults to the whole window, counted without a
+    cell mask, over ``rho0.total_mass``."""
+    mass = rho0.total_mass if cells is None else rho0.mass_of_cells(cells)
     if mass <= 0:
         raise ValueError("estimation region has zero reference mass")
-    batch = _one_replica(mu)
-    return DensityStats(u=int(batch.counts(cells)[0]) / mass,
-                        v=int(batch.distinct_counts(cells)[0]) / mass,
-                        window_mass=mass)
+    return (batch.counts(cells) / mass, batch.distinct_counts(cells) / mass,
+            mass)
+
+
+def density_stats(mu: PointConfiguration, rho0: ReferenceMeasure,
+                  cells=None) -> DensityStats:
+    """:func:`density_batch` of the one configuration ``mu``."""
+    u, v, mass = density_batch(_one_replica(mu), rho0, cells)
+    return DensityStats(u=float(u[0]), v=float(v[0]), window_mass=mass)
 
 
 def density_ratio(z) -> np.ndarray:
@@ -130,7 +135,8 @@ def solve_zw_batch(u: np.ndarray, v: np.ndarray):
 
 
 def solve_zw(u: float, v: float) -> ZWEstimate:
-    """Recover (z, w) from the densities (u, v).
+    """Recover (z, w) from the densities (u, v): the one pair's
+    :func:`solve_zw_batch` with its residual and a typed error.
 
     (0, 0) maps to the degenerate pair (0, 0); u > v > 0 has a unique
     solution found by bisecting the strictly increasing ratio map;
@@ -139,14 +145,12 @@ def solve_zw(u: float, v: float) -> ZWEstimate:
     """
     u = float(u)
     v = float(v)
-    if u < 0 or v < 0:
+    if not (u >= 0 and v >= 0):
         raise ValueError(f"densities must be >= 0, got u={u}, v={v}")
-    if u == 0 and v == 0:
-        return ZWEstimate(z_hat=0.0, w_hat=0.0, converged=True, residual=0.0)
-    if v <= 0 or u <= v:
+    z, w, feasible = solve_zw_batch([u], [v])
+    if not feasible[0]:
         raise InfeasibleDensitiesError(u, v)
-    z = float(_solve_ratio(np.array([u / v]))[0])
-    w = v / (-math.log1p(-z))
+    z, w = float(z[0]), float(w[0])
     residual = max(abs(w * z / (1.0 - z) - u), abs(-w * math.log1p(-z) - v))
     converged = residual <= 1e-9 * max(1.0, u, v)
     return ZWEstimate(z_hat=z, w_hat=w, converged=converged, residual=residual)

@@ -37,7 +37,7 @@ from .expint import e1, e1_inverse
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, Window, _categorical,
-                          _logseries, _merge, _records, _tile)
+                          _json_float, _logseries, _merge, _records, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -76,12 +76,12 @@ class MixingMeasure:
     def __post_init__(self):
         cleaned = []
         for z, w, p in self.atoms:
-            z, w, p = float(z), float(w), float(p)
-            _check_z_half_open(z)
-            if w < 0:
-                raise ParameterError(f"w must be >= 0, got {w}")
-            if p <= 0:
-                raise ParameterError(f"atom probability must be > 0, got {p}")
+            z, w, p = (_check_z_half_open(z), _json_float(w, "w"),
+                       _json_float(p, "p"))
+            if not (math.isfinite(w) and math.isfinite(p) and w >= 0
+                    and p > 0):
+                raise ParameterError(f"need w finite >= 0 and p finite > 0, "
+                                     f"got w={w}, p={p}")
             cleaned.append((z, w, p))
         if abs(sum(p for _, _, p in cleaned) - 1.0) > 1e-12:
             raise ParameterError("mixing probabilities must sum to 1")
@@ -288,6 +288,20 @@ def sample_polya_cox(params: PolyaParams, eps: float, rng) -> PointConfiguration
     return sample_polya_cox_batch(params, eps, 1, rng).to_configurations()[0]
 
 
+ROUTES = ("direct", "cox")  # the Polya routes of the checks and mixed draws
+
+
+def _route_sampler(route: str):
+    """The batch sampler ``(params, eps, n, rng)`` of a route in ROUTES;
+    any other route raises :class:`ParameterError`, drawing nothing."""
+    if route == "direct":
+        return lambda params, eps, n, rng: sample_polya_direct_batch(
+            params, n, rng)
+    if route == "cox":
+        return sample_polya_cox_batch
+    raise ParameterError(f"route must be 'direct' or 'cox', got {route!r}")
+
+
 # ---------------------------------------------------------------------------
 # Posterior sampling
 # ---------------------------------------------------------------------------
@@ -347,8 +361,7 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     the requested route.  Returns (batch, z_latent, w_latent) so
     estimator validation can see the truth.
     """
-    if route not in ("direct", "cox"):
-        raise ParameterError(f"route must be 'direct' or 'cox', got {route!r}")
+    sample = _route_sampler(route)
     rng = as_generator(rng)
     z_atom, w_atom, probs = np.array(mixing.atoms).T
     comp = _categorical(probs / probs.sum(), n, rng)
@@ -359,11 +372,8 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
         members = np.flatnonzero(comp == c)
         if members.size == 0 or z == 0.0 or w == 0.0:
             continue
-        sub_params = PolyaParams(z, mixing.rho0.scale(w))
-        if route == "direct":
-            sub = sample_polya_direct_batch(sub_params, members.size, rng)
-        else:
-            sub = sample_polya_cox_batch(sub_params, eps, members.size, rng)
+        sub = sample(PolyaParams(z, mixing.rho0.scale(w)), eps,
+                     members.size, rng)
         parts.append((members[sub.rep], sub.cell, sub.mult, sub.coords))
     batch = _records(ConfigurationBatch, mixing.window, n, parts)
     return batch, z_lat, w_lat

@@ -715,7 +715,9 @@ class ReferenceMeasure:
                 and self.atoms == other.atoms)
 
     def __hash__(self):
-        return hash((self.window, self.cell_masses.tobytes(), self.atoms))
+        # -0.0 + 0.0 is 0.0: masses equal as floats hash equal
+        return hash((self.window, (self.cell_masses + 0.0).tobytes(),
+                     self.atoms))
 
 
 @dataclass(frozen=True)
@@ -761,6 +763,15 @@ class TestFunction:
         return {"schema_version": SCHEMA_VERSION,
                 "window": self.window.to_dict(),
                 "values": [float(v) for v in self.values]}
+
+    def __eq__(self, other):
+        if not isinstance(other, TestFunction):
+            return NotImplemented
+        return (self.window == other.window
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash((self.window, (self.values + 0.0).tobytes()))
 
 
 Measure = Union[PointConfiguration, AtomicMeasure, ReferenceMeasure]

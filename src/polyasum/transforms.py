@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state_space import (ReferenceMeasure, TestFunction,
-                          _integrate_cellwise, _require_same_window, zeta)
+                          _integrate_cellwise, _json_float, _json_int,
+                          _require_same_window, zeta)
 
 
 class ParameterError(ValueError):
@@ -25,14 +26,14 @@ class ParameterError(ValueError):
 
 
 def _check_z_open(z: float) -> float:
-    z = float(z)
+    z = _json_float(z, "z")
     if not 0.0 < z < 1.0:
         raise ParameterError(f"z must lie in (0, 1), got {z}")
     return z
 
 
 def _check_z_half_open(z: float) -> float:
-    z = float(z)
+    z = _json_float(z, "z")
     if not 0.0 <= z < 1.0:
         raise ParameterError(f"z must lie in [0, 1), got {z}")
     return z
@@ -99,10 +100,11 @@ def nb_pmf(k: int, m: float, z: float) -> float:
     The count law of the Polya sum process on a region of reference
     mass m.  Computed in log space.
     """
-    if m <= 0:
-        raise ParameterError(f"m must be > 0, got {m}")
+    m = _json_float(m, "m")
+    if not (math.isfinite(m) and m > 0):
+        raise ParameterError(f"m must be finite and > 0, got {m}")
     z = _check_z_open(z)
-    k = int(k)
+    k = _json_int(k, "k")
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
     log_p = (math.lgamma(m + k) - math.lgamma(m) - math.lgamma(k + 1)
@@ -157,7 +159,7 @@ def logseries_pmf(k: int, z: float) -> float:
     construction.
     """
     z = _check_z_open(z)
-    k = int(k)
+    k = _json_int(k, "k")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     log_p = k * math.log(z) - math.log(k) - math.log(-math.log1p(-z))

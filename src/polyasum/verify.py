@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import solve_zw_batch
+from .estimators import density_batch, solve_zw_batch
 from .samplers import (MixingMeasure, PolyaParams,
                        _poisson_from_atomic_batch,
-                       _posterior_from_config_batch, as_generator,
-                       sample_gamma_measure_batch, sample_mixed_batch,
-                       sample_poisson_batch, sample_polya_cox_batch,
+                       _posterior_from_config_batch, _route_sampler,
+                       as_generator, sample_gamma_measure_batch,
+                       sample_mixed_batch, sample_poisson_batch,
                        sample_polya_direct_batch)
-from .state_space import (ReferenceMeasure, TestFunction, Window,
-                          _integrate_cellwise, zeta)
-from .transforms import (ParameterError, _mean_se, joint_laplace, laplace_gp,
-                         laplace_polya, polya_campbell_exact)
+from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
+                          Window, _integrate_cellwise, zeta)
+from .transforms import (_mean_se, joint_laplace, laplace_gp, laplace_polya,
+                         polya_campbell_exact)
 
 # Truncation bias enters the tolerance linearly.  Measured against the
 # exact transform at mass 0.5, z = 0.5, g = 3 (test_verify.py,
@@ -122,10 +122,29 @@ def _ibp_report(name: str, lhs: np.ndarray, rhs: np.ndarray,
         runtime=time.perf_counter() - t0, details=details)
 
 
-def _damped(f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-    """Pointwise f e^-g with the f * 0 convention at g = +inf."""
-    decay = np.exp(-g_values)
-    return np.where(decay > 0, f_values * decay, 0.0)
+def _slack(route: str, eps: float) -> float:
+    """Truncation allowance of a Polya route; the direct route is exact."""
+    return EPS_ALLOWANCE * eps if route == "cox" else 0.0
+
+
+def _start(n: int, rng):
+    """The start time and generator of a Monte Carlo check of n replicas."""
+    if n < 100:
+        raise ValueError("need n >= 100 replicas")
+    return time.perf_counter(), as_generator(rng)
+
+
+def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
+                    f: TestFunction, g: TestFunction):
+    """Every part of a Campbell identity on ``batch`` but its kernel: per
+    replica e^-zeta_g and zeta_f e^-zeta_g, then rho(f e^-g) and per
+    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf."""
+    weight = np.exp(-batch.zeta(g))
+    lhs = batch.zeta(f) * weight
+    decay = np.exp(-g.values)
+    fe_g = np.where(decay > 0, f.values * decay, 0.0)
+    return (weight, lhs, _integrate_cellwise(rho, fe_g),
+            batch.zeta(TestFunction(rho.window, fe_g)))
 
 
 def campbell_estimate(samples, f: TestFunction, g: TestFunction):
@@ -150,16 +169,9 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     evaluated on the same samples; the exact value
     rho(f e^-g) exp(-rho(1 - e^-g)) is attached.
     """
-    if n < 100:
-        raise ValueError("need n >= 100 replicas")
-    t0 = time.perf_counter()
-    rng = as_generator(rng)
+    t0, rng = _start(n, rng)
     batch = sample_poisson_batch(rho, n, rng)
-    zg = batch.zeta(g)
-    weight = np.exp(-zg)
-    lhs = batch.zeta(f) * weight
-    fe_g = _damped(f.values, g.values)
-    rho_feg = _integrate_cellwise(rho, fe_g)
+    weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g)
     rhs = rho_feg * weight
     exact = rho_feg * math.exp(-_integrate_cellwise(
         rho, -np.expm1(-g.values)))
@@ -181,30 +193,14 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     ``kernel_z_factor`` deliberately corrupts the kernel (z -> factor
     * z) for power studies: the check must then fail.
     """
-    if n < 100:
-        raise ValueError("need n >= 100 replicas")
-    if route not in ("direct", "cox"):
-        raise ParameterError(f"route must be 'direct' or 'cox', got {route!r}")
-    t0 = time.perf_counter()
-    rng = as_generator(rng)
-    if route == "direct":
-        batch = sample_polya_direct_batch(params, n, rng)
-        slack = 0.0
-    else:
-        batch = sample_polya_cox_batch(params, eps, n, rng)
-        slack = EPS_ALLOWANCE * eps
-    zg = batch.zeta(g)
-    weight = np.exp(-zg)
-    lhs = batch.zeta(f) * weight
-
-    fe_g = _damped(f.values, g.values)
-    feg_fn = TestFunction(params.window, fe_g)
-    rho_feg = _integrate_cellwise(params.rho, fe_g)
+    t0, rng = _start(n, rng)
+    batch = _route_sampler(route)(params, eps, n, rng)
+    weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
     z_kernel = params.z * kernel_z_factor
-    rhs = z_kernel * (rho_feg + batch.zeta(feg_fn)) * weight
+    rhs = z_kernel * (rho_feg + zeta_feg) * weight
     exact = polya_campbell_exact(f, g, params.z, params.rho)
 
-    report = _ibp_report(name, lhs, rhs, exact, slack, n, t0,
+    report = _ibp_report(name, lhs, rhs, exact, _slack(route, eps), n, t0,
                          {"route": route})
     report.details["kernel_z_factor"] = kernel_z_factor
     return report
@@ -221,10 +217,7 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     whose exact value is the joint closed form.  lhs carries the
     forward estimate, rhs the backward one.
     """
-    if n < 100:
-        raise ValueError("need n >= 100 replicas")
-    t0 = time.perf_counter()
-    rng = as_generator(rng)
+    t0, rng = _start(n, rng)
     slack = EPS_ALLOWANCE * eps
 
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
@@ -264,26 +257,12 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     with one global pair, which must break the identity for genuinely
     mixed priors.
     """
-    if n < 100:
-        raise ValueError("need n >= 100 replicas")
-    t0 = time.perf_counter()
-    rng = as_generator(rng)
+    t0, rng = _start(n, rng)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
-    rho0 = mixing.rho0
-    mass = rho0.total_mass
-
-    zg = batch.zeta(g)
-    weight = np.exp(-zg)
-    lhs = batch.zeta(f) * weight
-
-    fe_g = _damped(f.values, g.values)
-    feg_fn = TestFunction(mixing.window, fe_g)
-    rho0_feg = _integrate_cellwise(rho0, fe_g)
-    zeta_feg = batch.zeta(feg_fn)
-
+    weight, lhs, rho0_feg, zeta_feg = _campbell_sides(batch, mixing.rho0,
+                                                      f, g)
     if fixed_zw is None:
-        u = batch.counts() / mass
-        v = batch.distinct_counts() / mass
+        u, v, _ = density_batch(batch, mixing.rho0)
         z_hat, w_hat, feasible = solve_zw_batch(u, v)
         kernel_mode = "plug-in"
     else:
@@ -294,7 +273,6 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     rhs = z_hat * (w_hat * rho0_feg + zeta_feg) * weight
     failure_fraction = 1.0 - feasible.mean()
 
-    slack = EPS_ALLOWANCE * eps if route == "cox" else 0.0
     branches = []
     for zc, wc, pc in mixing.atoms:
         members = feasible & (z_lat == zc) & (w_lat == wc)
@@ -305,7 +283,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
                              "n": int(members.sum()),
                              "lhs_mean": bm, "rhs_mean": br})
     return _ibp_report(
-        name, lhs[feasible], rhs[feasible], None, slack, n, t0,
+        name, lhs[feasible], rhs[feasible], None, _slack(route, eps), n, t0,
         {"kernel": kernel_mode, "route": route,
          "solver_failure_fraction": float(failure_fraction),
          "branches": branches})

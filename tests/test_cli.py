@@ -640,3 +640,51 @@ class TestConfigErrors:
         })
         assert main(["verify", "polya-ibp", "--config", cfg, "--n", "400",
                      "--seed", "1"]) == 0
+
+
+class TestFormats:
+    """Each subcommand accepts only the formats it writes."""
+
+    DOC = {"window": BASE_WINDOW, "rho": {"uniform_mass": 1.0},
+           "rho0": {"uniform_mass": 30.0}, "z": 0.5, "n": 100,
+           "mu": {"points": [{"loc": [0.1], "mult": 3},
+                             {"loc": [0.6], "mult": 1}]}}
+    UNWRITTEN = [("posterior", "csv"), ("posterior", "jsonl"),
+                 ("estimate-zw", "csv"), ("estimate-zw", "jsonl"),
+                 ("verify mecke", "jsonl")]
+
+    @pytest.mark.parametrize("command, fmt", UNWRITTEN)
+    def test_flag_exits_two(self, tmp_path, capsys, command, fmt):
+        args = command.split() + ["--config",
+                                  write_config(tmp_path, self.DOC),
+                                  "--out", str(tmp_path / "out"),
+                                  "--format", fmt]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, fmt", UNWRITTEN)
+    def test_config_field_exits_two(self, tmp_path, capsys, command, fmt):
+        cfg = write_config(tmp_path, {**self.DOC, "format": fmt})
+        args = command.split() + ["--config", cfg,
+                                  "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "'format'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("atoms", [
+    # NaN passes p <= 0 and the sum-to-1 check; every replica would
+    # come from one component
+    [{"z": 0.3, "w": 1.0, "p": float("nan")},
+     {"z": 0.7, "w": 1.0, "p": 0.5}],
+    [{"z": 0.3, "w": float("inf"), "p": 1.0}],
+])
+def test_mixing_numbers_out_of_range_are_named(tmp_path, capsys, atoms):
+    cfg = write_config(tmp_path, {
+        "window": BASE_WINDOW, "rho0": {"uniform_mass": 2.0},
+        "route": "mixed", "n": 5, "mixing": {"atoms": atoms}})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "'mixing'" in capsys.readouterr().err

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from polyasum import (DensityStats, InfeasibleDensitiesError, MixingMeasure,
                       PointConfiguration, PolyaParams, ReferenceMeasure,
-                      RngSeed, Window, density_ratio, density_stats,
-                      papangelou_kernel, sample_mixed_batch,
+                      RngSeed, Window, density_batch, density_ratio,
+                      density_stats, papangelou_kernel, sample_mixed_batch,
                       sample_polya_direct_batch, solve_zw, solve_zw_batch)
 
 
@@ -210,3 +210,48 @@ class TestPapangelouKernel:
             kernel = papangelou_kernel(mu, rho0)
             scales.append(kernel.cell_masses.sum() / 1e4)
         assert abs(np.median(scales) - 0.5) < 0.05 * 0.5
+
+
+class TestOneCopy:
+    """The pair solver and the one-replica densities are the batch
+    routines applied to one replica."""
+
+    def test_pair_solver_equals_batch_bit_for_bit(self):
+        gen = np.random.default_rng(14)
+        v = np.concatenate([np.ones(1000), gen.uniform(0.01, 10.0, 1000)])
+        u = np.concatenate([gen.uniform(1.1, 50.0, 1000),
+                            v[1000:] * gen.uniform(1.001, 50.0, 1000)])
+        z, w, ok = solve_zw_batch(u, v)
+        assert ok.all()
+        for i in range(u.size):
+            est = solve_zw(u[i], v[i])
+            assert (est.z_hat, est.w_hat) == (z[i], w[i]), (u[i], v[i])
+
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError):
+            solve_zw(math.nan, 1.0)
+
+    @pytest.mark.parametrize("kind", ["box-atoms", "sites"])
+    @pytest.mark.parametrize("cells", [None, [0, 2]])
+    def test_batch_densities_equal_per_replica_stats(self, kind, cells):
+        if kind == "sites":
+            window = Window.discrete(["a", "b", "c"])
+            rho0 = ReferenceMeasure(window, [1.0, 0.5, 0.0], (("c", 2.0),))
+        else:
+            window = Window.interval(0.0, 1.0, 4)
+            rho0 = ReferenceMeasure(window, [0.5, 0.0, 1.0, 0.5],
+                                    (((0.3,), 1.5), ((0.8,), 0.7)))
+        batch = sample_polya_direct_batch(PolyaParams(0.6, rho0), 60,
+                                          RngSeed(70))
+        u, v, mass = density_batch(batch, rho0, cells)
+        assert u.shape == v.shape == (60,)
+        for i, mu in enumerate(batch.to_configurations()):
+            stats = density_stats(mu, rho0, cells)
+            assert (stats.u, stats.v, stats.window_mass) == (u[i], v[i], mass)
+
+    def test_zero_mass_region_rejected(self, window4):
+        rho0 = ReferenceMeasure(window4, np.array([0.0, 0.0, 1.0, 1.0]))
+        batch = sample_polya_direct_batch(PolyaParams(0.5, rho0), 3,
+                                          RngSeed(71))
+        with pytest.raises(ValueError):
+            density_batch(batch, rho0, cells=[0, 1])

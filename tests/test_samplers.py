@@ -707,3 +707,25 @@ def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
     can_repeat = kind.startswith("sites") or (
         kind == "box-atoms" and route != "poisson")
     assert (sum(merged) > 0) == can_repeat
+
+
+@pytest.mark.parametrize("atoms", [
+    # NaN passes both p <= 0 and the sum-to-1 check
+    ((0.5, 1.0, math.nan), (0.3, 1.0, 0.5)),
+    ((0.5, math.nan, 1.0),),
+    ((0.5, math.inf, 1.0),),
+    ((0.5, 1.0, math.inf),),
+    (("0.3", 1.0, 1.0),),
+    ((0.3, True, 1.0),),
+    ((0.3, 1.0, "1"),),
+    (("0.3", True, 1),),
+])
+def test_mixing_atoms_are_numbers_in_range(rho_mass2, atoms):
+    with pytest.raises(ValueError):
+        MixingMeasure(rho_mass2, atoms)
+
+
+def test_mixing_atoms_stored_as_floats(rho_mass2):
+    mixing = MixingMeasure(rho_mass2, ((0, 1, 1),))
+    assert mixing.atoms == ((0.0, 1.0, 1.0),)
+    assert all(type(x) is float for x in mixing.atoms[0])

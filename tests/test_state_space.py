@@ -827,3 +827,25 @@ class TestLogseries:
                 self._assert_as_logseries(np.random.PCG64, 0.7, size)
         finally:
             state_space._logseries_replays.cache_clear()
+
+
+class TestValueHash:
+    """Equal value objects hash equal, signed zeros included."""
+
+    def test_signed_zero_masses(self):
+        window = Window.interval(0.0, 1.0, 2)
+        a = ReferenceMeasure(window, [-0.0, 1.0])
+        b = ReferenceMeasure(window, [0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_test_functions_compare_by_value(self):
+        window = Window.interval(0.0, 1.0, 2)
+        f = TestFunction(window, [-0.0, float("inf")])
+        g = TestFunction(window, np.array([0.0, float("inf")]))
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        assert f != TestFunction(window, [1.0, float("inf")])
+        assert f != TestFunction(Window.interval(0.0, 2.0, 2),
+                                 [0.0, float("inf")])
+        assert f != ReferenceMeasure(window, [0.0, 1.0])

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyasum import (PointConfiguration, ReferenceMeasure, TestFunction,
-                      Window, empirical_laplace, joint_laplace, laplace_gp,
+from polyasum import (InvalidMeasureError, PointConfiguration, PolyaParams,
+                      ReferenceMeasure, TestFunction, Window,
+                      empirical_laplace, joint_laplace, laplace_gp,
                       laplace_polya, logseries_mean, logseries_pmf, nb_pmf,
                       nb_pmf_table, polya_campbell_exact)
 from polyasum.transforms import ParameterError
@@ -278,3 +279,32 @@ def test_nb_table_at_large_mass(m, z):
                 - mpmath.loggamma(k + 1) + m * mpmath.log1p(-z)
                 + k * mpmath.log(z))
             assert table[k] == pytest.approx(float(exact), rel=1e-12)
+
+
+class TestNumberRule:
+    """Process parameters are numbers: strings and bools are refused,
+    not cast, and a count is an integer (2.0 counts as 2)."""
+
+    @pytest.mark.parametrize("z", ["0.5", True])
+    def test_z_is_a_number(self, z):
+        _, rho = single_cell(1.0)
+        with pytest.raises(InvalidMeasureError):
+            PolyaParams(z, rho)
+        with pytest.raises(InvalidMeasureError):
+            logseries_mean(z)
+
+    @pytest.mark.parametrize("k, m", [(2.7, 1.0), (True, 1.0), ("2", 1.0),
+                                      (1, math.nan), (1, INF), (1, "1.0")])
+    def test_nb_pmf_refuses(self, k, m):
+        with pytest.raises(ValueError):
+            nb_pmf(k, m, 0.5)
+
+    @pytest.mark.parametrize("k", [2.7, True, "2"])
+    def test_logseries_pmf_refuses(self, k):
+        with pytest.raises(ValueError):
+            logseries_pmf(k, 0.5)
+
+    def test_integral_float_counts(self):
+        assert nb_pmf(2.0, 1.5, 0.5) == nb_pmf(2, 1.5, 0.5)
+        assert nb_pmf(np.int64(2), 1.5, 0.5) == nb_pmf(2, 1.5, 0.5)
+        assert logseries_pmf(2.0, 0.5) == logseries_pmf(2, 0.5)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from polyasum import (MixingMeasure, PointConfiguration, PolyaParams,
-                      ReferenceMeasure, RngSeed, TestFunction, Window,
-                      campbell_estimate, check_conjugacy,
+from polyasum import (MixingMeasure, ParameterError, PointConfiguration,
+                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
+                      Window, campbell_estimate, check_conjugacy,
                       check_transform_identity, check_mecke, check_mixed_ibp,
-                      check_polya_ibp, laplace_polya,
+                      check_polya_ibp, laplace_polya, sample_mixed_batch,
                       sample_polya_cox_batch, sample_polya_direct_batch)
 from polyasum.transforms import _mean_se
 from polyasum.verify import EPS_ALLOWANCE
@@ -237,3 +237,20 @@ class TestReportShape:
         assert "runtime" in with_runtime
         assert "PASS" in report.summary_line() or \
             "FAIL" in report.summary_line()
+
+
+def test_bad_route_rejected_before_any_draw(window4, rho_mass2, ones, zeros):
+    # the only atom (0, 0) skips every component, so only the route
+    # check stands between sample_mixed_batch and its draws
+    mixing = MixingMeasure(rho_mass2, ((0.0, 0.0, 1.0),))
+    rng = np.random.default_rng(18)
+    state = rng.bit_generator.state
+    for call in (
+            lambda: check_polya_ibp(PolyaParams(0.5, rho_mass2), "gamma",
+                                    ones, zeros, 100, rng),
+            lambda: check_mixed_ibp(mixing, ones, zeros, 100, rng,
+                                    route="gamma"),
+            lambda: sample_mixed_batch(mixing, "gamma", EPS, 100, rng)):
+        with pytest.raises(ParameterError, match="route"):
+            call()
+        assert rng.bit_generator.state == state
