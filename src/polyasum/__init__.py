@@ -8,8 +8,7 @@ harness verifying every functional identity against its closed form.
 
 __version__ = "0.1.0"
 
-from .bayes import (DecompositionError, PosteriorSpec, bayes_estimator,
-                    convolution_split, posterior_intensity, posterior_params)
+from .bayes import bayes_estimator, posterior_intensity, posterior_params
 from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
                          density_batch, density_ratio, density_stats,
                          papangelou_kernel, solve_zw, solve_zw_batch)

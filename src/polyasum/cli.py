@@ -42,7 +42,7 @@ from . import __version__
 from .bayes import posterior_intensity, posterior_params
 from .estimators import InfeasibleDensitiesError, density_stats, solve_zw
 from .samplers import (ROUTES, MixingMeasure, PolyaParams, RngSeed,
-                       _route_sampler, sample_gamma_measure_batch,
+                       _check_zw, _route_sampler, sample_gamma_measure_batch,
                        sample_mixed_batch, sample_poisson_batch)
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
                           PointConfiguration, ReferenceMeasure, TestFunction,
@@ -126,7 +126,7 @@ class ExperimentConfig:
             if data is None:
                 return None
             z, w = data
-            return _json_float(z, "z"), _json_float(w, "w")
+            return _check_zw(z, w)
         return self.read("fixed_zw", parse, None)
 
     def choice(self, key: str, choices: tuple) -> str:
@@ -333,14 +333,14 @@ def run_posterior(config: ExperimentConfig) -> int:
     window = config.window()
     rho = config.reference_measure("rho", window)
     mu = config.configuration("mu", window)
-    spec = posterior_params(config.z(), rho, mu)
-    estimator = posterior_intensity(spec)
+    post = posterior_params(config.z(), rho, mu)
+    estimator = posterior_intensity(post)
     _emit_json({
         "provenance": provenance(config),
         "posterior": {
-            "z_post": spec.z_post,
-            "a_post": spec.a_post,
-            "base": spec.base.to_dict(),
+            "z_post": post.z,
+            "a_post": post.a,
+            "base": post.rho.to_dict(),
         },
         "estimator": estimator.to_dict(),
     }, config)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state_space import (ConfigurationBatch, PointConfiguration,
-                          ReferenceMeasure, _one_replica, superpose)
+                          ReferenceMeasure, _json_float, _one_replica,
+                          superpose)
 
 _Z_TOL = 1e-13
 _Z_LO = 1e-15
@@ -55,9 +56,12 @@ class DensityStats:
     window_mass: float
 
     def __post_init__(self):
-        if self.window_mass <= 0:
+        for name in ("u", "v", "window_mass"):
+            object.__setattr__(self, name,
+                               _json_float(getattr(self, name), name))
+        if not self.window_mass > 0:
             raise ValueError("window_mass must be > 0")
-        if self.v < 0 or self.u < self.v - 1e-12:
+        if not (self.v >= 0 and self.u >= self.v - 1e-12):
             raise ValueError(f"need u >= v >= 0, got u={self.u}, v={self.v}")
 
 
@@ -71,24 +75,21 @@ class ZWEstimate:
     residual: float
 
 
-def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure,
-                  cells=None):
-    """Both empirical densities of every replica over one region B:
-    ``(u, v, mass)`` with u = (points in B, with multiplicity) / rho0(B),
-    v = (distinct points in B) / rho0(B), shape (n,) each, and
-    mass = rho0(B).  B defaults to the whole window, counted without a
-    cell mask, over ``rho0.total_mass``."""
-    mass = rho0.total_mass if cells is None else rho0.mass_of_cells(cells)
+def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure):
+    """Both empirical densities of every replica over the window:
+    ``(u, v, mass)`` with u = (points, with multiplicity) / mass,
+    v = (distinct points) / mass, shape (n,) each, and
+    mass = ``rho0.total_mass``."""
+    mass = rho0.total_mass
     if mass <= 0:
-        raise ValueError("estimation region has zero reference mass")
-    return (batch.counts(cells) / mass, batch.distinct_counts(cells) / mass,
-            mass)
+        raise ValueError("estimation window has zero reference mass")
+    return batch.counts() / mass, batch.distinct_counts() / mass, mass
 
 
-def density_stats(mu: PointConfiguration, rho0: ReferenceMeasure,
-                  cells=None) -> DensityStats:
+def density_stats(mu: PointConfiguration,
+                  rho0: ReferenceMeasure) -> DensityStats:
     """:func:`density_batch` of the one configuration ``mu``."""
-    u, v, mass = density_batch(_one_replica(mu), rho0, cells)
+    u, v, mass = density_batch(_one_replica(mu), rho0)
     return DensityStats(u=float(u[0]), v=float(v[0]), window_mass=mass)
 
 
@@ -141,10 +142,12 @@ def solve_zw(u: float, v: float) -> ZWEstimate:
     (0, 0) maps to the degenerate pair (0, 0); u > v > 0 has a unique
     solution found by bisecting the strictly increasing ratio map;
     anything else is outside the model and raises
-    :class:`InfeasibleDensitiesError`.
+    :class:`InfeasibleDensitiesError`.  A density that is not a number
+    (a string, a bool) raises ``InvalidMeasureError``, and NaN or a
+    negative one ``ValueError``.
     """
-    u = float(u)
-    v = float(v)
+    u = _json_float(u, "u")
+    v = _json_float(v, "v")
     if not (u >= 0 and v >= 0):
         raise ValueError(f"densities must be >= 0, got u={u}, v={v}")
     z, w, feasible = solve_zw_batch([u], [v])
@@ -156,15 +159,15 @@ def solve_zw(u: float, v: float) -> ZWEstimate:
     return ZWEstimate(z_hat=z, w_hat=w, converged=converged, residual=residual)
 
 
-def papangelou_kernel(mu: PointConfiguration, rho0: ReferenceMeasure,
-                      cells=None) -> ReferenceMeasure:
+def papangelou_kernel(mu: PointConfiguration,
+                      rho0: ReferenceMeasure) -> ReferenceMeasure:
     """Plug-in conditional intensity z_hat (w_hat rho0 + mu).
 
-    (z_hat, w_hat) are estimated from mu itself over the given cell
-    region (default: the whole window); the same measure is the
-    plug-in Bayes estimator of the directing intensity.
+    (z_hat, w_hat) are estimated from mu itself over the window; the
+    same measure is the plug-in Bayes estimator of the directing
+    intensity.
     """
-    stats = density_stats(mu, rho0, cells)
+    stats = density_stats(mu, rho0)
     est = solve_zw(stats.u, stats.v)
     if est.z_hat == 0.0:
         return rho0.scale(0.0)

@@ -62,6 +62,16 @@ class PolyaParams:
         return self.rho.window
 
 
+def _check_zw(z, w) -> tuple:
+    """A mixing atom's (z, w) as floats: z in [0, 1) and w finite and
+    >= 0, or :class:`ParameterError` (``InvalidMeasureError`` for a
+    string or a bool)."""
+    z, w = _check_z_half_open(z), _json_float(w, "w")
+    if not (math.isfinite(w) and w >= 0):
+        raise ParameterError(f"need w finite >= 0, got w={w}")
+    return z, w
+
+
 @dataclass(frozen=True)
 class MixingMeasure:
     """A discrete prior over (z, w) pairs scaling a base measure rho0.
@@ -76,12 +86,10 @@ class MixingMeasure:
     def __post_init__(self):
         cleaned = []
         for z, w, p in self.atoms:
-            z, w, p = (_check_z_half_open(z), _json_float(w, "w"),
-                       _json_float(p, "p"))
-            if not (math.isfinite(w) and math.isfinite(p) and w >= 0
-                    and p > 0):
-                raise ParameterError(f"need w finite >= 0 and p finite > 0, "
-                                     f"got w={w}, p={p}")
+            z, w = _check_zw(z, w)
+            p = _json_float(p, "p")
+            if not (math.isfinite(p) and p > 0):
+                raise ParameterError(f"need p finite > 0, got p={p}")
             cleaned.append((z, w, p))
         if abs(sum(p for _, _, p in cleaned) - 1.0) > 1e-12:
             raise ParameterError("mixing probabilities must sum to 1")

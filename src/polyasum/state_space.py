@@ -617,20 +617,6 @@ class ReferenceMeasure:
         return float(self.cell_masses.sum()
                      + _add_in_order(self._atom_weight.tolist()))
 
-    def mass_of_cells(self, cells) -> float:
-        """Mass of a finite union of cells, atoms included.
-
-        A repeated cell index counts once, as in the batch ``counts``;
-        the first occurrences keep their order.
-        """
-        cells = _check_cells(self.window, cells).ravel()
-        _, first = np.unique(cells, return_index=True)
-        cells = cells[np.sort(first)]
-        inside = np.zeros(self.window.n_cells, dtype=bool)
-        inside[cells] = True
-        return float(self.cell_masses[cells].sum()) + _add_in_order(
-            self._atom_weight[inside[self._atom_cell]].tolist())
-
     def scale(self, factor: float) -> "ReferenceMeasure":
         """This measure times ``factor``, equal and hash-equal to
         ``ReferenceMeasure(window, masses * factor, ((loc, w * factor),
@@ -856,21 +842,15 @@ class ConfigurationBatch:
         contrib = self.mult * f.values[self.cell]
         return np.bincount(self.rep, weights=contrib, minlength=self.n)
 
-    def counts(self, cells=None) -> np.ndarray:
-        """Per-replica point counts with multiplicity."""
-        if cells is None:
-            return np.bincount(self.rep, weights=self.mult,
-                               minlength=self.n).astype(np.int64)
-        mask = np.isin(self.cell, _check_cells(self.window, cells))
-        return np.bincount(self.rep[mask], weights=self.mult[mask],
+    def counts(self) -> np.ndarray:
+        """Per-replica point counts with multiplicity; the count in a
+        region is ``zeta`` of its indicator."""
+        return np.bincount(self.rep, weights=self.mult,
                            minlength=self.n).astype(np.int64)
 
-    def distinct_counts(self, cells=None) -> np.ndarray:
+    def distinct_counts(self) -> np.ndarray:
         """Per-replica counts of distinct locations."""
-        if cells is None:
-            return np.bincount(self.rep, minlength=self.n)
-        mask = np.isin(self.cell, _check_cells(self.window, cells))
-        return np.bincount(self.rep[mask], minlength=self.n)
+        return np.bincount(self.rep, minlength=self.n)
 
     def to_configurations(self) -> list:
         return _split(self, self.mult, PointConfiguration)

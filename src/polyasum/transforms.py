@@ -39,6 +39,14 @@ def _check_z_half_open(z: float) -> float:
     return z
 
 
+def _check_m(m: float) -> float:
+    """A region's reference mass: finite and > 0."""
+    m = _json_float(m, "m")
+    if not (math.isfinite(m) and m > 0):
+        raise ParameterError(f"m must be finite and > 0, got {m}")
+    return m
+
+
 @dataclass(frozen=True)
 class TransformResult:
     """A Laplace-functional value carried in log space."""
@@ -100,9 +108,7 @@ def nb_pmf(k: int, m: float, z: float) -> float:
     The count law of the Polya sum process on a region of reference
     mass m.  Computed in log space.
     """
-    m = _json_float(m, "m")
-    if not (math.isfinite(m) and m > 0):
-        raise ParameterError(f"m must be finite and > 0, got {m}")
+    m = _check_m(m)
     z = _check_z_open(z)
     k = _json_int(k, "k")
     if k < 0:
@@ -126,6 +132,7 @@ def nb_pmf_table(m: float, z: float, tol: float = 1e-15) -> np.ndarray:
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     z = _check_z_open(z)
+    m = _check_m(m)
     mode = int(max(m - 1.0, 0.0) * z / (1.0 - z))
     seed = nb_pmf(mode, m, z)
     below = [seed]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import density_batch, solve_zw_batch
-from .samplers import (MixingMeasure, PolyaParams,
+from .samplers import (MixingMeasure, PolyaParams, _check_zw,
                        _poisson_from_atomic_batch,
                        _posterior_from_config_batch, _route_sampler,
                        as_generator, sample_gamma_measure_batch,
@@ -255,8 +255,11 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     where the densities are infeasible are dropped and their fraction
     reported.  Passing ``fixed_zw`` replaces the per-sample estimates
     with one global pair, which must break the identity for genuinely
-    mixed priors.
+    mixed priors; it is checked as a mixing atom's (z, w) before any
+    draw.
     """
+    if fixed_zw is not None:
+        fixed_zw = _check_zw(*fixed_zw)
     t0, rng = _start(n, rng)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
     weight, lhs, rho0_feg, zeta_feg = _campbell_sides(batch, mixing.rho0,
@@ -266,8 +269,8 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
         z_hat, w_hat, feasible = solve_zw_batch(u, v)
         kernel_mode = "plug-in"
     else:
-        z_hat = np.full(n, float(fixed_zw[0]))
-        w_hat = np.full(n, float(fixed_zw[1]))
+        z_hat = np.full(n, fixed_zw[0])
+        w_hat = np.full(n, fixed_zw[1])
         feasible = np.ones(n, dtype=bool)
         kernel_mode = "fixed"
     rhs = z_hat * (w_hat * rho0_feg + zeta_feg) * weight

@@ -1,4 +1,4 @@
-"""Conjugate update: parameter algebra, estimator identities, splits."""
+"""Conjugate update: parameter algebra and estimator identities."""
 
 import math
 from fractions import Fraction
@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyasum import (DecompositionError, PointConfiguration, PolyaParams,
-                      PosteriorSpec, ReferenceMeasure, RngSeed, TestFunction,
-                      Window, bayes_estimator, convolution_split, laplace_gp,
+from polyasum import (PointConfiguration, PolyaParams, ReferenceMeasure,
+                      RngSeed, TestFunction, Window, bayes_estimator,
                       posterior_intensity, posterior_params,
-                      sample_posterior_batch, superpose, zeta)
+                      sample_gamma_measure_batch, sample_posterior_batch,
+                      superpose, zeta)
 from polyasum.transforms import ParameterError
 
 
@@ -27,14 +27,14 @@ def random_inputs(rng, n_cells=4):
 class TestPosteriorParams:
     def test_half_updates_to_third(self, window4, rho_mass2):
         mu = PointConfiguration(window4, (((0.1,), 1),))
-        spec = posterior_params(0.5, rho_mass2, mu)
-        assert spec.z_post == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert spec.a_post == pytest.approx(2.0, rel=1e-15)
+        post = posterior_params(0.5, rho_mass2, mu)
+        assert post.z == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert post.a == pytest.approx(2.0, rel=1e-15)
 
     def test_empty_observation_still_updates(self, window4, rho_mass2):
-        spec = posterior_params(0.5, rho_mass2, PointConfiguration(window4))
-        assert spec.base == rho_mass2
-        assert spec.z_post < 0.5
+        post = posterior_params(0.5, rho_mass2, PointConfiguration(window4))
+        assert post.rho == rho_mass2
+        assert post.z < 0.5
 
     def test_iterated_empty_observations_add_to_rate(self, window4,
                                                      rho_mass2):
@@ -42,9 +42,9 @@ class TestPosteriorParams:
         a0 = (1 - z) / z
         empty = PointConfiguration(window4)
         for n in range(1, 6):
-            spec = posterior_params(z, rho_mass2, empty)
-            assert spec.a_post == pytest.approx(a0 + n, rel=1e-13)
-            z = spec.z_post
+            post = posterior_params(z, rho_mass2, empty)
+            assert post.a == pytest.approx(a0 + n, rel=1e-13)
+            z = post.z
 
     def test_rejects_boundary_z(self, window4, rho_mass2):
         mu = PointConfiguration(window4)
@@ -66,18 +66,18 @@ class TestConjugacyClosure:
             mu = PointConfiguration(
                 window4, (((float(rng.uniform(0, 1)),),
                            int(rng.integers(1, 4))),))
-            spec = posterior_params(z_float, rho, mu)
+            post = posterior_params(z_float, rho, mu)
             z_exact = z_exact / (1 + z_exact)
             assert z_exact == Fraction(1, 2 + n)  # z/(1+nz) with z = 1/2
-            assert spec.z_post == pytest.approx(float(z_exact), rel=1e-14)
+            assert post.z == pytest.approx(float(z_exact), rel=1e-14)
             for loc, k in mu.points:
                 all_points[loc] = all_points.get(loc, 0) + k
             expected_base = superpose(
                 rho_mass2,
                 PointConfiguration(window4, tuple(all_points.items())))
-            assert spec.base == expected_base
-            z_float = spec.z_post
-            rho = spec.base
+            assert post.rho == expected_base
+            z_float = post.z
+            rho = post.rho
 
 
 class TestBayesEstimator:
@@ -110,15 +110,15 @@ class TestBayesEstimator:
 class TestPosteriorIntensity:
     def test_scale_factor_recovers_prior_z(self, window4, rho_mass2):
         mu = PointConfiguration(window4)
-        spec = posterior_params(0.5, rho_mass2, mu)
-        out = posterior_intensity(spec)
+        post = posterior_params(0.5, rho_mass2, mu)
+        out = posterior_intensity(post)
         assert out.total_mass == pytest.approx(0.5 * rho_mass2.total_mass,
                                                rel=1e-14)
 
     def test_mass_scaling(self, window4):
         base = ReferenceMeasure.uniform(window4, 5.0)
-        spec = PosteriorSpec(z_post=1.0 / 3.0, base=base)
-        assert posterior_intensity(spec).total_mass == pytest.approx(
+        post = PolyaParams(1.0 / 3.0, base)
+        assert posterior_intensity(post).total_mass == pytest.approx(
             2.5, rel=1e-14)
 
     def test_monte_carlo_posterior_mean(self, window4, rho_mass2):
@@ -133,43 +133,16 @@ class TestPosteriorIntensity:
             assert abs(masses.mean() - zeta(intensity, f)) < 3 * se + 1e-5
 
 
-class TestConvolutionSplit:
-    def test_empty_observation_gives_zero_component(self, window4,
-                                                    rho_mass2):
-        mu = PointConfiguration(window4)
-        spec = posterior_params(0.5, rho_mass2, mu)
-        rho_spec, mu_spec = convolution_split(spec, mu)
-        assert rho_spec.base == rho_mass2
-        assert mu_spec.base.total_mass == 0.0
-
-    def test_laplace_factorizes(self, window4, rho_mass2):
-        rng = np.random.default_rng(3)
+class TestPosteriorFeedsSamplers:
+    def test_gamma_draws_equal_those_of_the_update(self, window4,
+                                                   rho_mass2):
+        # the posterior is the pair (z/(1+z), rho + mu) itself, so a
+        # sampler takes it as it is and draws what it draws for that pair
         mu = PointConfiguration(window4, (((0.2,), 2), ((0.9,), 1)))
-        spec = posterior_params(0.5, rho_mass2, mu)
-        rho_spec, mu_spec = convolution_split(spec, mu)
-        for _ in range(20):
-            h = TestFunction(window4, rng.uniform(0, 3, 4))
-            whole = laplace_gp(h, spec.z_post, spec.base).log_value
-            split = laplace_gp(h, spec.z_post, rho_spec.base).log_value \
-                + laplace_gp(h, spec.z_post, mu_spec.base).log_value
-            assert abs(whole - split) <= 1e-12 * max(1.0, abs(whole))
-
-    def test_intensities_add_up(self, window4, rho_mass2):
-        mu = PointConfiguration(window4, (((0.2,), 2),))
-        spec = posterior_params(0.5, rho_mass2, mu)
-        rho_spec, mu_spec = convolution_split(spec, mu)
-        total = posterior_intensity(spec)
-        parts = (posterior_intensity(rho_spec),
-                 posterior_intensity(mu_spec))
-        assert total.total_mass == pytest.approx(
-            parts[0].total_mass + parts[1].total_mass, rel=1e-13)
-
-    def test_rejects_non_decomposable_base(self, window4, rho_mass2):
-        mu = PointConfiguration(window4, (((0.2,), 2),))
-        spec = posterior_params(0.5, rho_mass2, mu)
-        heavier = PointConfiguration(window4, (((0.2,), 3),))
-        with pytest.raises(DecompositionError):
-            convolution_split(spec, heavier)
-        elsewhere = PointConfiguration(window4, (((0.8,), 1),))
-        with pytest.raises(DecompositionError):
-            convolution_split(spec, elsewhere)
+        post = posterior_params(0.5, rho_mass2, mu)
+        pair = PolyaParams(0.5 / 1.5, superpose(rho_mass2, mu))
+        got = sample_gamma_measure_batch(post, 1e-4, 50, RngSeed(8))
+        want = sample_gamma_measure_batch(pair, 1e-4, 50, RngSeed(8))
+        assert got.n == want.n
+        for col in ("rep", "cell", "weight", "coords"):
+            assert np.array_equal(getattr(got, col), getattr(want, col))

@@ -536,6 +536,10 @@ class TestConfigErrors:
         ("simulate", "mixed_route", "x"),
         ("verify polya-ibp", "route", "x"),
         ("verify mixed-ibp", "route", "x"),
+        # a mixing atom's (z, w) rules; NaN would reach the report
+        ("verify mixed-ibp", "fixed_zw", [float("nan"), 1.0]),
+        ("verify mixed-ibp", "fixed_zw", [0.5, float("inf")]),
+        ("verify mixed-ibp", "fixed_zw", [1.0, 1.0]),
     ])
     def test_malformed_field_is_named(self, tmp_path, capsys, command,
                                       field, value):

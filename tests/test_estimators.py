@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyasum import (DensityStats, InfeasibleDensitiesError, MixingMeasure,
-                      PointConfiguration, PolyaParams, ReferenceMeasure,
-                      RngSeed, Window, density_batch, density_ratio,
-                      density_stats, papangelou_kernel, sample_mixed_batch,
+from polyasum import (DensityStats, InfeasibleDensitiesError,
+                      InvalidMeasureError, MixingMeasure, PointConfiguration,
+                      PolyaParams, ReferenceMeasure, RngSeed, Window,
+                      density_batch, density_ratio, density_stats,
+                      papangelou_kernel, sample_mixed_batch,
                       sample_polya_direct_batch, solve_zw, solve_zw_batch)
 
 
@@ -38,10 +39,10 @@ class TestDensityStats:
         assert density_stats(mu, rho0).u == pytest.approx(5.0)
 
     def test_zero_mass_region_rejected(self, window4):
-        rho0 = ReferenceMeasure(window4, np.array([0.0, 0.0, 1.0, 1.0]))
+        rho0 = ReferenceMeasure(window4, np.zeros(4))
         mu = PointConfiguration(window4)
         with pytest.raises(ValueError):
-            density_stats(mu, rho0, cells=[0, 1])
+            density_stats(mu, rho0)
 
     def test_bundled_stats(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 4.0)
@@ -50,18 +51,10 @@ class TestDensityStats:
         assert stats.u == pytest.approx(1.0)
         assert stats.v == pytest.approx(0.5)
         assert stats.window_mass == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            DensityStats(u=0.3, v=0.5, window_mass=1.0)
-
-    def test_repeated_cells_count_once(self, window4):
-        rho0 = ReferenceMeasure(window4, np.full(4, 1.0), (((0.1,), 0.5),))
-        mu = PointConfiguration(window4, (((0.1,), 3), ((0.2,), 1),
-                                          ((0.6,), 2)))
-        once = density_stats(mu, rho0, [0])
-        twice = density_stats(mu, rho0, [0, 0])
-        assert (twice.u, twice.v) == (once.u, once.v)
-        assert (once.u, once.v) == (4 / 1.5, 2 / 1.5)
-        assert rho0.mass_of_cells([2, 0, 2]) == rho0.mass_of_cells([2, 0])
+        for u, v, mass in ((0.3, 0.5, 1.0), (1.0, math.nan, 1.0),
+                           (math.nan, 0.5, 1.0), (1.0, 0.5, math.nan)):
+            with pytest.raises(ValueError):
+                DensityStats(u=u, v=v, window_mass=mass)
 
     def test_sample_means(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 2.0)
@@ -231,9 +224,21 @@ class TestOneCopy:
         with pytest.raises(ValueError):
             solve_zw(math.nan, 1.0)
 
+    def test_densities_must_be_numbers(self):
+        # float() would cast "2" and True; these are not densities
+        for u, v in (("2", "1"), (True, 0.5), (2.0, "1"), (2.0, False)):
+            with pytest.raises(InvalidMeasureError):
+                solve_zw(u, v)
+        for u, v, mass in (("1", 0.5, 1.0), (1.0, True, 1.0),
+                           (1.0, 0.5, "2")):
+            with pytest.raises(InvalidMeasureError):
+                DensityStats(u=u, v=v, window_mass=mass)
+        stats = DensityStats(u=np.float64(1.0), v=1, window_mass=2)
+        assert [type(x) for x in (stats.u, stats.v, stats.window_mass)] == [
+            float, float, float]
+
     @pytest.mark.parametrize("kind", ["box-atoms", "sites"])
-    @pytest.mark.parametrize("cells", [None, [0, 2]])
-    def test_batch_densities_equal_per_replica_stats(self, kind, cells):
+    def test_batch_densities_equal_per_replica_stats(self, kind):
         if kind == "sites":
             window = Window.discrete(["a", "b", "c"])
             rho0 = ReferenceMeasure(window, [1.0, 0.5, 0.0], (("c", 2.0),))
@@ -243,15 +248,15 @@ class TestOneCopy:
                                     (((0.3,), 1.5), ((0.8,), 0.7)))
         batch = sample_polya_direct_batch(PolyaParams(0.6, rho0), 60,
                                           RngSeed(70))
-        u, v, mass = density_batch(batch, rho0, cells)
+        u, v, mass = density_batch(batch, rho0)
         assert u.shape == v.shape == (60,)
         for i, mu in enumerate(batch.to_configurations()):
-            stats = density_stats(mu, rho0, cells)
+            stats = density_stats(mu, rho0)
             assert (stats.u, stats.v, stats.window_mass) == (u[i], v[i], mass)
 
     def test_zero_mass_region_rejected(self, window4):
-        rho0 = ReferenceMeasure(window4, np.array([0.0, 0.0, 1.0, 1.0]))
+        rho0 = ReferenceMeasure(window4, np.zeros(4))
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho0), 3,
                                           RngSeed(71))
         with pytest.raises(ValueError):
-            density_batch(batch, rho0, cells=[0, 1])
+            density_batch(batch, rho0)

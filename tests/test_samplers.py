@@ -87,7 +87,7 @@ class TestPoisson:
         assert np.array_equal(batch.coords, batch.cell)
         assert not np.any(batch.cell == 2)
         for cell, mean in ((0, 0.5), (1, 1.2)):
-            counts = batch.counts([cell])
+            counts = batch.zeta(TestFunction.indicator(w, [cell]))
             se = counts.std(ddof=1) / math.sqrt(counts.size)
             assert abs(counts.mean() - mean) < 3 * se
         configs = batch.to_configurations()
@@ -201,8 +201,8 @@ class TestPolyaDirect:
     def test_independent_increments(self, window4):
         params = PolyaParams(0.5, ReferenceMeasure.uniform(window4, 2.0))
         batch = sample_polya_direct_batch(params, 50_000, RngSeed(14))
-        left = batch.counts([0, 1]).astype(float)
-        right = batch.counts([2, 3]).astype(float)
+        left = batch.zeta(TestFunction.indicator(window4, [0, 1]))
+        right = batch.zeta(TestFunction.indicator(window4, [2, 3]))
         corr = np.corrcoef(left, right)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(left.size)
 

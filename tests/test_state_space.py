@@ -130,13 +130,14 @@ class TestZeta:
             zeta(rho, f) + zeta(rho, g), rel=1e-12)
 
 
-# counts of one configuration are its one-replica batch's counts
+# counts of one configuration are its one-replica batch's counts; the
+# count in a region is zeta of the region's indicator
 def count(mu, cells):
-    return _one_replica(mu).counts(cells)[0]
+    return _one_replica(mu).zeta(TestFunction.indicator(mu.window, cells))[0]
 
 
-def distinct_count(mu, cells):
-    return _one_replica(mu).distinct_counts(cells)[0]
+def distinct_count(mu):
+    return _one_replica(mu).distinct_counts()[0]
 
 
 class TestCounting:
@@ -148,17 +149,16 @@ class TestCounting:
         assert count(PointConfiguration(w, (((0.9,), 5),)), b) == 0
 
     def test_distinct_examples(self, w):
-        b = [0, 1]
         mu = PointConfiguration(w, (((0.1,), 2), ((0.3,), 1)))
-        assert distinct_count(mu, b) == 2
-        assert distinct_count(PointConfiguration(w, (((0.1,), 7),)), b) == 1
-        assert distinct_count(PointConfiguration(w, ()), b) == 0
+        assert distinct_count(mu) == 2
+        assert distinct_count(PointConfiguration(w, (((0.1,), 7),))) == 1
+        assert distinct_count(PointConfiguration(w, ())) == 0
 
     def test_count_equals_zeta_of_indicator(self, w):
         mu = PointConfiguration(w, (((0.1,), 2), ((0.6,), 4)))
         f = TestFunction.indicator(w, [0, 2])
         assert count(mu, [0, 2]) == zeta(mu, f)
-        assert distinct_count(mu, w.all_cells) <= count(mu, w.all_cells)
+        assert distinct_count(mu) <= count(mu, w.all_cells)
 
 
 class TestSuperpose:
@@ -366,12 +366,6 @@ def count_loop(mu, cells):
     return int(sum(m for loc, m in mu.points if win.cell_of(loc) in cell_set))
 
 
-def distinct_count_loop(mu, cells):
-    cell_set = set(np.asarray(cells, dtype=np.int64).tolist())
-    win = mu.window
-    return int(sum(1 for loc, _ in mu.points if win.cell_of(loc) in cell_set))
-
-
 @st.composite
 def windows(draw):
     kind = draw(st.sampled_from(["1d", "2d", "sites"]))
@@ -416,7 +410,7 @@ class TestOneReplicaViews:
         assert zeta(mu, f) == zeta_loop(mu, f)
         assert zeta(kappa, f) == zeta_loop(kappa, f)
         assert count(mu, cells) == count_loop(mu, cells)
-        assert distinct_count(mu, cells) == distinct_count_loop(mu, cells)
+        assert distinct_count(mu) == len(mu.points)
 
     @given(case=view_cases(), n=st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
@@ -643,10 +637,6 @@ class TestAtomColumns:
             assert not col.flags.writeable
         assert rho.total_mass == float(rho.cell_masses.sum() + sum(
             w for _, w in rho.atoms))
-        for cells in ([0], [2, 0, 2], list(range(window.n_cells))):
-            masses = rho.cell_masses[list(dict.fromkeys(cells))].sum()
-            assert rho.mass_of_cells(cells) == float(masses) + sum(
-                w for loc, w in rho.atoms if window.cell_of(loc) in cells)
         values = gen.uniform(0.0, 3.0, window.n_cells)
         total = float(np.dot(rho.cell_masses, values))
         for loc, w in rho.atoms:
@@ -662,7 +652,6 @@ class TestAtomColumns:
         locs = [(0.1,), (0.2,), (0.3,)]
         rho = ReferenceMeasure(w, None, tuple(zip(locs, weights)))
         assert rho.total_mass == 1e16
-        assert rho.mass_of_cells([0]) == 1e16
         assert _integrate_cellwise(rho, np.ones(4)) == 1e16
         assert AtomicMeasure(w, tuple(zip(locs, weights))).total_mass == 1e16
 
@@ -670,15 +659,6 @@ class TestAtomColumns:
 class TestCellRanges:
     """Cell lists name cells of the window: a negative index does not
     wrap to the end, and one past the end is a typed error."""
-
-    def test_mass_of_cells_rejects_indices_outside(self, w):
-        rho = ReferenceMeasure(w, np.array([1.0, 2.0, 3.0, 4.0]),
-                               (((0.9,), 10.0),))
-        assert rho.mass_of_cells([3]) == 14.0
-        for cells in ([-1], [4], [0, 4]):
-            with pytest.raises(InvalidMeasureError, match="cell indices"):
-                rho.mass_of_cells(cells)
-        assert rho.mass_of_cells([]) == 0.0
 
     def test_indicator_rejects_indices_outside(self, w):
         assert TestFunction.indicator(w, [3]).values.tolist() == [
@@ -691,12 +671,14 @@ class TestCellRanges:
         batch = ConfigurationBatch(
             w, 2, np.array([0, 1]), np.array([3, 0]), np.array([2, 1]),
             np.array([[0.9], [0.1]]))
-        assert batch.counts([3]).tolist() == [2, 0]
-        assert batch.distinct_counts([0, 3]).tolist() == [1, 1]
+        def region(cells):
+            # a region's count is zeta of its indicator, which checks cells
+            return batch.zeta(TestFunction.indicator(w, cells))
+        assert region([3]).tolist() == [2, 0]
+        assert region([0, 3]).tolist() == [2, 1]
         for cells in ([4], [-1], [7]):
-            for count in (batch.counts, batch.distinct_counts):
-                with pytest.raises(InvalidMeasureError, match="cell indices"):
-                    count(cells)
+            with pytest.raises(InvalidMeasureError, match="cell indices"):
+                region(cells)
 
 
 def _categorical_probs(k, seed, zeros, log_min):

@@ -299,6 +299,14 @@ class TestNumberRule:
         with pytest.raises(ValueError):
             nb_pmf(k, m, 0.5)
 
+    @pytest.mark.parametrize("m, error", [("3", InvalidMeasureError),
+                                          (INF, ParameterError),
+                                          (math.nan, ParameterError)])
+    def test_nb_pmf_table_refuses_m(self, m, error):
+        # checked before the mode m z/(1-z) is computed from it
+        with pytest.raises(error, match="'3'|m must be finite"):
+            nb_pmf_table(m, 0.5)
+
     @pytest.mark.parametrize("k", [2.7, True, "2"])
     def test_logseries_pmf_refuses(self, k):
         with pytest.raises(ValueError):

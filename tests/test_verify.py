@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from polyasum import (MixingMeasure, ParameterError, PointConfiguration,
-                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
-                      Window, campbell_estimate, check_conjugacy,
-                      check_transform_identity, check_mecke, check_mixed_ibp,
-                      check_polya_ibp, laplace_polya, sample_mixed_batch,
-                      sample_polya_cox_batch, sample_polya_direct_batch)
+from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
+                      PointConfiguration, PolyaParams, ReferenceMeasure,
+                      RngSeed, TestFunction, Window, campbell_estimate,
+                      check_conjugacy, check_transform_identity, check_mecke,
+                      check_mixed_ibp, check_polya_ibp, laplace_polya,
+                      sample_mixed_batch, sample_polya_cox_batch,
+                      sample_polya_direct_batch)
 from polyasum.transforms import _mean_se
 from polyasum.verify import EPS_ALLOWANCE
 
@@ -167,6 +168,25 @@ class TestMixedIBP:
                                  RngSeed(15), fixed_zw=(0.5, 1.0))
         assert not report.passed
         assert abs(report.z_score) > 5.0
+
+    @pytest.mark.parametrize("fixed_zw, error", [
+        (("0.5", True), InvalidMeasureError),
+        ((0.5, True), InvalidMeasureError),
+        ((math.nan, 1.0), ParameterError),
+        ((0.5, math.nan), ParameterError),
+        ((1.0, 1.0), ParameterError),
+        ((0.5, -1.0), ParameterError)])
+    def test_fixed_pair_checked_before_any_draw(self, mixing, fixed_zw,
+                                                error):
+        # the rules of a mixing atom's (z, w); NaN would reach the report
+        rng = np.random.default_rng(15)
+        state = rng.bit_generator.state
+        w = mixing.window
+        with pytest.raises(error):
+            check_mixed_ibp(mixing, TestFunction.constant(w, 1.0),
+                            TestFunction.constant(w, 0.0), 2000, rng,
+                            fixed_zw=fixed_zw)
+        assert rng.bit_generator.state == state
 
     def test_degenerate_mixture_matches_single_branch(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 300.0)
