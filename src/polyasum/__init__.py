@@ -24,12 +24,11 @@ from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, TestFunction, Window,
                           WindowMismatchError, superpose, zeta)
-from .transforms import (ParameterError, TransformResult, empirical_laplace,
-                         joint_laplace, laplace_gp, laplace_polya,
-                         logseries_mean, logseries_pmf, nb_pmf, nb_pmf_table,
+from .transforms import (ParameterError, TransformResult, joint_laplace,
+                         laplace_gp, laplace_polya, logseries_mean,
+                         logseries_pmf, nb_pmf, nb_pmf_table,
                          polya_campbell_exact)
-from .verify import (CheckReport, campbell_estimate, check_conjugacy,
-                     check_transform_identity, check_mecke, check_mixed_ibp,
-                     check_polya_ibp)
+from .verify import (CheckReport, check_conjugacy, check_transform_identity,
+                     check_mecke, check_mixed_ibp, check_polya_ibp)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

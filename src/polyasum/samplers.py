@@ -7,7 +7,7 @@ Three routes produce Polya samples:
   normalized reference measure, each carrying an independent
   logarithmic-series multiplicity: numpy's ``logseries`` draws bit for
   bit, replayed over buffers of doubles for large requests
-  (``state_space._logseries``).  Exact; validated against the
+  (``replay._logseries``).  Exact; validated against the
   closed-form Laplace functional.
 * ``cox`` -- draw a Gamma random measure by truncated inverse-Levy
   (Ferguson-Klass) and then a Poisson process with that atomic
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expint import e1, e1_inverse
+from .replay import _categorical, _logseries
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _categorical,
-                          _json_float, _logseries, _merge, _records, _tile)
+                          ReferenceMeasure, Window, _json_float, _merge,
+                          _records, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -114,12 +115,13 @@ class RngSeed:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngSeed, an integer seed, or a ready Generator."""
+    """Accept an RngSeed, an integer seed, or a ready Generator; a bool
+    is not a seed."""
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RngSeed):
         return rng.generator()
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return RngSeed(int(rng)).generator()
     raise TypeError(f"cannot build a Generator from {rng!r}")
 
@@ -256,7 +258,7 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     i.i.d. from rho/m and each receives an independent
     logarithmic-series(z) multiplicity, ``rng.logseries(z, size)``'s
     draws bit for bit, the generator left in the same state
-    (``state_space._logseries``).  This reproduces the process's
+    (``replay._logseries``).  This reproduces the process's
     Laplace functional exactly (verified in the test suite, since it is
     a construction rather than a definition).
     """

@@ -6,7 +6,8 @@ functional exp[-int log(1 + z h/(1-z)) drho]; the point process it
 directs has exp[-int log(1 + z(1-e^-g)/(1-z)) drho].  Per-window counts
 follow a negative binomial law and cluster multiplicities a logarithmic
 series law.  Everything is computed in log space: cell masses up to 1e4
-would underflow plain products.
+would underflow plain products.  Only closed forms live here; the
+Monte Carlo estimates they are compared with are verify's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .state_space import (ReferenceMeasure, TestFunction,
                           _integrate_cellwise, _json_float, _json_int,
-                          _require_same_window, zeta)
+                          _require_same_window)
 
 
 class ParameterError(ValueError):
@@ -197,23 +198,3 @@ def polya_campbell_exact(f: TestFunction, g: TestFunction, z: float,
                          z * f.values * decay / (1.0 - z * decay), 0.0)
     return lap.value * _integrate_cellwise(rho, integrand)
 
-
-def _mean_se(values):
-    """Sample mean and standard error of per-replica values."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least 2 replicas")
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def empirical_laplace(samples, f: TestFunction):
-    """Sample mean and standard error of e^(-zeta(., f)).
-
-    Accepts point configurations or atomic measures.
-    """
-    return _mean_se([math.exp(-zeta(s, f)) for s in samples])
-
-
-def empirical_laplace_from_values(zeta_values: np.ndarray):
-    """Same as :func:`empirical_laplace`, from precomputed zeta values."""
-    return _mean_se(np.exp(-np.asarray(zeta_values, dtype=float)))

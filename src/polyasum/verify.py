@@ -25,8 +25,8 @@ from .samplers import (MixingMeasure, PolyaParams, _check_zw,
                        sample_mixed_batch, sample_poisson_batch,
                        sample_polya_direct_batch)
 from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
-                          Window, _integrate_cellwise, zeta)
-from .transforms import (_mean_se, joint_laplace, laplace_gp, laplace_polya,
+                          Window, _integrate_cellwise, _json_int)
+from .transforms import (joint_laplace, laplace_gp, laplace_polya,
                          polya_campbell_exact)
 
 # Truncation bias enters the tolerance linearly.  Measured against the
@@ -89,6 +89,14 @@ class CheckReport:
                 f"|z|={abs(self.z_score):.2f} n={self.n}")
 
 
+def _mean_se(values):
+    """Sample mean and standard error of per-replica values."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("need at least 2 replicas")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def _exact_z(mean: float, se: float, exact: float, slack: float = 0.0):
     """z-score and pass flag of an estimate against a target value.
     Degenerate (zero-variance) estimates pass on exact agreement."""
@@ -145,18 +153,6 @@ def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
     fe_g = np.where(decay > 0, f.values * decay, 0.0)
     return (weight, lhs, _integrate_cellwise(rho, fe_g),
             batch.zeta(TestFunction(rho.window, fe_g)))
-
-
-def campbell_estimate(samples, f: TestFunction, g: TestFunction):
-    """MC estimate of the Campbell functional E[zeta_f(mu) e^-zeta_g(mu)].
-
-    ``samples`` is a list of point configurations; returns
-    (estimate, stderr).
-    """
-    if len(samples) < 2:
-        raise ValueError("campbell_estimate needs at least 2 samples")
-    vals = np.array([zeta(mu, f) * math.exp(-zeta(mu, g)) for mu in samples])
-    return _mean_se(vals)
 
 
 def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
@@ -303,6 +299,9 @@ def check_transform_identity(n_tuples: int, rng,
     at z/(1+z) times the point-process transform at g + log(1 + z h).
     lhs/rhs report the worst relative deviations of (i)/(ii).
     """
+    n_tuples = _json_int(n_tuples, "n_tuples")
+    if n_tuples < 1:
+        raise ValueError(f"need n_tuples >= 1, got {n_tuples}")
     t0 = time.perf_counter()
     rng = as_generator(rng)
     worst_gp = 0.0

@@ -27,7 +27,8 @@ from polyasum import (AtomicBatch, AtomicMeasure, MixingMeasure,
                       sample_posterior_batch, samplers)
 from polyasum.expint import e1_inverse
 from polyasum.state_space import _merge, zeta
-from polyasum.transforms import ParameterError, empirical_laplace_from_values
+from polyasum.transforms import ParameterError
+from polyasum.verify import _mean_se
 
 EPS = 1e-6
 EPS_SLACK = 10 * EPS
@@ -239,7 +240,7 @@ class TestPolyaCox:
         rng = np.random.default_rng(77)
         for _ in range(20):
             g = TestFunction(window4, rng.uniform(0.0, 2.5, 4))
-            est, se = empirical_laplace_from_values(batch.zeta(g))
+            est, se = _mean_se(np.exp(-batch.zeta(g)))
             exact = laplace_polya(g, 0.5, params.rho).value
             assert abs(est - exact) < 3 * se + EPS_SLACK
 
@@ -255,18 +256,17 @@ class TestDirectRouteLaplace:
         rng = np.random.default_rng(88)
         for _ in range(20):
             g = TestFunction(window4, rng.uniform(0.0, 2.5, 4))
-            est, se = empirical_laplace_from_values(batch.zeta(g))
+            est, se = _mean_se(np.exp(-batch.zeta(g)))
             exact = laplace_polya(g, 0.5, params.rho).value
             assert abs(est - exact) < 3 * se
 
     def test_void_probability_through_object_samples(self, window4):
         # e^-zeta with an infinite test function is the void indicator
-        from polyasum import empirical_laplace
         params = PolyaParams(0.5, ReferenceMeasure.uniform(window4, 1.0))
         samples = sample_polya_direct_batch(
             params, 10_000, RngSeed(32)).to_configurations()
         f_inf = TestFunction.constant(window4, np.inf)
-        est, se = empirical_laplace(samples, f_inf)
+        est, se = _mean_se([math.exp(-zeta(mu, f_inf)) for mu in samples])
         assert abs(est - 0.5) < 3 * se
 
 
@@ -367,7 +367,7 @@ class TestMixed:
         rng = np.random.default_rng(5)
         for _ in range(5):
             g = TestFunction(window4, rng.uniform(0.0, 2.0, 4))
-            est, se = empirical_laplace_from_values(batch.zeta(g))
+            est, se = _mean_se(np.exp(-batch.zeta(g)))
             exact = 0.5 * laplace_polya(g, 0.3, rho0).value \
                 + 0.5 * laplace_polya(g, 0.6, rho0).value
             assert abs(est - exact) < 3 * se
@@ -577,6 +577,11 @@ class TestReproducibility:
         b = sample_polya_direct_batch(params, 200, RngSeed(7, stream=1))
         assert not (a.rep.size == b.rep.size
                     and np.array_equal(a.coords, b.coords))
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_a_bool_is_not_a_seed(self, seed):
+        with pytest.raises(TypeError):
+            samplers.as_generator(seed)
 
 
 class TestObjectBatchConsistency:

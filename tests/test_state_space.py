@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
-                      ReferenceMeasure, TestFunction, Window,
-                      WindowMismatchError, samplers, state_space, superpose,
-                      zeta)
+                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
+                      Window, WindowMismatchError, replay, samplers,
+                      sample_polya_direct_batch, superpose, zeta)
+from polyasum.replay import _categorical, _logseries
 from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
-                                  _categorical, _integrate_cellwise,
-                                  _logseries, _merge, _one_replica, _tile)
+                                  _integrate_cellwise, _merge, _one_replica,
+                                  _tile)
 
 
 @pytest.fixture
@@ -159,6 +160,26 @@ class TestCounting:
         f = TestFunction.indicator(w, [0, 2])
         assert count(mu, [0, 2]) == zeta(mu, f)
         assert distinct_count(mu) <= count(mu, w.all_cells)
+
+    @pytest.mark.filterwarnings("error")
+    def test_counts_past_2_53_are_exact(self, w):
+        # a float sum of the multiplicities gives 2**53
+        mu = PointConfiguration(w, (((0.1,), 2**53), ((0.3,), 1)))
+        assert _one_replica(mu).counts().tolist() == [2**53 + 1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_count_past_int64_raises(self, w):
+        mu = PointConfiguration(w, (((0.1,), 2**62), ((0.3,), 2**62)))
+        assert mu.total_count == 2**63
+        with pytest.raises(InvalidMeasureError, match="replica 0"):
+            _one_replica(mu).counts()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_counts_near_z_one_are_exact(self, w):
+        # about 1e17 points over 2.8e6 clusters, past 2**53
+        params = PolyaParams(1 - 1e-12, ReferenceMeasure.uniform(w, 1e5))
+        batch = sample_polya_direct_batch(params, 1, RngSeed(1))
+        assert batch.counts().tolist() == [sum(batch.mult.tolist())]
 
 
 class TestSuperpose:
@@ -737,10 +758,10 @@ class TestLogseries:
                       np.random.Philox)
     PS = (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.999999, 1 - 1e-12,
           np.nextafter(1.0, 0.0))
-    MIN = state_space._LOGSERIES_MIN_SIZE
+    MIN = replay._LOGSERIES_MIN_SIZE
     # the last size takes more than two buffers
     SIZES = (0, 1, MIN - 1, MIN, MIN + 1,
-             state_space._LOGSERIES_CHUNK * 2 + 3)
+             replay._LOGSERIES_CHUNK * 2 + 3)
 
     @staticmethod
     def _assert_as_logseries(bit_generator, p, size, seed=5,
@@ -760,7 +781,7 @@ class TestLogseries:
 
     def test_the_replay_runs_on_this_numpy(self):
         # else every other test here compares numpy with itself
-        assert state_space._logseries_replays()
+        assert replay._logseries_replays()
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("p", PS)
@@ -773,8 +794,8 @@ class TestLogseries:
     def test_replay_matches_at_every_p_and_size(self, bit_generator,
                                                 monkeypatch):
         # below the dispatch's cutoffs too: small p, one or two draws
-        monkeypatch.setattr(state_space, "_LOGSERIES_MIN_P", 0.0)
-        monkeypatch.setattr(state_space, "_LOGSERIES_MIN_SIZE", 0)
+        monkeypatch.setattr(replay, "_LOGSERIES_MIN_P", 0.0)
+        monkeypatch.setattr(replay, "_LOGSERIES_MIN_SIZE", 0)
         for p in self.PS:
             for size in (0, 1, 2, 7, 4097) + self.SIZES[-1:]:
                 self._assert_as_logseries(bit_generator, p, size)
@@ -784,7 +805,7 @@ class TestLogseries:
     def test_every_pair_through_libm(self, bit_generator, monkeypatch):
         # a band of 2**62 ulps spans every double in [0, 1] and every
         # floor argument, so every variate takes the math path
-        monkeypatch.setattr(state_space, "_LOGSERIES_BAND", 2**62)
+        monkeypatch.setattr(replay, "_LOGSERIES_BAND", 2**62)
         for p in (0.6, 0.7, 0.9, 0.999999, np.nextafter(1.0, 0.0)):
             self._assert_as_logseries(bit_generator, p, self.MIN + 1)
 
@@ -793,22 +814,22 @@ class TestLogseries:
         # numpy draws a variate again when V == 0 (chance 2**-53 per
         # draw); here every variate looks so to the replay, which must
         # hand the whole request to numpy from the state it was given
-        monkeypatch.setattr(state_space, "_LOGSERIES_BAND", 2**62)
-        monkeypatch.setattr(state_space, "_logseries_exact",
+        monkeypatch.setattr(replay, "_LOGSERIES_BAND", 2**62)
+        monkeypatch.setattr(replay, "_logseries_exact",
                             lambda *args: 0)
         self._assert_as_logseries(np.random.PCG64, 0.7, self.MIN + 1)
 
     def test_a_numpy_the_replay_does_not_match_gets_numpys_loop(
             self, monkeypatch):
-        monkeypatch.setattr(state_space, "_logseries_replay",
+        monkeypatch.setattr(replay, "_logseries_replay",
                             lambda p, size, rng: np.ones(size, np.int64))
-        state_space._logseries_replays.cache_clear()
+        replay._logseries_replays.cache_clear()
         try:
-            assert not state_space._logseries_replays()
+            assert not replay._logseries_replays()
             for size in (self.MIN, self.SIZES[-1]):
                 self._assert_as_logseries(np.random.PCG64, 0.7, size)
         finally:
-            state_space._logseries_replays.cache_clear()
+            replay._logseries_replays.cache_clear()
 
 
 class TestValueHash:

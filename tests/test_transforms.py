@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyasum import (InvalidMeasureError, PointConfiguration, PolyaParams,
-                      ReferenceMeasure, TestFunction, Window,
-                      empirical_laplace, joint_laplace, laplace_gp,
-                      laplace_polya, logseries_mean, logseries_pmf, nb_pmf,
-                      nb_pmf_table, polya_campbell_exact)
+from polyasum import (ConfigurationBatch, InvalidMeasureError, PolyaParams,
+                      ReferenceMeasure, TestFunction, Window, joint_laplace,
+                      laplace_gp, laplace_polya, logseries_mean,
+                      logseries_pmf, nb_pmf, nb_pmf_table,
+                      polya_campbell_exact)
+from polyasum.state_space import _tile
 from polyasum.transforms import ParameterError
+from polyasum.verify import _mean_se
 
 INF = float("inf")
 
@@ -231,22 +233,28 @@ class TestCampbellExact:
 
 
 class TestEmpiricalLaplace:
+    """The mean and standard error of e^-zeta_f over a batch."""
+
+    @staticmethod
+    def _repeated(window, points, n, f):
+        batch = ConfigurationBatch(window, n, *_tile(window, points, n))
+        return _mean_se(np.exp(-batch.zeta(f)))
+
     def test_empty_samples(self, window4):
-        samples = [PointConfiguration(window4, ()) for _ in range(10)]
-        est, se = empirical_laplace(samples,
-                                    TestFunction.constant(window4, 2.0))
+        est, se = self._repeated(window4, (), 10,
+                                 TestFunction.constant(window4, 2.0))
         assert est == 1.0 and se == 0.0
 
     def test_repeated_sample_has_zero_stderr(self, window4):
-        mu = PointConfiguration(window4, (((0.2,), 2),))
-        est, se = empirical_laplace([mu, mu, mu],
-                                    TestFunction.constant(window4, 1.0))
+        est, se = self._repeated(window4, (((0.2,), 2),), 3,
+                                 TestFunction.constant(window4, 1.0))
         assert est == pytest.approx(math.exp(-2.0))
         assert se == 0.0
 
-    def test_needs_two_samples(self, window4):
-        with pytest.raises(ValueError):
-            empirical_laplace([], TestFunction.constant(window4, 1.0))
+    def test_needs_two_samples(self):
+        for values in ([], [1.0]):
+            with pytest.raises(ValueError):
+                _mean_se(values)
 
 
 @given(z=st.floats(min_value=0.01, max_value=0.99),

@@ -7,43 +7,47 @@ import numpy as np
 import pytest
 
 from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
-                      PointConfiguration, PolyaParams, ReferenceMeasure,
-                      RngSeed, TestFunction, Window, campbell_estimate,
-                      check_conjugacy, check_transform_identity, check_mecke,
-                      check_mixed_ibp, check_polya_ibp, laplace_polya,
-                      sample_mixed_batch, sample_polya_cox_batch,
-                      sample_polya_direct_batch)
-from polyasum.transforms import _mean_se
-from polyasum.verify import EPS_ALLOWANCE
+                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
+                      Window, check_conjugacy, check_transform_identity,
+                      check_mecke, check_mixed_ibp, check_polya_ibp,
+                      laplace_polya, sample_mixed_batch,
+                      sample_polya_cox_batch, sample_polya_direct_batch)
+from polyasum.state_space import ConfigurationBatch, _tile
+from polyasum.verify import EPS_ALLOWANCE, _campbell_sides, _mean_se
 
 INF = float("inf")
 EPS = 1e-6
 
 
+def campbell_mean_se(batch, f, g):
+    """Mean and standard error of zeta_f e^-zeta_g over ``batch``."""
+    rho = ReferenceMeasure.uniform(batch.window, 1.0)
+    return _mean_se(_campbell_sides(batch, rho, f, g)[1])
+
+
 class TestCampbellEstimate:
     def test_zero_f(self, window4):
-        samples = [PointConfiguration(window4, (((0.2,), 2),))] * 5
-        est, se = campbell_estimate(samples,
-                                    TestFunction.constant(window4, 0.0),
-                                    TestFunction.constant(window4, 1.0))
+        batch = ConfigurationBatch(window4, 5,
+                                   *_tile(window4, (((0.2,), 2),), 5))
+        est, se = campbell_mean_se(batch,
+                                   TestFunction.constant(window4, 0.0),
+                                   TestFunction.constant(window4, 1.0))
         assert est == 0.0 and se == 0.0
 
     def test_g_zero_reduces_to_mean_count(self, window4, rho_mass2):
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho_mass2), 500,
                                           RngSeed(1))
-        samples = batch.to_configurations()
-        est, se = campbell_estimate(samples,
-                                    TestFunction.constant(window4, 1.0),
-                                    TestFunction.constant(window4, 0.0))
+        est, se = campbell_mean_se(batch,
+                                   TestFunction.constant(window4, 1.0),
+                                   TestFunction.constant(window4, 0.0))
         assert est == pytest.approx(batch.counts().mean())
 
     def test_against_exact_campbell(self, window4):
         rho = ReferenceMeasure.uniform(window4, 1.0)
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho), 20_000,
                                           RngSeed(2))
-        samples = batch.to_configurations()
-        est, se = campbell_estimate(
-            samples, TestFunction.constant(window4, 1.0),
+        est, se = campbell_mean_se(
+            batch, TestFunction.constant(window4, 1.0),
             TestFunction.constant(window4, math.log(2.0)))
         assert abs(est - 2.0 / 9.0) < 3 * se
 
@@ -213,6 +217,11 @@ class TestTransformIdentity:
         report = check_transform_identity(200, RngSeed(18))
         assert report.passed
         assert report.lhs < 1e-12 and report.rhs < 1e-12
+
+    @pytest.mark.parametrize("n_tuples", [0, -3])
+    def test_needs_one_tuple(self, n_tuples):
+        with pytest.raises(ValueError, match="n_tuples"):
+            check_transform_identity(n_tuples, RngSeed(18))
 
 
 class TestCalibration:
