@@ -1,6 +1,8 @@
 """Two numpy draws are replayed here bit for bit, faster, with the
 generator left in numpy's end state: ``Generator.choice``
-(``_categorical``) and ``Generator.logseries`` (``_logseries``).
+(``_categorical``) and ``Generator.logseries`` (``_logseries``).  Both
+can write into a caller's array (``out``), such as the rows of a
+batch, and take their doubles block by block.
 """
 
 from __future__ import annotations
@@ -10,21 +12,28 @@ import math
 
 import numpy as np
 
+# Doubles per block of the block-wise draws (_categorical,
+# Window.uniform_in_cells) and per buffer of the logseries replay: in
+# the replay 16k kept every work array in cache and ran faster per draw
+# than 32k or 64k, which cost page faults.
+_BLOCK = 16384
 
-def _categorical(p: np.ndarray, size: int,
-                 rng: np.random.Generator) -> np.ndarray:
+
+def _categorical(p: np.ndarray, size: int, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """``size`` indices drawn from the probabilities ``p``, bit for bit
-    as ``rng.choice(p.size, size, p=p)`` draws them.
+    as ``rng.choice(p.size, size, p=p)`` draws them, written into
+    ``out`` (int64) when it is given.
 
     The same cdf (``p.cumsum()`` divided by its last entry), the same
-    ``rng.random(size)`` doubles, so the generator ends in the same
-    state, and the same answer as ``cdf.searchsorted(u, side="right")``.
-    A guide table of max(256, 2 * p.size) buckets finds that answer for
-    most draws; the draws it cannot settle use ``searchsorted`` itself.
+    ``rng.random(size)`` doubles, taken block by block in order, so the
+    generator ends in the same state, and the same answer as
+    ``cdf.searchsorted(u, side="right")``.  A guide table of
+    max(256, 2 * p.size) buckets finds that answer for most draws; the
+    draws it cannot settle use ``searchsorted`` itself.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
     g = max(256, 2 * cdf.size)
     # x -> fl(x * g) is monotone, so an entry whose scaled value is
     # below j lies below every u with int(fl(u * g)) == j: start[j] is
@@ -32,9 +41,22 @@ def _categorical(p: np.ndarray, size: int,
     # itself when the entry it points at exceeds u.  fl(u * g) < g for
     # every u < 1, so j < g.
     start = (cdf * g).searchsorted(np.arange(g), side="left")
-    idx = start[(u * g).astype(np.intp)]
-    todo = np.flatnonzero(cdf[idx] <= u)
-    idx[todo] = cdf.searchsorted(u[todo], side="right")
+    idx = np.empty(size, dtype=np.int64) if out is None else out
+    b = min(size, _BLOCK)
+    u, x = np.empty(b), np.empty(b)
+    j, low = np.empty(b, dtype=np.intp), np.empty(b, dtype=bool)
+    for a in range(0, size, _BLOCK):
+        k = min(_BLOCK, size - a)
+        uk, xk, res = u[:k], x[:k], idx[a:a + k]
+        rng.random(out=uk)
+        np.multiply(uk, g, out=xk)
+        np.copyto(j[:k], xk, casting="unsafe")  # truncates, as astype
+        # every index is in range: "clip" writes to out unbuffered
+        np.take(start, j[:k], out=res, mode="clip")
+        np.take(cdf, res, out=xk, mode="clip")
+        np.less_equal(xk, uk, out=low[:k])
+        todo = np.flatnonzero(low[:k])
+        res[todo] = cdf.searchsorted(uk[todo], side="right")
     return idx
 
 
@@ -48,12 +70,17 @@ def _categorical(p: np.ndarray, size: int,
 #     0.7    1.17-1.39    1.49-1.55   1.64-1.71
 #     0.9    1.42-1.43    1.54-1.58   1.59-1.71
 # It gains 1.4x or more on large requests from p = 0.6 on, and gains at
-# every such p from 16384 draws on.
+# every such p from 16384 draws on.  Near p = 1 the floor argument's
+# band grows with 1/|log q| and most variates go through libm one by
+# one; there numpy's loop is faster (200k draws from default_rng(1),
+# best of 5, two runs, same host):
+#     p        0.9999     0.99999    0.999995   0.999997   0.999998
+#              1.26-1.47  1.13-1.30  1.22-1.27  1.05-1.07  0.86-0.87
+#     p        0.999999   1 - 1e-7   1 - 1e-9
+#              0.53-0.55  0.15-0.20  0.11
 _LOGSERIES_MIN_P = 0.6
+_LOGSERIES_MAX_P = 0.999997
 _LOGSERIES_MIN_SIZE = 16384
-# Doubles per buffer: 16k kept every work array in cache and ran
-# faster per draw than 32k or 64k, which cost page faults.
-_LOGSERIES_CHUNK = 16384
 # numpy's vector expm1 and log can differ from libm's in the last bit
 # (1 ulp at most in 200k arguments).  A double within this many ulps of
 # a threshold it is compared with (about 2**-40 relative), or a floor
@@ -61,20 +88,24 @@ _LOGSERIES_CHUNK = 16384
 _LOGSERIES_BAND = 2 ** 12
 
 
-def _logseries(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def _logseries(p: float, size: int, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``size`` logarithmic-series(p) draws, bit for bit as
     ``rng.logseries(p, size)`` draws them, leaving the generator in the
-    same state.
+    same state; written into ``out`` (int64) when it is given.
 
-    Large requests at large p are replayed over buffers of doubles
-    (:func:`_logseries_replay`), where numpy's own loop is slower;
-    others, and every request on a numpy the replay does not match, go
-    to ``rng.logseries``.
+    Large requests at large p, short of p = 1, are replayed over
+    buffers of doubles (:func:`_logseries_replay`), where numpy's own
+    loop is slower; others, and every request on a numpy the replay
+    does not match, go to ``rng.logseries``.
     """
-    if (_LOGSERIES_MIN_P <= p < 1.0 and size >= _LOGSERIES_MIN_SIZE
-            and _logseries_replays()):
-        return _logseries_replay(p, size, rng)
-    return rng.logseries(p, size)
+    if (_LOGSERIES_MIN_P <= p < _LOGSERIES_MAX_P
+            and size >= _LOGSERIES_MIN_SIZE and _logseries_replays()):
+        return _logseries_replay(p, size, rng, out)
+    if out is None:
+        return rng.logseries(p, size)
+    out[:] = rng.logseries(p, size)
+    return out
 
 
 @functools.cache
@@ -87,8 +118,8 @@ def _logseries_replays() -> bool:
             and ours.random() == numpys.random())
 
 
-def _logseries_replay(p: float, size: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _logseries_replay(p: float, size: int, rng: np.random.Generator,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """numpy's ``random_logseries`` replayed over buffers of doubles.
 
     numpy draws V; V >= p gives 1.  Otherwise it draws U, sets
@@ -105,8 +136,9 @@ def _logseries_replay(p: float, size: int,
     bitgen = rng.bit_generator
     entry = bitgen.state
     r = math.log1p(-p)
-    out = np.empty(size, dtype=np.int64)
-    n = min(_LOGSERIES_CHUNK, 2 * size)
+    if out is None:
+        out = np.empty(size, dtype=np.int64)
+    n = min(_BLOCK, 2 * size)
     buf, v, q, q2 = (np.empty(n) for _ in range(4))
     pos1 = np.arange(1, n + 1, dtype=np.int32)
     last = np.empty(n, dtype=np.int32)
@@ -164,7 +196,8 @@ def _logseries_replay(p: float, size: int,
             res[j] = _logseries_exact(p, r, x[i], x[min(i + 1, k - 1)])
             if not res[j]:
                 bitgen.state = entry
-                return rng.logseries(p, size)
+                out[:] = rng.logseries(p, size)
+                return out
         done += m
         if done == size:
             i = idx[-1]

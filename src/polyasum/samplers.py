@@ -18,12 +18,16 @@ Three routes produce Polya samples:
 Every sampler has a single-draw form returning state_space objects and
 a ``*_batch`` form returning flat record arrays (one row per located
 point or atom) for Monte Carlo at scale.  The samplers here only draw
-columns: state_space builds the batches and merges the records of
-each location where they are drawn, so each location of a sampled
-configuration or measure is one record; the Cox and mixed samplers
-inherit that from the samplers they call.  Samplers are
-deterministic functions of (inputs, rng state); parallel use should
-give each replica stream its own :class:`RngSeed`.
+columns, straight into the rows a ``state_space._BatchWriter`` hands
+out, which merges the records of each location where they are drawn,
+so each location of a sampled configuration or measure is one record;
+the Cox and mixed samplers inherit that from the samplers they call.
+The mixture's direct route draws every component into one writer,
+sized from the expected record count; the Cox route copies each
+component's batch in once.  A Poisson rate past the largest that
+numpy draws raises :class:`ParameterError` before any draw.  Samplers
+are deterministic functions of (inputs, rng state); parallel use
+should give each replica stream its own :class:`RngSeed`.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .expint import e1, e1_inverse
 from .replay import _categorical, _logseries
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _json_float, _merge,
-                          _records, _tile)
+                          ReferenceMeasure, Window, _BatchWriter,
+                          _json_float, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -130,6 +134,22 @@ def as_generator(rng) -> np.random.Generator:
 # Poisson processes
 # ---------------------------------------------------------------------------
 
+# Generator.poisson refuses a rate above this with a bare ValueError
+_POISSON_MAX = float(np.iinfo(np.int64).max
+                     - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def _check_rate(lam, what: str):
+    """``lam``, or :class:`ParameterError` naming ``what`` when a Poisson
+    rate in it is past the largest that numpy draws."""
+    top = float(np.max(lam, initial=0.0))
+    if top > _POISSON_MAX:
+        raise ParameterError(
+            f"{what} gives a Poisson rate of {top:.6g}, past the largest "
+            f"numpy draws ({_POISSON_MAX:.6g})")
+    return lam
+
+
 def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
     """n independent Poisson configurations driven by ``intensity``.
 
@@ -143,23 +163,31 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
     diffuse = (intensity.cell_masses if isinstance(intensity, ReferenceMeasure)
                else np.zeros(window.n_cells))
 
-    parts = []
-    if diffuse.sum() > 0:
-        counts = rng.poisson(lam=diffuse, size=(n, diffuse.size))
-        rep_idx, cell_idx = np.nonzero(counts)
-        k = counts[rep_idx, cell_idx]
-        rep = np.repeat(rep_idx, k)
-        cell = np.repeat(cell_idx, k)
-        coords = (cell.copy() if window.mode == "sites"
-                  else window.uniform_in_cells(cell, rng))
-        parts.append((rep, cell, np.ones(rep.size, dtype=np.int64), coords))
     live = tuple((loc, w) for loc, w in atoms if w > 0)
+    _check_rate(diffuse, "a cell mass of rho")
+    _check_rate([w for _, w in live], "an atom weight of rho")
+    counts = (rng.poisson(lam=diffuse, size=(n, diffuse.size))
+              if diffuse.sum() > 0 else np.zeros((n, 0), dtype=np.int64))
+    rep_idx, cell_idx = np.nonzero(counts)
+    k = counts[rep_idx, cell_idx]
+    # room for every diffuse point and one hit per atom and replica
+    out = _BatchWriter(ConfigurationBatch, window, n,
+                       int(k.sum()) + n * len(live))
+    rows = out.rows(int(k.sum()))
+    rows.rep[:] = np.repeat(rep_idx, k)
+    rows.cell[:] = np.repeat(cell_idx, k)
+    rows.mult.fill(1)
+    if window.mode == "sites":
+        rows.coords[:] = rows.cell
+    else:
+        window._uniform_into(rows.cell, rows.coords, rng)
     if live:
         hits = _poisson_from_atomic_batch(
             AtomicBatch(window, n, *_tile(window, live, n)), rng)
-        parts.append((hits.rep, hits.cell, hits.mult, hits.coords))
+        out.put(hits.rep, hits.cell, hits.mult, hits.coords)
     # on a box each atom is hit at most once per replica
-    return _merge(_records(ConfigurationBatch, window, n, parts))
+    out.merge(out.batch())
+    return out.batch()
 
 
 def sample_poisson(intensity, rng) -> PointConfiguration:
@@ -199,21 +227,25 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     rng = as_generator(rng)
     window = params.window
     m = params.rho.total_mass
+    out = _BatchWriter(AtomicBatch, window, n)
     if params.z == 0.0 or m == 0.0:
-        return _records(AtomicBatch, window, n)
+        return out.batch()
     a = params.a
     mean_total = m / a
 
     if eps >= mean_total:
         # even the full process has expected mass below the threshold:
         # emit only the remainder atom
-        weights = np.full(n, mean_total)
-        reps = np.arange(n, dtype=np.int64)
-        cells, coords, _, _ = params.rho.sample_locations(n, rng)
-        return AtomicBatch(window, n, reps, cells, weights, coords)
+        rows = out.rows(n)
+        rows.rep[:] = np.arange(n)
+        rows.weight.fill(mean_total)
+        params.rho._locations_into(rows.cell, rows.coords, rng)
+        return out.batch()
 
     r_eps = -math.log1p(-eps * a / m) / a
-    lam_eps = m * e1(a * r_eps)
+    lam_eps = _check_rate(m * e1(a * r_eps),
+                          "the jump rate m E1(a r_eps) of z, eps and the "
+                          "mass m of rho")
     n_jumps = rng.poisson(lam_eps, size=n)
     total = int(n_jumps.sum())
     # arrival times below lam_eps are i.i.d. uniforms; the first
@@ -227,17 +259,18 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     radii_last = e1_inverse(gamma_last / m) / a
     remainder = (m / a) * (-np.expm1(-a * radii_last))
 
-    reps = np.concatenate([rep_below, np.arange(n, dtype=np.int64),
-                           np.arange(n, dtype=np.int64)])
-    weights = np.concatenate([radii_below, radii_last, remainder])
+    rows = out.rows(total + 2 * n)
+    every = np.arange(n, dtype=np.int64)
+    np.concatenate([rep_below, every, every], out=rows.rep)
+    np.concatenate([radii_below, radii_last, remainder], out=rows.weight)
     # at small reference mass e1_inverse underflows to 0 for late
     # arrivals; such atoms carry no mass, so dropping them leaves the
     # law unchanged and keeps every replica a valid measure
-    live = weights > 0
-    reps, weights = reps[live], weights[live]
-    cells, coords, hit, atom = params.rho.sample_locations(weights.size, rng)
-    return _merge(AtomicBatch(window, n, reps, cells, weights, coords),
-                  hit, atom)
+    live = rows.weight > 0
+    if not live.all():
+        rows = out.keep(rows, live)
+    out.merge(rows, *params.rho._locations_into(rows.cell, rows.coords, rng))
+    return out.batch()
 
 
 def sample_gamma_measure(params: PolyaParams, eps: float, rng) -> AtomicMeasure:
@@ -263,18 +296,26 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     a construction rather than a definition).
     """
     rng = as_generator(rng)
-    window = params.window
-    z = params.z
-    m = params.rho.total_mass
+    out = _BatchWriter(ConfigurationBatch, params.window, n)
+    _direct_into(out, np.arange(n, dtype=np.int64), params, rng)
+    return out.batch()
+
+
+def _direct_into(out: _BatchWriter, labels: np.ndarray, params: PolyaParams,
+                 rng: np.random.Generator) -> None:
+    """The direct construction for the replicas ``labels`` of ``out``,
+    drawn straight into its next rows and merged there."""
+    z, m = params.z, params.rho.total_mass
     if z == 0.0 or m == 0.0:
-        return _records(ConfigurationBatch, window, n)
-    lam = -math.log1p(-z) * m
-    n_clusters = rng.poisson(lam, size=n)
-    rep = np.repeat(np.arange(n, dtype=np.int64), n_clusters)
-    cells, coords, hit, atom = params.rho.sample_locations(rep.size, rng)
-    mult = _logseries(z, rep.size, rng)
-    return _merge(ConfigurationBatch(window, n, rep, cells, mult, coords),
-                  hit, atom)
+        return
+    lam = _check_rate(-math.log1p(-z) * m, "the cluster rate -log(1-z) m "
+                      "of z and the mass m of rho")
+    n_clusters = rng.poisson(lam, size=labels.size)
+    rows = out.rows(int(n_clusters.sum()))
+    rows.rep[:] = np.repeat(labels, n_clusters)
+    hit, atom = params.rho._locations_into(rows.cell, rows.coords, rng)
+    _logseries(z, rows.mult.size, rng, out=rows.mult)
+    out.merge(rows, hit, atom)
 
 
 def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
@@ -351,11 +392,14 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     diffuse = sample_gamma_measure_batch(
         PolyaParams(z_post, params.rho), eps, mus.n, rng)
     weights = rng.gamma(shape=mus.mult.astype(float), scale=1.0 / a_post)
-    batch = _records(AtomicBatch, mus.window, mus.n, [
-        (diffuse.rep, diffuse.cell, diffuse.weight, diffuse.coords),
-        (mus.rep, mus.cell, weights, mus.coords)])
+    out = _BatchWriter(AtomicBatch, mus.window, mus.n,
+                       diffuse.rep.size + mus.rep.size)
+    out.put(diffuse.rep, diffuse.cell, diffuse.weight, diffuse.coords)
+    out.put(mus.rep, mus.cell, weights, mus.coords)
     # an observed point on an atom of rho is one atom of rho + mu
-    return _merge(batch, *params.rho._atoms_at(batch.coords))
+    batch = out.batch()
+    out.merge(batch, *params.rho._atoms_at(batch.coords))
+    return out.batch()
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +418,29 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     sample = _route_sampler(route)
     rng = as_generator(rng)
     z_atom, w_atom, probs = np.array(mixing.atoms).T
+    m0 = mixing.rho0.total_mass
+    rates = _check_rate(-np.log1p(-z_atom) * w_atom * m0,
+                        "the cluster rate -log(1-z) w m0 of a mixing atom's "
+                        "z and w and the mass m0 of rho0")
     comp = _categorical(probs / probs.sum(), n, rng)
     z_lat, w_lat = z_atom[comp], w_atom[comp]
 
-    parts = []
-    for c, (z, w, _) in enumerate(mixing.atoms):
-        members = np.flatnonzero(comp == c)
-        if members.size == 0 or z == 0.0 or w == 0.0:
+    members = [np.flatnonzero(comp == c) for c in range(len(mixing.atoms))]
+    # the expected count of the direct route's clusters, plus four of
+    # its Poisson standard deviations: the columns grow only past that
+    expected = sum(labels.size * rate for labels, rate in zip(members, rates))
+    out = _BatchWriter(ConfigurationBatch, mixing.window, n,
+                       math.ceil(expected + 4.0 * math.sqrt(expected)))
+    for (z, w, _), labels in zip(mixing.atoms, members):
+        if labels.size == 0 or z == 0.0 or w == 0.0:
             continue
-        sub = sample(PolyaParams(z, mixing.rho0.scale(w)), eps,
-                     members.size, rng)
-        parts.append((members[sub.rep], sub.cell, sub.mult, sub.coords))
-    batch = _records(ConfigurationBatch, mixing.window, n, parts)
-    return batch, z_lat, w_lat
+        params = PolyaParams(z, mixing.rho0.scale(w))
+        if route == "direct":
+            _direct_into(out, labels, params, rng)
+        else:  # the Cox route copies its sub-batch in once
+            sub = sample(params, eps, labels.size, rng)
+            out.put(labels[sub.rep], sub.cell, sub.mult, sub.coords)
+    return out.batch(), z_lat, w_lat
 
 
 def sample_mixed(mixing: MixingMeasure, route: str, eps: float, rng):

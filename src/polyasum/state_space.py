@@ -14,9 +14,12 @@ Samples of any size share one record format: a batch holds n replicas
 as flat arrays with one row per located point or atom (replica index,
 flat cell index, multiplicity or weight, raw coordinates); a reference
 measure decodes its atoms once into such read-only columns.  This
-module builds every batch (``_records``) and holds the one merge rule
-for records at one location (``_merge``), which every sampler applies
-where it draws, keyed by the atom drawn.  So a sampled batch holds
+module holds the one batch builder (``_BatchWriter``), whose
+preallocated columns a sampler draws straight into, the rows of its
+next k records at a time, and the one merge rule for records at one
+location (``_merge``), which every sampler applies where it draws,
+keyed by the atom drawn, writing the shorter result back into the
+same rows.  So each sampled record is written once, and a batch holds
 each location once per replica, as its objects do; conversion and the
 CLI writer only group records by replica (``_by_replica``), and a
 hand-built batch that repeats a location fails to convert.  Single
@@ -39,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .replay import _categorical
+from .replay import _BLOCK, _categorical
 
 SCHEMA_VERSION = 1
 
@@ -145,9 +148,15 @@ class Window:
     def contains(self, loc: Location) -> bool:
         if self.mode == "sites":
             return loc in self.sites
-        if not isinstance(loc, tuple) or len(loc) != self.dimension:
+        bounds = self.bounds
+        if not isinstance(loc, tuple) or len(loc) != len(bounds):
             return False
-        return all(lo <= x <= hi for x, (lo, hi) in zip(loc, self.bounds))
+        # a loop that stops at the first miss, where all() over a
+        # generator cost twice the time per call
+        for x, (lo, hi) in zip(loc, bounds):
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def cell_of(self, loc: Location) -> int:
         """Flat index of the cell containing ``loc``."""
@@ -182,31 +191,40 @@ class Window:
 
         Returns an (M, d) coordinate array (box mode only; discrete
         sites are their own locations).  Axis by axis from the last one
-        back, with one ``rng.random(M)`` per axis, coordinate k of a
-        point in cell index i_k is ``lo + (i_k + U) * ((hi - lo) / n)``
-        bit for bit.
+        back, with the doubles of one ``rng.random(M)`` per axis taken
+        block by block, coordinate k of a point in cell index i_k is
+        ``lo + (i_k + U) * ((hi - lo) / n)`` bit for bit.
         """
+        cells = np.asarray(cells, dtype=np.int64)
+        coords = _empty_coords(self, cells.size)
+        self._uniform_into(cells, coords, rng)
+        return coords
+
+    def _uniform_into(self, cells: np.ndarray, coords: np.ndarray,
+                      rng: np.random.Generator) -> None:
+        """:meth:`uniform_in_cells` written into ``coords``."""
         if self.mode == "sites":
             raise InvalidMeasureError("uniform_in_cells needs a box window")
-        cells = np.asarray(cells, dtype=np.int64)
-        d = self.dimension
-        coords = np.empty((cells.size, d))
-        rem = cells
-        # decode the flat index from the last axis backwards; what is
-        # left for the leading axis is already its index
-        for axis in range(d - 1, -1, -1):
+        size = cells.size
+        u = np.empty(min(size, _BLOCK))
+        stride = 1
+        for axis in range(self.dimension - 1, -1, -1):
             lo, hi = self.bounds[axis]
             n = self.cells_per_axis[axis]
-            if axis:
-                rem, idx = np.divmod(rem, n)
-            else:
-                idx = rem
-            # the formula's operations in its order, written in place
-            col = coords[:, axis]
-            np.add(idx, rng.random(cells.size), out=col)
-            col *= (hi - lo) / n
-            col += lo
-        return coords
+            for a in range(0, size, _BLOCK):
+                b = min(a + _BLOCK, size)
+                uk = u[:b - a]
+                rng.random(out=uk)
+                # the leading axis's index is what the others leave
+                idx = cells[a:b] if stride == 1 else cells[a:b] // stride
+                if axis:
+                    idx = idx % n
+                # the formula's operations in its order, written in place
+                col = coords[a:b, axis]
+                np.add(idx, uk, out=col)
+                col *= (hi - lo) / n
+                col += lo
+            stride *= n
 
     def to_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION, "mode": self.mode}
@@ -458,27 +476,37 @@ class ReferenceMeasure:
         Returns ``(cells, coords, hit, atom)``: flat cell indices, raw
         coordinates ((size, d) floats on a box, site indices on sites),
         the draws on an atom (ascending) and the atom drawn, whose
-        coordinates they carry bit for bit.  Used by every sampler.
+        coordinates they carry bit for bit.
 
         The draws are those of ``rng.choice(K, size, p=weights / total)``
         over the K cells then atoms, bit for bit and leaving the
         generator in the same state, followed for box windows by
         :meth:`Window.uniform_in_cells` on the cells drawn.
         """
+        cells = np.empty(size, dtype=np.int64)
+        coords = _empty_coords(self.window, size)
+        return (cells, coords, *self._locations_into(cells, coords, rng))
+
+    def _locations_into(self, cells: np.ndarray, coords: np.ndarray,
+                        rng: np.random.Generator):
+        """:meth:`sample_locations` written into the rows ``cells`` and
+        ``coords`` of a batch; returns ``(hit, atom)``.  Every sampler
+        draws its locations here."""
         weights = np.concatenate([self.cell_masses, self._atom_weight])
         total = weights.sum()
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
-        cells = _categorical(weights / total, size, rng)
+        _categorical(weights / total, cells.size, rng, out=cells)
         hit = np.flatnonzero(cells >= n_cells)
         atom = cells[hit] - n_cells
         cells[hit] = self._atom_cell[atom]
         if self.window.mode == "sites":
-            return cells, cells.copy(), hit, atom
-        coords = self.window.uniform_in_cells(cells, rng)
-        coords[hit] = self._atom_coords[atom]
-        return cells, coords, hit, atom
+            coords[:] = cells
+        else:
+            self.window._uniform_into(cells, coords, rng)
+            coords[hit] = self._atom_coords[atom]
+        return hit, atom
 
     def _atoms_at(self, coords: np.ndarray):
         """``(at, atom)``: the rows of box ``coords`` equal to an atom's
@@ -581,10 +609,12 @@ Measure = Union[PointConfiguration, AtomicMeasure, ReferenceMeasure]
 # Flat record batches
 # ---------------------------------------------------------------------------
 
-def _empty_coords(window: Window):
+def _empty_coords(window: Window, size: int = 0):
+    """Uninitialised coordinates of ``size`` records: site indices on a
+    sites window, (size, d) floats on a box."""
     if window.mode == "sites":
-        return np.empty(0, dtype=np.int64)
-    return np.empty((0, window.dimension))
+        return np.empty(size, dtype=np.int64)
+    return np.empty((size, window.dimension))
 
 
 def _tile(window: Window, pairs, n: int):
@@ -705,14 +735,85 @@ class AtomicBatch:
         return _split(self, self.weight, AtomicMeasure)
 
 
-def _records(cls, window: Window, n: int, parts=()):
-    """A ``cls`` batch of n replicas from (rep, cell, value, coords)
-    column parts, concatenated in order; no parts give the empty batch."""
-    if parts:
-        return cls(window, n, *(np.concatenate(col) for col in zip(*parts)))
-    none = np.empty(0, dtype=np.int64)
-    value = none if cls is ConfigurationBatch else np.empty(0)
-    return cls(window, n, none, none, value, _empty_coords(window))
+class _BatchWriter:
+    """The columns of one sampled batch, each record written once.
+
+    A sampler asks for the writable rows of its next k records
+    (:meth:`rows`) and draws straight into them; a merge writes its
+    shorter result back into the same rows (:meth:`merge`).  The
+    columns start at ``capacity`` rows, a caller's estimate of the
+    record count, and double only when a draw goes past them, so what
+    is drawn and in which order never depends on the estimate.
+    :meth:`batch` returns views of the rows written.
+    """
+
+    def __init__(self, cls, window: Window, n: int, capacity: int = 0):
+        self.cls, self.window, self.n = cls, window, n
+        self.size = 0
+        self._cols = self._empty(capacity)
+
+    def _empty(self, capacity: int) -> tuple:
+        value = np.int64 if self.cls is ConfigurationBatch else float
+        return (np.empty(capacity, dtype=np.int64),
+                np.empty(capacity, dtype=np.int64),
+                np.empty(capacity, dtype=value),
+                _empty_coords(self.window, capacity))
+
+    def _grow(self, need: int) -> None:
+        cols = self._empty(max(need, 2 * len(self._cols[0])))
+        for new, old in zip(cols, self._cols):
+            new[:self.size] = old[:self.size]
+        self._cols = cols
+
+    def _view(self, start: int, stop: int):
+        return self.cls(self.window, self.n,
+                        *(col[start:stop] for col in self._cols))
+
+    def rows(self, k: int):
+        """A batch over the next k rows, each column to be filled."""
+        start = self.size
+        if start + k > len(self._cols[0]):
+            self._grow(start + k)
+        self.size = start + k
+        return self._view(start, self.size)
+
+    def put(self, rep, cell, value, coords) -> None:
+        """Copy the four columns of the next records in."""
+        self._fill(self.rows(len(rep)), (rep, cell, value, coords))
+
+    def merge(self, rows, at=(), key=()) -> None:
+        """Merge the records of ``rows``, the last rows handed out (all
+        of them from :meth:`batch`), as :func:`_merge` does, and write
+        the shorter result back into their first rows."""
+        merged = _merge(rows, at, key)
+        if merged is not rows:
+            self._fill(rows, _columns(merged))
+
+    def keep(self, rows, mask):
+        """Keep the records of ``rows``, the last rows handed out, where
+        ``mask`` holds, in order, in their first rows; returns a batch
+        over the rows kept."""
+        return self._fill(rows, [col[mask] for col in _columns(rows)])
+
+    def _fill(self, rows, cols):
+        """Write the columns ``cols`` into the first rows of ``rows``,
+        the last rows handed out, and drop the rows past them."""
+        k = len(cols[0])
+        for col, src in zip(_columns(rows), cols):
+            col[:k] = src
+        self.size -= rows.rep.size - k
+        return self._view(self.size - k, self.size)
+
+    def batch(self):
+        """The batch of every row written so far (views)."""
+        return self._view(0, self.size)
+
+
+def _columns(batch) -> tuple:
+    """(rep, cell, multiplicity or weight, coords) of a batch."""
+    value = (batch.mult if isinstance(batch, ConfigurationBatch)
+             else batch.weight)
+    return batch.rep, batch.cell, value, batch.coords
 
 
 def _merge(batch, at=(), key=()):
@@ -727,9 +828,7 @@ def _merge(batch, at=(), key=()):
     (replica, key) order, with its first record's cell and coordinates
     and its values summed in record order.  Nothing to group: ``batch``.
     """
-    rep, cell, coords = batch.rep, batch.cell, batch.coords
-    value = (batch.mult if isinstance(batch, ConfigurationBatch)
-             else batch.weight)
+    rep, cell, value, coords = _columns(batch)
     if batch.window.mode == "sites":
         at, key = np.arange(rep.size), cell
     if not len(at):

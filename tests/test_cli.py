@@ -254,6 +254,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "truncation threshold" in err and "csv" not in err
 
+    @pytest.mark.parametrize("route", ["direct", "gamma", "poisson",
+                                       "mixed"])
+    def test_poisson_rate_past_numpy_exits_two(self, tmp_path, capsys,
+                                                route):
+        # numpy's Generator.poisson refuses such a rate with a bare
+        # "lam value too large", which named no field
+        doc = {"window": BASE_WINDOW, "z": 0.5, "route": route, "n": 3,
+               "seed": 3, "rho": {"uniform_mass": 1e20},
+               "rho0": {"uniform_mass": 1e20},
+               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "lam value too large" not in err
+        assert "Poisson rate" in err and "rho" in err
+
     def test_gamma_route_emits_atomic_measures(self, tmp_path):
         cfg = write_config(tmp_path, {
             "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},

@@ -24,7 +24,7 @@ from polyasum import (AtomicBatch, AtomicMeasure, MixingMeasure,
                       sample_poisson_batch, sample_polya_cox,
                       sample_polya_cox_batch, sample_polya_direct,
                       sample_polya_direct_batch, sample_posterior,
-                      sample_posterior_batch, samplers)
+                      sample_posterior_batch, samplers, state_space)
 from polyasum.expint import e1_inverse
 from polyasum.state_space import _merge, zeta
 from polyasum.transforms import ParameterError
@@ -571,6 +571,71 @@ class TestReproducibility:
             digests[route] = h.hexdigest()
         assert digests == _ATOM_HEAVY_DIGESTS[dim]
 
+    def test_multi_block_draws_keep_their_bits(self, monkeypatch):
+        # batches of 50k records and more, so every draw crosses blocks
+        # of 16384 doubles; recorded with numpy 2.4 when the samplers
+        # still concatenated their columns after drawing.  The last
+        # mixture draws past the columns sized for its expected count,
+        # so they grow while holding records.
+        grown = []
+        grow = state_space._BatchWriter._grow
+
+        def counting_grow(self, need):
+            grown.append(self.size)
+            grow(self, need)
+
+        monkeypatch.setattr(state_space._BatchWriter, "_grow", counting_grow)
+        box = ReferenceMeasure(
+            Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]),
+            np.linspace(0.05, 0.75, 15), (((0.5, 0.25), 0.4),))
+        sites = ReferenceMeasure(
+            Window.discrete(["a", "b", "c", "d"]),
+            np.array([0.5, 0.0, 1.0, 0.25]), (("b", 0.75),))
+        mix = MixingMeasure(box, ((0.6, 1.0, 0.7), (0.3, 2.0, 0.3)))
+        growing = MixingMeasure(
+            ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 8), 850.0),
+            ((0.3, 0.05, 0.5), (0.7, 1.0, 0.5)))
+        draws = {
+            "box3x5/direct": lambda: sample_polya_direct_batch(
+                PolyaParams(0.6, box), 10000, RngSeed(21)),
+            "sites/direct": lambda: sample_polya_direct_batch(
+                PolyaParams(0.6, sites), 32000, RngSeed(22)),
+            "mixed-direct": lambda: sample_mixed_batch(
+                mix, "direct", 1e-2, 10000, RngSeed(23))[0],
+            "mixed-cox": lambda: sample_mixed_batch(
+                mix, "cox", 1e-2, 10000, RngSeed(24))[0],
+            "mixed-growth": lambda: sample_mixed_batch(
+                growing, "direct", 1e-3, 100, RngSeed(124))[0],
+        }
+        digests, grew = {}, {}
+        for name, draw in draws.items():
+            grown.clear()
+            batch = draw()
+            assert batch.rep.size >= 50_000
+            grew[name] = any(size > 0 for size in grown)
+            h = hashlib.sha256()
+            cols = [batch.rep, batch.cell, batch.coords]
+            if name != "mixed-cox":  # locations only, as above
+                cols.insert(2, batch.mult)
+            for arr in cols:
+                arr = np.ascontiguousarray(arr)
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(arr.tobytes())
+            digests[name] = h.hexdigest()
+        assert grew == {name: name == "mixed-growth" for name in draws}
+        assert digests == {
+            "box3x5/direct":
+                "b71b864d855f14602427ca40e52ff9eb80c0f578439f39346cc4d23c9648f639",
+            "sites/direct":
+                "fcc7ad65e929f241cf641bc727c9d7ac600a037c53b4a6440b9cab200d853b32",
+            "mixed-direct":
+                "51a790e41047859a156578f9cfe60026095cf5d22b3032b1fa1d93fd6f7c8db6",
+            "mixed-cox":
+                "9993d6a39ab4579f164b0905233618d1a2b5863977de9c2f64a5340849ca9a77",
+            "mixed-growth":
+                "196677c7debc32d380cb70aca2d477cb12307f4c2bf10ba9844bf00758ebc9f5",
+        }
+
     def test_streams_are_independent(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
         a = sample_polya_direct_batch(params, 200, RngSeed(7, stream=0))
@@ -687,7 +752,7 @@ def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
         merged.append(batch.rep.size - out.rep.size)
         return out
 
-    monkeypatch.setattr(samplers, "_merge", counting_merge)
+    monkeypatch.setattr(state_space, "_merge", counting_merge)
     rho = _invariant_rho(kind)
     batch = _INVARIANT_ROUTES[route](rho, RngSeed(31))
     f = TestFunction(rho.window, np.arange(1.0, rho.window.n_cells + 1))
@@ -712,6 +777,119 @@ def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
     can_repeat = kind.startswith("sites") or (
         kind == "box-atoms" and route != "poisson")
     assert (sum(merged) > 0) == can_repeat
+
+
+class TestBlocks:
+    """Batches the samplers write into preallocated columns, block by
+    block, against the one-shot construction they replace."""
+
+    def test_direct_batch_equals_one_shot_construction(self):
+        rho = ReferenceMeasure(Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]),
+                               np.linspace(0.05, 0.75, 15))
+        ours, numpys = RngSeed(9).generator(), RngSeed(9).generator()
+        batch = sample_polya_direct_batch(PolyaParams(0.7, rho), 8000, ours)
+        lam = -math.log1p(-0.7) * rho.total_mass
+        rep = np.repeat(np.arange(8000), numpys.poisson(lam, 8000))
+        p = rho.cell_masses / rho.cell_masses.sum()
+        cells = numpys.choice(p.size, rep.size, p=p)
+        rows, cols = np.divmod(cells, 5)
+        y = (cols + numpys.random(rep.size)) * (3.0 / 5) + -1.0
+        x = (rows + numpys.random(rep.size)) * (1.0 / 3) + 0.0
+        mult = numpys.logseries(0.7, rep.size)
+        assert rep.size > 2 * 16384
+        for got, want in ((batch.rep, rep), (batch.cell, cells),
+                          (batch.mult, mult),
+                          (batch.coords, np.column_stack([x, y]))):
+            assert np.array_equal(got, want)
+        assert ours.random() == numpys.random()
+
+    def test_gamma_keeps_live_atoms_in_order(self):
+        # at mass 1e-3 e1_inverse underflows to 0 for some arrivals;
+        # the writer drops those rows before the locations are drawn
+        rho = ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 4), 1e-3)
+        params, n, eps = PolyaParams(0.3, rho), 300, 1e-6
+        ours, numpys = RngSeed(12).generator(), RngSeed(12).generator()
+        batch = sample_gamma_measure_batch(params, eps, n, ours)
+        m, a = rho.total_mass, params.a
+        lam = m * samplers.e1(a * (-math.log1p(-eps * a / m) / a))
+        n_jumps = numpys.poisson(lam, size=n)
+        below = (1.0 - numpys.random(size=n_jumps.sum())) * lam
+        last = e1_inverse((lam + numpys.exponential(size=n)) / m) / a
+        rep = np.concatenate([np.repeat(np.arange(n), n_jumps),
+                              np.arange(n), np.arange(n)])
+        weight = np.concatenate([e1_inverse(below / m) / a, last,
+                                 (m / a) * -np.expm1(-a * last)])
+        live = weight > 0
+        assert 0 < live.sum() < live.size
+        cells, coords, _, _ = rho.sample_locations(live.sum(), numpys)
+        for got, want in ((batch.rep, rep[live]), (batch.weight, weight[live]),
+                          (batch.cell, cells), (batch.coords, coords)):
+            assert np.array_equal(got, want)
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("capacity", [None, 1])
+    @pytest.mark.parametrize("route", ["direct", "cox"])
+    def test_mixed_batch_equals_concatenated_components(
+            self, route, capacity, monkeypatch):
+        # capacity 1: every component's records go past the columns, so
+        # they grow while holding the earlier components' records
+        grown = []
+        if capacity is not None:
+            writer = state_space._BatchWriter
+
+            def small_writer(cls, window, n, _capacity=0):
+                out = writer(cls, window, n, capacity)
+                grown.append(out)
+                return out
+            monkeypatch.setattr(samplers, "_BatchWriter", small_writer)
+        rho = _invariant_rho("box-atoms")
+        mixing = MixingMeasure(rho, ((0.6, 1.0, 0.5), (0.3, 2.0, 0.2),
+                                     (0.8, 0.5, 0.3)))
+        ours, numpys = RngSeed(10).generator(), RngSeed(10).generator()
+        batch, z_lat, w_lat = sample_mixed_batch(mixing, route, 1e-3, 6000,
+                                                 ours)
+        z_atom, w_atom, probs = np.array(mixing.atoms).T
+        comp = numpys.choice(3, 6000, p=probs / probs.sum())
+        parts = []
+        for c, (z, w, _) in enumerate(mixing.atoms):
+            members = np.flatnonzero(comp == c)
+            sub = samplers._route_sampler(route)(
+                PolyaParams(z, rho.scale(w)), 1e-3, members.size, numpys)
+            parts.append((members[sub.rep], sub.cell, sub.mult, sub.coords))
+        assert batch.rep.size > 16384
+        for got, want in zip((batch.rep, batch.cell, batch.mult,
+                              batch.coords), zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))
+        assert np.array_equal(z_lat, z_atom[comp])
+        assert np.array_equal(w_lat, w_atom[comp])
+        assert ours.random() == numpys.random()
+        if capacity is not None:
+            assert grown[0].batch().rep.size == batch.rep.size
+
+
+@pytest.mark.parametrize("route", ["direct", "gamma", "poisson", "mixed"])
+def test_poisson_rate_past_numpy_is_a_parameter_error(route):
+    # numpy's Generator.poisson raises a bare "lam value too large";
+    # the check comes before any draw
+    rho = ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 4), 1e20)
+    draw = {
+        "direct": lambda rng: sample_polya_direct_batch(
+            PolyaParams(0.5, rho), 3, rng),
+        "gamma": lambda rng: sample_gamma_measure_batch(
+            PolyaParams(0.5, rho), 1e-6, 3, rng),
+        "poisson": lambda rng: sample_poisson_batch(rho, 3, rng),
+        "mixed": lambda rng: sample_mixed_batch(
+            MixingMeasure(rho, ((0.5, 1.0, 1.0),)), "direct", 1e-6, 3, rng),
+    }[route]
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="Poisson rate .* past"):
+        draw(rng)
+    assert rng.bit_generator.state == state
+    # below numpy's limit the rate passes (no replica draws a cluster)
+    rho = ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 4), 1e18)
+    assert sample_polya_direct_batch(
+        PolyaParams(0.5, rho), 0, rng).rep.size == 0
 
 
 @pytest.mark.parametrize("atoms", [

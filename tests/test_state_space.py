@@ -1,6 +1,7 @@
 """Measure substrate: evaluation maps, counting, superposition, JSON."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +32,21 @@ class TestWindow:
         assert w.cell_of((0.9, 1.9)) == 5
         assert w.contains((0.5, 1.0))
         assert not w.contains((1.5, 1.0))
+
+    def test_box_contains_edges_and_shapes(self):
+        # both bounds are inside; NaN, a wrong length and a non-tuple
+        # are not
+        line = Window.interval(0.0, 1.0, 4)
+        assert line.contains((0.0,)) and line.contains((1.0,))
+        assert line.contains((-0.0,)) and line.contains((0.5,))
+        for loc in ((math.nan,), (-1e-300,), (math.nextafter(1.0, 2.0),),
+                    (math.inf,), (), (0.5, 0.5), [0.5], 0.5, "0.5"):
+            assert not line.contains(loc)
+        box = Window.box([(0, 1), (-1, 2)], [2, 3])
+        assert box.contains((0.0, -1.0)) and box.contains((1.0, 2.0))
+        for loc in ((0.5, math.nan), (math.nan, 0.5), (0.5,),
+                    (0.5, 0.5, 0.5), [0.5, 0.5], (1.5, 0.0), (0.5, -1.5)):
+            assert not box.contains(loc)
 
     def test_vectorized_cells_match_scalar(self):
         w = Window.box([(0, 1), (-1, 1)], [3, 4])
@@ -749,6 +765,54 @@ class TestCategorical:
             self._assert_as_choice(p, 50_000, 2)
 
 
+class TestBlocks:
+    """The block-wise draws against the one-shot draws they replace:
+    equal values and the generator left in the same state, at sizes on
+    and across the block boundaries."""
+
+    BLOCK = replay._BLOCK
+    SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_categorical_into_rows(self, size):
+        p = _categorical_probs(1000, 4, "middle", -6.0)
+        ours, numpys = np.random.default_rng(6), np.random.default_rng(6)
+        out = np.full(size + 10, -1, dtype=np.int64)
+        _categorical(p, size, ours, out=out[5:-5])
+        assert np.array_equal(out[5:-5], numpys.choice(p.size, size, p=p))
+        assert (out[:5] == -1).all() and (out[-5:] == -1).all()
+        assert ours.random() == numpys.random()
+
+    @staticmethod
+    def _one_shot(window, cells, rng):
+        """Every coordinate at once, one rng.random(M) per axis from
+        the last axis back."""
+        coords = np.empty((cells.size, window.dimension))
+        rem = cells
+        for axis in range(window.dimension - 1, -1, -1):
+            (lo, hi), n = window.bounds[axis], window.cells_per_axis[axis]
+            if axis:
+                rem, idx = np.divmod(rem, n)
+            else:
+                idx = rem
+            coords[:, axis] = (idx + rng.random(cells.size)) * (
+                (hi - lo) / n) + lo
+        return coords
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("window", [
+        Window.interval(-1.0, 3.0, 7),
+        Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]),
+        Window.box([(0.0, 1.0), (0.0, 2.0), (-5.0, 5.0)], [2, 3, 4])])
+    def test_uniform_in_cells(self, window, size):
+        cells = np.random.default_rng(8).integers(0, window.n_cells, size)
+        ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
+        got = window.uniform_in_cells(cells, ours)
+        want = self._one_shot(window, cells, numpys)
+        assert np.array_equal(got, want)
+        assert ours.random() == numpys.random()
+
+
 class TestLogseries:
     """``_logseries`` against the ``rng.logseries`` it reproduces: equal
     draws and dtype, and both generators left in one state (the next 16
@@ -761,7 +825,7 @@ class TestLogseries:
     MIN = replay._LOGSERIES_MIN_SIZE
     # the last size takes more than two buffers
     SIZES = (0, 1, MIN - 1, MIN, MIN + 1,
-             replay._LOGSERIES_CHUNK * 2 + 3)
+             replay._BLOCK * 2 + 3)
 
     @staticmethod
     def _assert_as_logseries(bit_generator, p, size, seed=5,
@@ -793,8 +857,10 @@ class TestLogseries:
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_replay_matches_at_every_p_and_size(self, bit_generator,
                                                 monkeypatch):
-        # below the dispatch's cutoffs too: small p, one or two draws
+        # past the dispatch's cutoffs too: small p, p near 1, one or
+        # two draws
         monkeypatch.setattr(replay, "_LOGSERIES_MIN_P", 0.0)
+        monkeypatch.setattr(replay, "_LOGSERIES_MAX_P", 1.0)
         monkeypatch.setattr(replay, "_LOGSERIES_MIN_SIZE", 0)
         for p in self.PS:
             for size in (0, 1, 2, 7, 4097) + self.SIZES[-1:]:
@@ -806,8 +872,21 @@ class TestLogseries:
         # a band of 2**62 ulps spans every double in [0, 1] and every
         # floor argument, so every variate takes the math path
         monkeypatch.setattr(replay, "_LOGSERIES_BAND", 2**62)
+        monkeypatch.setattr(replay, "_LOGSERIES_MAX_P", 1.0)
         for p in (0.6, 0.7, 0.9, 0.999999, np.nextafter(1.0, 0.0)):
             self._assert_as_logseries(bit_generator, p, self.MIN + 1)
+
+    def test_near_one_goes_to_numpy(self, monkeypatch):
+        # past _LOGSERIES_MAX_P numpy's loop is the faster one
+        def no_replay(*args):
+            raise AssertionError("the replay was entered")
+
+        monkeypatch.setattr(replay, "_logseries_replay", no_replay)
+        assert replay._LOGSERIES_MAX_P <= 1 - 1e-9
+        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+        got = _logseries(1 - 1e-9, 20_000, ours)
+        assert np.array_equal(got, numpys.logseries(1 - 1e-9, 20_000))
+        assert ours.random() == numpys.random()
 
     def test_a_variate_numpy_would_draw_again_goes_to_numpy(self,
                                                             monkeypatch):
