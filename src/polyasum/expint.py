@@ -13,6 +13,14 @@ where dE1(e^u)/du = -e^(-x) (A&S 5.1), finish a seed: one step from a
 fitted polynomial in t = -ln y for t <= 8, five from t - ln(1 + t)
 beyond.  scripts/fit_e1_inverse.py fits both polynomials at 50 digits
 and checks the committed coefficients.
+
+An E1 call through numpy costs about 0.1-0.3 ms however few its
+arguments, and the sampler asks for E1 at one or two at a time: the
+jump rate, and the Halley steps of the few y with t > 8.  So E1 takes
+an input of at most _SMALL arguments one argument at a time in Python
+floats, with the same IEEE +, -, *, / in the same order as the array
+path and numpy's own exp and log on one-element arrays, and gives the
+same bits.  README.md has the measured crossover behind _SMALL.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ _SERIES_CUTOFF = 2.0
 _SERIES_TERMS = 26
 _LENTZ_ITERS = 40
 _TINY = 1e-300
+# _e1 takes an input of at most _SMALL arguments one at a time: up to
+# 16 that is faster for every kind of argument, and from 24 on the
+# array path is faster on series arguments (README's table)
+_SMALL = 16
 
 # e1_inverse for y > 1: with w = e^(-gamma - y), the root of E1(x) = y
 # is x = w e^d, d = E1(x) + gamma + ln x.  _D_COEFFS give d/w as a
@@ -79,46 +91,68 @@ _SEED_COEFFS = (
 _TAIL_STEPS = 5
 
 
-def _e1_series(x: np.ndarray, terms: int = _SERIES_TERMS) -> np.ndarray:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
-    total = np.zeros_like(x)
-    term = np.ones_like(x)  # holds (-x)^k / k!
+def _e1_series(x, log=np.log, terms: int = _SERIES_TERMS):
+    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!),
+    # for an array x with its log or a float x with _log1: the same
+    # IEEE operations in the same order give the same bits
+    total, term = 0.0, 1.0  # term holds (-x)^k / k!
     for k in range(1, terms + 1):
-        term *= -x
+        term *= -x  # in place from k = 2 on for an array
         term /= k
         total -= term / k
-    return total - EULER_GAMMA - np.log(x)
+    return total - EULER_GAMMA - log(x)
 
 
-def _e1_contfrac(x: np.ndarray, iters: int = _LENTZ_ITERS) -> np.ndarray:
-    # E1(x) = e^-x * CF, CF = 1/(x+1-) 1^2/(x+3-) 2^2/(x+5-) ...
+def _e1_contfrac(x, exp=np.exp, iters: int = _LENTZ_ITERS):
+    # E1(x) = e^-x * CF, CF = 1/(x+1-) 1^2/(x+3-) 2^2/(x+5-) ...; an
+    # array or a float, as in _e1_series
     b = x + 1.0
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
     for i in range(1, iters + 1):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         h = h * c * d
-    return h * np.exp(-x)
+    return h * exp(-x)
+
+
+# numpy's vector exp and log on one element, not math's: libm can
+# differ from numpy's loops in the last bit (see replay.py)
+def _log1(v: float) -> float:
+    return np.log(np.array([v])).item()
+
+
+def _exp1(v: float) -> float:
+    return np.exp(np.array([v])).item()
+
+
+def _e1_one(v: float) -> float:
+    if v <= _SERIES_CUTOFF:
+        return _e1_series(v, _log1)
+    return 0.0 if v == np.inf else _e1_contfrac(v, _exp1)
 
 
 def _e1(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    if x.size <= _SMALL:
+        return np.array([_e1_one(v) for v in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+    out = np.zeros_like(x)  # E1(inf) = 0; the Lentz loop gives 0 * inf
     small = x <= _SERIES_CUTOFF
+    big = ~small & (x != np.inf)
     if small.any():
         out[small] = _e1_series(x[small])
-    if (~small).any():
-        out[~small] = _e1_contfrac(x[~small])
+    if big.any():
+        out[big] = _e1_contfrac(x[big])
     return out
 
 
 def e1(x):
     """Exponential integral E1(x) = int_x^inf e^(-t)/t dt, x > 0.
 
-    Accepts scalars or arrays; fully vectorized.
+    Accepts scalars or arrays; E1(inf) = 0.  The bits do not depend on
+    whether an argument comes alone or in a large array.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x_arr > 0.0):

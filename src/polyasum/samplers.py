@@ -25,7 +25,9 @@ the Cox and mixed samplers inherit that from the samplers they call.
 The mixture's direct route draws every component into one writer,
 sized from the expected record count; the Cox route copies each
 component's batch in once.  A Poisson rate past the largest that
-numpy draws raises :class:`ParameterError` before any draw.  Samplers
+numpy draws, or a call that expects more than ``_MAX_RECORDS`` = 1e9
+records (at least 32 GB of columns), raises :class:`ParameterError`
+before any draw, leaving the generator as it was.  Samplers
 are deterministic functions of (inputs, rng state); parallel use
 should give each replica stream its own :class:`RngSeed`.
 """
@@ -137,16 +139,26 @@ def as_generator(rng) -> np.random.Generator:
 # Generator.poisson refuses a rate above this with a bare ValueError
 _POISSON_MAX = float(np.iinfo(np.int64).max
                      - np.sqrt(np.iinfo(np.int64).max) * 10)
+# the most records one call may expect; numpy's allocators fail far
+# below the Poisson limit with untyped errors
+_MAX_RECORDS = 1e9
 
 
-def _check_rate(lam, what: str):
+def _check_rate(lam, what: str, n: int = 0):
     """``lam``, or :class:`ParameterError` naming ``what`` when a Poisson
-    rate in it is past the largest that numpy draws."""
+    rate in it is past the largest that numpy draws, or when n replicas
+    at the sum of its rates expect more than ``_MAX_RECORDS`` records."""
     top = float(np.max(lam, initial=0.0))
     if top > _POISSON_MAX:
         raise ParameterError(
             f"{what} gives a Poisson rate of {top:.6g}, past the largest "
             f"numpy draws ({_POISSON_MAX:.6g})")
+    per_replica = float(np.sum(lam))
+    if n * per_replica > _MAX_RECORDS:
+        raise ParameterError(
+            f"{what} gives a Poisson rate of {per_replica:.6g}, so {n} "
+            f"replicas expect {n * per_replica:.6g} records, past the "
+            f"ceiling of {_MAX_RECORDS:.0e} per call")
     return lam
 
 
@@ -155,6 +167,7 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
 
     Diffuse mass produces simple points uniform within their cells;
     each atom (x, w) receives a Poisson(w) multiplicity at exactly x.
+    n times the diffuse mass may be at most ``_MAX_RECORDS``.
     """
     rng = as_generator(rng)
     if not isinstance(intensity, (AtomicMeasure, ReferenceMeasure)):
@@ -164,7 +177,7 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
                else np.zeros(window.n_cells))
 
     live = tuple((loc, w) for loc, w in atoms if w > 0)
-    _check_rate(diffuse, "a cell mass of rho")
+    _check_rate(diffuse, "the cell masses of rho", n)
     _check_rate([w for _, w in live], "an atom weight of rho")
     counts = (rng.poisson(lam=diffuse, size=(n, diffuse.size))
               if diffuse.sum() > 0 else np.zeros((n, 0), dtype=np.int64))
@@ -220,7 +233,8 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     (m/a)(1 - e^(-a r)) falls below eps, and that expected remainder is
     added as one extra atom, so the total mass is unbiased while the
     atom count is truncated.  Locations are i.i.d. rho/m, atoms of rho
-    included in proportion.
+    included in proportion.  n times the jump rate m E1(a r_eps) may be
+    at most ``_MAX_RECORDS``.
     """
     if not eps > 0:
         raise ParameterError(f"truncation threshold must be > 0, got {eps}")
@@ -245,7 +259,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     r_eps = -math.log1p(-eps * a / m) / a
     lam_eps = _check_rate(m * e1(a * r_eps),
                           "the jump rate m E1(a r_eps) of z, eps and the "
-                          "mass m of rho")
+                          "mass m of rho", n)
     n_jumps = rng.poisson(lam_eps, size=n)
     total = int(n_jumps.sum())
     # arrival times below lam_eps are i.i.d. uniforms; the first
@@ -293,7 +307,8 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     draws bit for bit, the generator left in the same state
     (``replay._logseries``).  This reproduces the process's
     Laplace functional exactly (verified in the test suite, since it is
-    a construction rather than a definition).
+    a construction rather than a definition).  n times the cluster rate,
+    the expected record count of a call, may be at most ``_MAX_RECORDS``.
     """
     rng = as_generator(rng)
     out = _BatchWriter(ConfigurationBatch, params.window, n)
@@ -309,7 +324,7 @@ def _direct_into(out: _BatchWriter, labels: np.ndarray, params: PolyaParams,
     if z == 0.0 or m == 0.0:
         return
     lam = _check_rate(-math.log1p(-z) * m, "the cluster rate -log(1-z) m "
-                      "of z and the mass m of rho")
+                      "of z and the mass m of rho", labels.size)
     n_clusters = rng.poisson(lam, size=labels.size)
     rows = out.rows(int(n_clusters.sum()))
     rows.rep[:] = np.repeat(labels, n_clusters)
@@ -413,15 +428,17 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     Each replica first draws latent parameters (z_i, w_i) from the
     mixing measure, then a Polya configuration with (z_i, w_i rho0) by
     the requested route.  Returns (batch, z_latent, w_latent) so
-    estimator validation can see the truth.
+    estimator validation can see the truth.  n times the largest cluster
+    rate -log(1-z) w m0 of an atom bounds the expected record count, and
+    may be at most ``_MAX_RECORDS``.
     """
     sample = _route_sampler(route)
     rng = as_generator(rng)
     z_atom, w_atom, probs = np.array(mixing.atoms).T
     m0 = mixing.rho0.total_mass
-    rates = _check_rate(-np.log1p(-z_atom) * w_atom * m0,
-                        "the cluster rate -log(1-z) w m0 of a mixing atom's "
-                        "z and w and the mass m0 of rho0")
+    rates = -np.log1p(-z_atom) * w_atom * m0
+    _check_rate(rates.max(), "the cluster rate -log(1-z) w m0 of a mixing "
+                "atom's z and w and the mass m0 of rho0", n)
     comp = _categorical(probs / probs.sum(), n, rng)
     z_lat, w_lat = z_atom[comp], w_atom[comp]
 

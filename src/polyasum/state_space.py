@@ -422,7 +422,10 @@ class ReferenceMeasure:
         masses = _cell_values(self.window, self.cell_masses, "cell mass")
         _check_masses(masses)
         atoms = _check_pairs(self.window, self.atoms, _weight)
-        self._store(masses, atoms, *_tile(self.window, atoms, 1)[1:])
+        self._store(masses, atoms, *(
+            _tile(self.window, atoms, 1)[1:] if atoms else
+            (np.empty(0, dtype=np.int64), np.empty(0),
+             _empty_coords(self.window))))
 
     def _store(self, masses, atoms, cell, weight, coords) -> None:
         """Set the checked atoms and the read-only columns: the cell
@@ -566,7 +569,7 @@ class TestFunction:
 
     def __post_init__(self):
         vals = _cell_values(self.window, self.values, "test function value")
-        if np.any(np.isnan(vals)) or np.any(vals < 0):
+        if not (vals >= 0).all():  # NaN fails it too
             raise InvalidMeasureError("test function values must be >= 0")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

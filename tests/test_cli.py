@@ -1,6 +1,7 @@
 """The command-line front end: determinism, schemas, exit codes."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyasum import samplers
 from polyasum.cli import _write_records, main
 from polyasum.samplers import (MixingMeasure, PolyaParams, RngSeed,
                                sample_gamma_measure_batch, sample_mixed_batch,
@@ -269,6 +271,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "lam value too large" not in err
         assert "Poisson rate" in err and "rho" in err
+
+    @pytest.mark.parametrize("route, n", [("direct", 1), ("mixed", 3)])
+    def test_records_past_the_ceiling_exit_two(self, tmp_path, capsys,
+                                               route, n):
+        # a cluster rate of 0.9 times numpy's Poisson limit; numpy's
+        # allocators raised "array is too big" (direct) and "Maximum
+        # allowed dimension exceeded" (mixed), naming no field
+        mass = 0.9 * samplers._POISSON_MAX / math.log(2.0)
+        doc = {"window": BASE_WINDOW, "z": 0.5, "route": route, "n": n,
+               "seed": 3, "rho": {"uniform_mass": mass},
+               "rho0": {"uniform_mass": mass},
+               "mixing": {"atoms": [{"z": 0.5, "w": 1.0, "p": 1.0}]}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "too big" not in err and "Maximum allowed" not in err
+        assert "past the ceiling" in err
+        assert ("rho0" if route == "mixed" else "of rho") in err
+        assert re.search(r"\bz\b", err)
 
     def test_gamma_route_emits_atomic_measures(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,6 +1,7 @@
 """The E1 evaluator against scipy's, and the inverse against round trips."""
 
 import hashlib
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from polyasum import (MixingMeasure, PolyaParams, ReferenceMeasure, RngSeed,
-                      Window, sample_mixed_batch, sample_poisson_batch,
-                      sample_polya_direct_batch)
+from polyasum import (AtomicBatch, MixingMeasure, PointConfiguration,
+                      PolyaParams, ReferenceMeasure, RngSeed, Window,
+                      sample_gamma_measure_batch, sample_mixed_batch,
+                      sample_poisson_batch, sample_polya_cox_batch,
+                      sample_polya_direct_batch, sample_posterior_batch)
 from polyasum import expint
 from polyasum.expint import e1, e1_inverse
 
@@ -135,7 +138,8 @@ def test_inverse_of_empty_array():
 
 def _batch_digest(batch):
     h = hashlib.sha256()
-    for arr in (batch.rep, batch.cell, batch.mult, batch.coords):
+    values = batch.weight if isinstance(batch, AtomicBatch) else batch.mult
+    for arr in (batch.rep, batch.cell, values, batch.coords):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
@@ -164,4 +168,105 @@ def test_routes_without_e1_inverse_keep_their_draws():
             "da8e7f186ded2ba5f23bd8dc5681ff10f3649ba0c5dce856f2606c4014e44043",
         "mixed":
             "e962b1c6056b8eb582e34f00cff2bd207bb4bbab0f316f17cf7f8dd1463f5db8",
+    }
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestE1Paths:
+    """_e1 takes inputs of at most _SMALL arguments one at a time in
+    Python floats, larger ones as arrays; both give the same bits.  Their
+    agreement rests on numpy's vector exp and log giving an element the
+    same bits at any array length."""
+
+    X = np.concatenate([
+        np.geomspace(5e-324, 800.0, 20000),
+        np.random.default_rng(0).uniform(0.0, 8.0, 5000),
+        np.nextafter(2.0, [0.0, 3.0]), [2.0, 800.0]])
+
+    def test_one_at_a_time_equals_array(self):
+        assert self.X.size > expint._SMALL
+        whole = expint._e1(self.X)
+        one = [expint._e1(np.array([v]))[0] for v in self.X]
+        assert np.array_equal(_bits(one), _bits(whole))
+
+    def test_sizes_around_the_threshold(self):
+        # 2.0 takes the series, its upper neighbour the fraction
+        x = np.tile(np.concatenate([[2.0], np.nextafter(2.0, [0.0, 3.0]),
+                                    np.geomspace(1e-300, 700.0, 6)]), 4)
+        whole = expint._e1(x)
+        for k in (expint._SMALL - 1, expint._SMALL, expint._SMALL + 1):
+            assert np.array_equal(_bits(expint._e1(x[:k])), _bits(whole[:k]))
+            grid = x[:k].reshape(1, k)
+            assert np.array_equal(_bits(expint._e1(grid)),
+                                  _bits(whole[:k].reshape(1, k)))
+
+    @pytest.mark.parametrize("size", [1, 3, 40])
+    def test_e1_of_inf_is_zero(self, size):
+        x = np.geomspace(0.1, 50.0, size)
+        x[::2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert e1(np.inf) == 0.0
+            got = e1(x)
+        finite = np.isfinite(x)
+        assert np.array_equal(got[~finite], np.zeros((~finite).sum()))
+        assert np.array_equal(_bits(got[finite]), _bits(e1(x[finite])))
+
+    def test_inverse_one_at_a_time_equals_array(self):
+        # both sides of t = -ln y = 8, y = 1 and its upper neighbour,
+        # roots that underflow to 0 (y >= 745) and subnormal y; every
+        # branch of the array holds more than _SMALL arguments, so its
+        # Halley steps take the array path
+        t = np.concatenate([np.linspace(7.0, 9.0, 40), [8.0],
+                            np.nextafter(8.0, [0.0, 9.0]),
+                            np.linspace(9.0, 744.0, 40)])
+        y = np.concatenate([
+            np.exp(-t), np.nextafter(np.exp(-8.0), [0.0, 1.0]),
+            [1.0, np.nextafter(1.0, 2.0)],
+            np.geomspace(1.0, 760.0, 40), [745.0, np.inf],
+            [5e-324, 1e-310, 2.2e-308], np.geomspace(1e-320, 1.0, 40)])
+        whole = e1_inverse(y)
+        one = [e1_inverse(v) for v in y]
+        assert np.array_equal(_bits(one), _bits(whole))
+        assert whole[y >= 745.0].tolist() == [0.0] * int((y >= 745.0).sum())
+
+
+def test_gamma_weights_keep_their_bits():
+    # the location digests of test_samplers leave weights out; these
+    # pin the Ferguson-Klass and posterior weights and the Cox draws,
+    # recorded with numpy 2.4 on x86-64 before E1 took small inputs one
+    # argument at a time (the weights pass through numpy's vector exp
+    # and log)
+    w = Window.interval(0.0, 1.0, 4)
+    rho = ReferenceMeasure(w, np.array([0.5, 1.0, 0.25, 2.0]),
+                           (((0.3,), 0.75),))
+    mu = PointConfiguration(w, (((0.1,), 3), ((0.3,), 1), ((0.8,), 2)))
+    digests = {
+        "gamma": _batch_digest(sample_gamma_measure_batch(
+            PolyaParams(0.6, rho), 1e-3, 300, RngSeed(31))),
+        "gamma-small-mass": _batch_digest(sample_gamma_measure_batch(
+            PolyaParams(0.3, rho.scale(1e-3)), 1e-6, 300, RngSeed(32))),
+        # four arrivals with t = -ln y > 8, so the tail's Halley steps
+        # evaluate E1 on a small input
+        "gamma-large-mass": _batch_digest(sample_gamma_measure_batch(
+            PolyaParams(0.6, rho.scale(100.0)), 1e-2, 40, RngSeed(35))),
+        "posterior": _batch_digest(sample_posterior_batch(
+            mu, PolyaParams(0.6, rho), 1e-3, 300, RngSeed(33))),
+        "cox": _batch_digest(sample_polya_cox_batch(
+            PolyaParams(0.6, rho), 1e-3, 300, RngSeed(34))),
+    }
+    assert digests == {
+        "gamma":
+            "2e49e31f0090e79b90b93e67a269a7e82558c9eb2778efe953df4c1657e9bf37",
+        "gamma-small-mass":
+            "8756c133c2d42d764bb41e8b96c241afcfa077f02270f406eb1d9c8806b43186",
+        "gamma-large-mass":
+            "c11dd0fad0435e04f6415fec5104b844d36bbf538c79e619e410174ca8e7fb35",
+        "posterior":
+            "3ff9e9421d39d985fe5aeaef44acc48243fb825f9dae78c4ff39a8a438c347e2",
+        "cox":
+            "1b3a5b245c4a7405c540af4e66a55311abb128d838626b239dda2ec2ac062c93",
     }

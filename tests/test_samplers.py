@@ -8,6 +8,7 @@ for the documented truncation threshold eps.
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -890,6 +891,49 @@ def test_poisson_rate_past_numpy_is_a_parameter_error(route):
     rho = ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 4), 1e18)
     assert sample_polya_direct_batch(
         PolyaParams(0.5, rho), 0, rng).rep.size == 0
+
+
+# a cluster rate -log(1-z) m of 0.9 times numpy's Poisson limit at z = 0.5
+HUGE_MASS = 0.9 * samplers._POISSON_MAX / math.log(2.0)
+
+
+@pytest.mark.parametrize("route, mass, n", [
+    # numpy raised "array is too big" here
+    ("direct", HUGE_MASS, 1),
+    # and "Maximum allowed dimension exceeded" here
+    ("mixed", HUGE_MASS, 3),
+    ("mixed-cox", HUGE_MASS, 3),
+    # just past the ceiling: 3 * log(2) * 6e8 expected clusters
+    ("direct", 0.6 * samplers._MAX_RECORDS, 3),
+    ("mixed", 0.6 * samplers._MAX_RECORDS, 3),
+    ("poisson", 0.6 * samplers._MAX_RECORDS, 2),
+    ("gamma", samplers._MAX_RECORDS, 1),
+])
+def test_records_past_the_ceiling_are_a_parameter_error(route, mass, n):
+    # every rate here is below numpy's Poisson limit and past the
+    # expected record count one call may hold, so nothing is allocated
+    rho = ReferenceMeasure.uniform(Window.interval(0.0, 1.0, 4), mass)
+    mixing = MixingMeasure(rho, ((0.5, 1.0, 1.0),))
+    draw = {
+        "direct": lambda rng: sample_polya_direct_batch(
+            PolyaParams(0.5, rho), n, rng),
+        "mixed": lambda rng: sample_mixed_batch(
+            mixing, "direct", 1e-3, n, rng),
+        "mixed-cox": lambda rng: sample_mixed_batch(
+            mixing, "cox", 1e-3, n, rng),
+        "poisson": lambda rng: sample_poisson_batch(rho, n, rng),
+        "gamma": lambda rng: sample_gamma_measure_batch(
+            PolyaParams(0.5, rho), 1e-3, n, rng),
+    }[route]
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError,
+                       match="records, past the ceiling") as err:
+        draw(rng)
+    assert rng.bit_generator.state == state
+    msg = str(err.value)
+    assert ("rho0" if route.startswith("mixed") else "of rho") in msg
+    assert route == "poisson" or re.search(r"\bz\b", msg)
 
 
 @pytest.mark.parametrize("atoms", [

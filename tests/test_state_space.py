@@ -292,6 +292,20 @@ class TestInvariants:
             TestFunction(w, np.array([0.1, -0.2, 0.0, 0.0]))
         TestFunction(w, np.array([0.0, np.inf, 1.0, 0.0]))  # inf is legal
 
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -np.inf, np.nan])
+    def test_test_function_accepts_exactly_the_nonnegatives(self, w, bad):
+        # one (vals >= 0).all() check: NaN and negatives are refused,
+        # -0.0, subnormals and +inf are kept as they are
+        kept = np.array([-0.0, 5e-324, np.inf, 2.0])
+        f = TestFunction(w, kept)
+        assert np.array_equal(f.values, kept)
+        assert np.signbit(f.values[0])
+        for cell in range(4):
+            vals = kept.copy()
+            vals[cell] = bad
+            with pytest.raises(InvalidMeasureError, match=">= 0"):
+                TestFunction(w, vals)
+
 
 class TestSerialization:
     def test_window_round_trip(self):
@@ -691,6 +705,32 @@ class TestAtomColumns:
         assert rho.total_mass == 1e16
         assert _integrate_cellwise(rho, np.ones(4)) == 1e16
         assert AtomicMeasure(w, tuple(zip(locs, weights))).total_mass == 1e16
+
+    @pytest.mark.parametrize("window", [
+        Window.interval(0.0, 1.0, 4),
+        Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]),
+        Window.discrete(["a", "b", "c"])], ids=["box1", "box2", "sites"])
+    def test_no_atoms_gives_empty_columns(self, window):
+        # built directly, with the dtypes and shapes the decoding of an
+        # empty atom list gives, and equal, hash-equal to the measure
+        # built from an empty atom list or document
+        masses = np.linspace(0.5, 1.5, window.n_cells)
+        rho = ReferenceMeasure(window, masses)
+        cols = (rho._atom_cell, rho._atom_weight, rho._atom_coords)
+        for col, want in zip(cols, _tile(window, (), 1)[1:]):
+            assert col.dtype == want.dtype and col.shape == want.shape
+            assert not col.flags.writeable
+        assert rho._atom_coords.shape == (
+            (0,) if window.mode == "sites" else (0, window.dimension))
+        for same in (ReferenceMeasure(window, masses, []),
+                     ReferenceMeasure.from_dict(rho.to_dict()),
+                     ReferenceMeasure(window, masses, ()).scale(1.0)):
+            assert same == rho and hash(same) == hash(rho)
+        with_atom = ReferenceMeasure(window, masses, ((
+            "b" if window.mode == "sites" else (0.5,) * window.dimension,
+            0.0),))
+        assert with_atom != rho
+        assert with_atom.total_mass == rho.total_mass
 
 
 class TestCellRanges:
