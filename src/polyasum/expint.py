@@ -95,9 +95,10 @@ def _e1_series(x, log=np.log, terms: int = _SERIES_TERMS):
     # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!),
     # for an array x with its log or a float x with _log1: the same
     # IEEE operations in the same order give the same bits
+    neg = -x
     total, term = 0.0, 1.0  # term holds (-x)^k / k!
     for k in range(1, terms + 1):
-        term *= -x  # in place from k = 2 on for an array
+        term *= neg  # in place from k = 2 on for an array
         term /= k
         total -= term / k
     return total - EULER_GAMMA - log(x)
@@ -162,8 +163,9 @@ def e1(x):
 
 
 def _horner(coeffs, s: np.ndarray) -> np.ndarray:
-    out = np.full_like(s, coeffs[0])
-    for c in coeffs[1:]:
+    out = s * coeffs[0]
+    out += coeffs[1]
+    for c in coeffs[2:]:
         out *= s
         out += c
     return out
@@ -216,14 +218,16 @@ def e1_inverse(y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.all(y_arr > 0.0):
         raise ValueError("e1_inverse requires strictly positive arguments")
-    out = np.empty_like(y_arr)
-    big = y_arr > 1.0
     # x = w e^d = e^(d - gamma - y); for y >= 745 w underflows to 0, d
-    # is 0 and so is x, also for y = inf
-    rhs = y_arr[big] + EULER_GAMMA
+    # is 0 and so is x, also for y = inf.  Finite at every y > 0, so it
+    # runs over the whole input and the y <= 1 entries are overwritten
+    rhs = y_arr + EULER_GAMMA
     w = np.exp(-rhs)
-    out[big] = np.exp(w * _horner(_D_COEFFS, w / _W1) - rhs)
-    low = ~big
-    if low.any():
-        out[low] = _invert_low(y_arr[low])
+    out = _horner(_D_COEFFS, w / _W1)
+    out *= w
+    out -= rhs
+    np.exp(out, out=out)
+    low = np.flatnonzero(y_arr <= 1.0)
+    if low.size:
+        out.put(low, _invert_low(y_arr.take(low)))
     return float(out[0]) if np.ndim(y) == 0 else out

@@ -211,11 +211,11 @@ def sample_poisson(intensity, rng) -> PointConfiguration:
 def _poisson_from_atomic_batch(kappa: AtomicBatch, rng) -> ConfigurationBatch:
     """Poisson configurations directed by a batch of atomic intensities."""
     rng = as_generator(rng)
-    k = rng.poisson(lam=kappa.weight)
-    hit = k > 0
+    k = rng.poisson(lam=kappa.weight)  # int64
+    hit = np.flatnonzero(k)
     return ConfigurationBatch(
-        kappa.window, kappa.n, kappa.rep[hit], kappa.cell[hit],
-        k[hit].astype(np.int64), kappa.coords[hit])
+        kappa.window, kappa.n, kappa.rep.take(hit), kappa.cell.take(hit),
+        k.take(hit), kappa.coords.take(hit, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,8 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     added as one extra atom, so the total mass is unbiased while the
     atom count is truncated.  Locations are i.i.d. rho/m, atoms of rho
     included in proportion.  n times the jump rate m E1(a r_eps) may be
-    at most ``_MAX_RECORDS``.
+    at most ``_MAX_RECORDS``.  z = 0, m = 0, or a mean mass m/a that
+    underflows to 0 gives the zero measure, drawing nothing.
     """
     if not eps > 0:
         raise ParameterError(f"truncation threshold must be > 0, got {eps}")
@@ -242,10 +243,10 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     window = params.window
     m = params.rho.total_mass
     out = _BatchWriter(AtomicBatch, window, n)
-    if params.z == 0.0 or m == 0.0:
-        return out.batch()
-    a = params.a
+    a = params.a if params.z > 0.0 else math.inf
     mean_total = m / a
+    if mean_total == 0.0:  # z = 0, m = 0, or m/a underflows
+        return out.batch()
 
     if eps >= mean_total:
         # even the full process has expected mass below the threshold:
@@ -264,19 +265,21 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     total = int(n_jumps.sum())
     # arrival times below lam_eps are i.i.d. uniforms; the first
     # arrival beyond is lam_eps + Exp(1) by memorylessness.  The
-    # (0, 1] form keeps arrival times strictly positive.
-    gammas_below = (1.0 - rng.random(size=total)) * lam_eps
+    # (0, 1] form keeps arrival times strictly positive.  The jumps
+    # below solve E1(a r) = (1 - U) lam_eps / m, formed in place.
+    y_below = rng.random(size=total)
+    np.subtract(1.0, y_below, out=y_below)
+    y_below *= lam_eps
+    y_below /= m
     gamma_last = lam_eps + rng.exponential(size=n)
-    rep_below = np.repeat(np.arange(n, dtype=np.int64), n_jumps)
-
-    radii_below = e1_inverse(gammas_below / m) / a
-    radii_last = e1_inverse(gamma_last / m) / a
-    remainder = (m / a) * (-np.expm1(-a * radii_last))
 
     rows = out.rows(total + 2 * n)
     every = np.arange(n, dtype=np.int64)
-    np.concatenate([rep_below, every, every], out=rows.rep)
-    np.concatenate([radii_below, radii_last, remainder], out=rows.weight)
+    np.concatenate([np.repeat(every, n_jumps), every, every], out=rows.rep)
+    np.divide(e1_inverse(y_below), a, out=rows.weight[:total])
+    radii_last = e1_inverse(gamma_last / m) / a
+    rows.weight[total:total + n] = radii_last
+    rows.weight[total + n:] = mean_total * -np.expm1(-a * radii_last)
     # at small reference mass e1_inverse underflows to 0 for late
     # arrivals; such atoms carry no mass, so dropping them leaves the
     # law unchanged and keeps every replica a valid measure

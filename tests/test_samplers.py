@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestGammaMeasure:
         kappa = sample_gamma_measure(PolyaParams(0.0, rho_mass2), EPS,
                                      RngSeed(0))
         assert kappa.atoms == ()
+
+    def test_underflowing_mean_mass_gives_zero_measure(self, window4):
+        # m/a = 1e-300 * 1e-300 underflows to 0: the remainder-only
+        # branch used to emit atoms of weight 0.0
+        params = PolyaParams(1e-300, ReferenceMeasure.uniform(window4,
+                                                              1e-300))
+        assert sample_gamma_measure(params, EPS, RngSeed(1)).atoms == ()
+        batch = sample_gamma_measure_batch(params, EPS, 3, RngSeed(1))
+        assert [m.atoms for m in batch.to_measures()] == [()] * 3
 
     def test_eps_must_be_positive(self, rho_mass2):
         for eps in (0.0, -1.0, math.nan):
@@ -934,6 +944,51 @@ def test_records_past_the_ceiling_are_a_parameter_error(route, mass, n):
     msg = str(err.value)
     assert ("rho0" if route.startswith("mixed") else "of rho") in msg
     assert route == "poisson" or re.search(r"\bz\b", msg)
+
+
+_EDGE_ROUTES = {
+    "direct": lambda params, n, rng: sample_polya_direct_batch(
+        params, n, rng),
+    "cox": lambda params, n, rng: sample_polya_cox_batch(
+        params, EPS, n, rng),
+    "gamma": lambda params, n, rng: sample_gamma_measure_batch(
+        params, EPS, n, rng),
+    "posterior": lambda params, n, rng: sample_posterior_batch(
+        PointConfiguration(params.window, (((0.3,), 2),)), params, EPS,
+        n, rng),
+    "mixed-direct": lambda params, n, rng: sample_mixed_batch(
+        MixingMeasure(params.rho, ((params.z, 1.0, 1.0),)), "direct", EPS,
+        n, rng)[0],
+}
+
+
+@pytest.mark.parametrize("route", sorted(_EDGE_ROUTES))
+@pytest.mark.parametrize("mass", [1e-300, 1e-6, 1e4])
+@pytest.mark.parametrize("z", [1e-300, 1e-12, 0.5, 1.0 - 1e-12,
+                               np.nextafter(1.0, 0.0)])
+def test_edge_grid_gives_valid_batches_or_typed_errors(z, mass, route):
+    # at every admissible (z, mass) a route gives a valid batch or a
+    # typed error, and no floating-point warning on the way; near z = 1
+    # at mass 1e4 the counts of direct, Cox and mixed draws pass int64
+    window = Window.interval(0.0, 1.0, 4)
+    params = PolyaParams(z, ReferenceMeasure.uniform(window, mass))
+    n = 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            batch = _EDGE_ROUTES[route](params, n, RngSeed(5))
+            assert np.all((batch.rep >= 0) & (batch.rep < n))
+            assert np.all((batch.coords >= 0.0) & (batch.coords <= 1.0))
+            if isinstance(batch, AtomicBatch):
+                assert np.all(np.isfinite(batch.weight))
+                assert np.all(batch.weight > 0)
+                return
+            assert np.all(batch.mult >= 1)
+            exact = [sum(batch.mult[batch.rep == i].tolist())
+                     for i in range(n)]
+            assert batch.counts().tolist() == exact
+        except (ParameterError, state_space.InvalidMeasureError):
+            pass
 
 
 @pytest.mark.parametrize("atoms", [
