@@ -14,12 +14,9 @@ from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
                          papangelou_kernel, solve_zw, solve_zw_batch)
 from .expint import e1, e1_inverse
 from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
-                       sample_gamma_measure, sample_gamma_measure_batch,
-                       sample_mixed, sample_mixed_batch, sample_poisson,
-                       sample_poisson_batch, sample_polya_cox,
-                       sample_polya_cox_batch, sample_polya_direct,
-                       sample_polya_direct_batch, sample_posterior,
-                       sample_posterior_batch)
+                       sample_gamma_measure_batch, sample_mixed_batch,
+                       sample_poisson_batch, sample_polya_cox_batch,
+                       sample_polya_direct_batch, sample_posterior_batch)
 from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, TestFunction, Window,

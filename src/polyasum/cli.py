@@ -65,15 +65,15 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """Validated run parameters; ``raw`` keeps the merged JSON document
-    that the provenance hash covers."""
+    that the provenance hash covers; :func:`load_config` sets the rest."""
 
     command: str
     raw: dict = field(default_factory=dict)
-    seed: int = 0
-    n: int = 100
-    eps: float = 1e-6
-    out: str | None = None
-    fmt: str = "json"
+    seed: int = field(init=False)
+    n: int = field(init=False)
+    eps: float = field(init=False)
+    out: str | None = field(init=False)
+    fmt: str = field(init=False)
 
     def read(self, key: str, parse, default=_REQUIRED):
         """Config field ``key``, or ``default`` when it is absent, passed

@@ -91,26 +91,26 @@ _SEED_COEFFS = (
 _TAIL_STEPS = 5
 
 
-def _e1_series(x, log=np.log, terms: int = _SERIES_TERMS):
+def _e1_series(x, log=np.log):
     # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!),
     # for an array x with its log or a float x with _log1: the same
     # IEEE operations in the same order give the same bits
     neg = -x
     total, term = 0.0, 1.0  # term holds (-x)^k / k!
-    for k in range(1, terms + 1):
+    for k in range(1, _SERIES_TERMS + 1):
         term *= neg  # in place from k = 2 on for an array
         term /= k
         total -= term / k
     return total - EULER_GAMMA - log(x)
 
 
-def _e1_contfrac(x, exp=np.exp, iters: int = _LENTZ_ITERS):
+def _e1_contfrac(x, exp=np.exp):
     # E1(x) = e^-x * CF, CF = 1/(x+1-) 1^2/(x+3-) 2^2/(x+5-) ...; an
     # array or a float, as in _e1_series
     b = x + 1.0
     c = 1.0 / _TINY
     d = h = 1.0 / b
-    for i in range(1, iters + 1):
+    for i in range(1, _LENTZ_ITERS + 1):
         a = -float(i * i)
         b = b + 2.0
         d = 1.0 / (a * d + b)

@@ -15,21 +15,24 @@ Three routes produce Polya samples:
 * posterior draws combine a Gamma measure over the prior reference
   measure with independent Gamma weights at the observed points.
 
-Every sampler has a single-draw form returning state_space objects and
-a ``*_batch`` form returning flat record arrays (one row per located
-point or atom) for Monte Carlo at scale.  The samplers here only draw
-columns, straight into the rows a ``state_space._BatchWriter`` hands
-out, which merges the records of each location where they are drawn,
-so each location of a sampled configuration or measure is one record;
-the Cox and mixed samplers inherit that from the samplers they call.
-The mixture's direct route draws every component into one writer,
-sized from the expected record count; the Cox route copies each
-component's batch in once.  A Poisson rate past the largest that
-numpy draws, or a call that expects more than ``_MAX_RECORDS`` = 1e9
-records (at least 32 GB of columns), raises :class:`ParameterError`
-before any draw, leaving the generator as it was.  Samplers
-are deterministic functions of (inputs, rng state); parallel use
-should give each replica stream its own :class:`RngSeed`.
+Every sampler returns a batch of n replicas as flat record arrays (one
+row per located point or atom); a batch converts to state_space
+objects with ``to_configurations`` or ``to_measures``.  Each sampler
+checks n by the number rule before any draw: an integral float counts,
+a bool or a string raises :class:`InvalidMeasureError`, and n < 0
+:class:`ParameterError`.  The samplers here only draw columns,
+straight into the rows a ``state_space._BatchWriter`` hands out, which
+merges the records of each location where they are drawn, so each
+location of a sampled configuration or measure is one record; the Cox
+and mixed samplers inherit that from the samplers they call.  The
+mixture's direct route draws every component into one writer, sized
+from the expected record count; the Cox route copies each component's
+batch in once.  A Poisson rate past the largest that numpy draws, or a
+call that expects more than ``_MAX_RECORDS`` = 1e9 records (at least
+32 GB of columns), raises :class:`ParameterError` before any draw,
+leaving the generator as it was.  Samplers are deterministic functions
+of (inputs, rng state); parallel use should give each replica stream
+its own :class:`RngSeed`.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ import numpy as np
 
 from .expint import e1, e1_inverse
 from .replay import _categorical, _logseries
-from .state_space import (AtomicBatch, AtomicMeasure, ConfigurationBatch,
+from .state_space import (AtomicBatch, ConfigurationBatch,
                           InvalidMeasureError, PointConfiguration,
                           ReferenceMeasure, Window, _BatchWriter,
-                          _json_float, _tile)
+                          _json_float, _json_int, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -132,6 +135,15 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"cannot build a Generator from {rng!r}")
 
 
+def _check_n(n) -> int:
+    """The replica count n as an int >= 0 by the number rule, checked
+    before a sampler draws."""
+    n = _json_int(n, "replica count n")
+    if n < 0:
+        raise ParameterError(f"need n >= 0 replicas, got n={n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Poisson processes
 # ---------------------------------------------------------------------------
@@ -162,30 +174,30 @@ def _check_rate(lam, what: str, n: int = 0):
     return lam
 
 
-def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
-    """n independent Poisson configurations driven by ``intensity``.
+def sample_poisson_batch(rho: ReferenceMeasure, n: int,
+                         rng) -> ConfigurationBatch:
+    """n independent Poisson configurations with intensity ``rho``.
 
     Diffuse mass produces simple points uniform within their cells;
-    each atom (x, w) receives a Poisson(w) multiplicity at exactly x.
-    n times the diffuse mass may be at most ``_MAX_RECORDS``.
+    each atom (x, w) receives a Poisson(w) multiplicity at exactly x,
+    read from rho's atom columns.  n times the diffuse mass may be at
+    most ``_MAX_RECORDS``.
     """
+    if not isinstance(rho, ReferenceMeasure):
+        raise TypeError("the intensity rho must be a ReferenceMeasure")
+    n = _check_n(n)
     rng = as_generator(rng)
-    if not isinstance(intensity, (AtomicMeasure, ReferenceMeasure)):
-        raise TypeError("intensity must be a ReferenceMeasure or AtomicMeasure")
-    window, atoms = intensity.window, intensity.atoms
-    diffuse = (intensity.cell_masses if isinstance(intensity, ReferenceMeasure)
-               else np.zeros(window.n_cells))
-
-    live = tuple((loc, w) for loc, w in atoms if w > 0)
+    window, diffuse = rho.window, rho.cell_masses
+    live = np.flatnonzero(rho._atom_weight > 0)
     _check_rate(diffuse, "the cell masses of rho", n)
-    _check_rate([w for _, w in live], "an atom weight of rho")
+    _check_rate(rho._atom_weight[live], "an atom weight of rho")
     counts = (rng.poisson(lam=diffuse, size=(n, diffuse.size))
               if diffuse.sum() > 0 else np.zeros((n, 0), dtype=np.int64))
     rep_idx, cell_idx = np.nonzero(counts)
     k = counts[rep_idx, cell_idx]
     # room for every diffuse point and one hit per atom and replica
     out = _BatchWriter(ConfigurationBatch, window, n,
-                       int(k.sum()) + n * len(live))
+                       int(k.sum()) + n * live.size)
     rows = out.rows(int(k.sum()))
     rows.rep[:] = np.repeat(rep_idx, k)
     rows.cell[:] = np.repeat(cell_idx, k)
@@ -194,18 +206,16 @@ def sample_poisson_batch(intensity, n: int, rng) -> ConfigurationBatch:
         rows.coords[:] = rows.cell
     else:
         window._uniform_into(rows.cell, rows.coords, rng)
-    if live:
-        hits = _poisson_from_atomic_batch(
-            AtomicBatch(window, n, *_tile(window, live, n)), rng)
+    if live.size:
+        atom = np.tile(live, n)  # replica-major, every live atom each
+        hits = _poisson_from_atomic_batch(AtomicBatch(
+            window, n, np.repeat(np.arange(n, dtype=np.int64), live.size),
+            rho._atom_cell[atom], rho._atom_weight[atom],
+            rho._atom_coords[atom]), rng)
         out.put(hits.rep, hits.cell, hits.mult, hits.coords)
     # on a box each atom is hit at most once per replica
     out.merge(out.batch())
     return out.batch()
-
-
-def sample_poisson(intensity, rng) -> PointConfiguration:
-    """One Poisson configuration; see :func:`sample_poisson_batch`."""
-    return sample_poisson_batch(intensity, 1, rng).to_configurations()[0]
 
 
 def _poisson_from_atomic_batch(kappa: AtomicBatch, rng) -> ConfigurationBatch:
@@ -237,8 +247,10 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     at most ``_MAX_RECORDS``.  z = 0, m = 0, or a mean mass m/a that
     underflows to 0 gives the zero measure, drawing nothing.
     """
+    eps = _json_float(eps, "truncation threshold eps")
     if not eps > 0:
         raise ParameterError(f"truncation threshold must be > 0, got {eps}")
+    n = _check_n(n)
     rng = as_generator(rng)
     window = params.window
     m = params.rho.total_mass
@@ -290,12 +302,6 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     return out.batch()
 
 
-def sample_gamma_measure(params: PolyaParams, eps: float, rng) -> AtomicMeasure:
-    """One truncated Gamma-measure draw; see the batch form for the
-    algorithm.  z = 0 yields the zero measure."""
-    return sample_gamma_measure_batch(params, eps, 1, rng).to_measures()[0]
-
-
 # ---------------------------------------------------------------------------
 # Polya sum process samplers
 # ---------------------------------------------------------------------------
@@ -313,6 +319,7 @@ def sample_polya_direct_batch(params: PolyaParams, n: int,
     a construction rather than a definition).  n times the cluster rate,
     the expected record count of a call, may be at most ``_MAX_RECORDS``.
     """
+    n = _check_n(n)
     rng = as_generator(rng)
     out = _BatchWriter(ConfigurationBatch, params.window, n)
     _direct_into(out, np.arange(n, dtype=np.int64), params, rng)
@@ -336,11 +343,6 @@ def _direct_into(out: _BatchWriter, labels: np.ndarray, params: PolyaParams,
     out.merge(rows, hit, atom)
 
 
-def sample_polya_direct(params: PolyaParams, rng) -> PointConfiguration:
-    """One Polya configuration by the distinct-atom construction."""
-    return sample_polya_direct_batch(params, 1, rng).to_configurations()[0]
-
-
 def sample_polya_cox_batch(params: PolyaParams, eps: float, n: int,
                            rng) -> ConfigurationBatch:
     """n Polya configurations via the Cox representation: draw a Gamma
@@ -350,11 +352,6 @@ def sample_polya_cox_batch(params: PolyaParams, eps: float, n: int,
     rng = as_generator(rng)
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
     return _poisson_from_atomic_batch(kappa, rng)
-
-
-def sample_polya_cox(params: PolyaParams, eps: float, rng) -> PointConfiguration:
-    """One Polya configuration via the Cox route."""
-    return sample_polya_cox_batch(params, eps, 1, rng).to_configurations()[0]
 
 
 ROUTES = ("direct", "cox")  # the Polya routes of the checks and mixed draws
@@ -384,14 +381,9 @@ def sample_posterior_batch(mu: PointConfiguration, params: PolyaParams,
     over rho plus, at each observed point (x, k), an independent
     Gamma(k, a+1) weight.
     """
+    n = _check_n(n)
     mus = ConfigurationBatch(mu.window, n, *_tile(mu.window, mu.points, n))
     return _posterior_from_config_batch(mus, params, eps, rng)
-
-
-def sample_posterior(mu: PointConfiguration, params: PolyaParams, eps: float,
-                     rng) -> AtomicMeasure:
-    """One posterior draw; see the batch form."""
-    return sample_posterior_batch(mu, params, eps, 1, rng).to_measures()[0]
 
 
 def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
@@ -436,6 +428,7 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     may be at most ``_MAX_RECORDS``.
     """
     sample = _route_sampler(route)
+    n = _check_n(n)
     rng = as_generator(rng)
     z_atom, w_atom, probs = np.array(mixing.atoms).T
     m0 = mixing.rho0.total_mass
@@ -461,9 +454,3 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
             sub = sample(params, eps, labels.size, rng)
             out.put(labels[sub.rep], sub.cell, sub.mult, sub.coords)
     return out.batch(), z_lat, w_lat
-
-
-def sample_mixed(mixing: MixingMeasure, route: str, eps: float, rng):
-    """One mixed draw: (configuration, (z, w)) with the latent pair."""
-    batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, 1, rng)
-    return batch.to_configurations()[0], (float(z_lat[0]), float(w_lat[0]))

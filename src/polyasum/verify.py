@@ -214,7 +214,7 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     forward estimate, rhs the backward one.
     """
     t0, rng = _start(n, rng)
-    slack = EPS_ALLOWANCE * eps
+    slack = _slack("cox", eps)
 
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
     mu_fwd = _poisson_from_atomic_batch(kappa, rng)

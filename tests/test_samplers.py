@@ -21,12 +21,10 @@ from polyasum import (AtomicBatch, AtomicMeasure, MixingMeasure,
                       PointConfiguration,
                       PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
                       Window, laplace_polya, logseries_mean, nb_pmf_table,
-                      sample_gamma_measure, sample_gamma_measure_batch,
-                      sample_mixed, sample_mixed_batch, sample_poisson,
-                      sample_poisson_batch, sample_polya_cox,
-                      sample_polya_cox_batch, sample_polya_direct,
-                      sample_polya_direct_batch, sample_posterior,
-                      sample_posterior_batch, samplers, state_space)
+                      sample_gamma_measure_batch, sample_mixed_batch,
+                      sample_poisson_batch, sample_polya_cox_batch,
+                      sample_polya_direct_batch, sample_posterior_batch,
+                      samplers, state_space)
 from polyasum.expint import e1_inverse
 from polyasum.state_space import _merge, zeta
 from polyasum.transforms import ParameterError
@@ -49,10 +47,11 @@ class TestPoisson:
     def test_zero_intensity_always_empty(self, window4):
         rho = ReferenceMeasure(window4, np.zeros(4))
         for seed in range(5):
-            assert sample_poisson(rho, RngSeed(seed)).points == ()
+            mu = sample_poisson_batch(rho, 1, RngSeed(seed))
+            assert mu.to_configurations()[0].points == ()
 
     def test_atom_multiplicity_mean(self, window4):
-        intensity = AtomicMeasure(window4, (((0.5,), 2.0),))
+        intensity = ReferenceMeasure(window4, None, (((0.5,), 2.0),))
         batch = sample_poisson_batch(intensity, 100_000, RngSeed(2))
         counts = batch.counts()
         se = counts.std(ddof=1) / math.sqrt(counts.size)
@@ -77,9 +76,11 @@ class TestPoisson:
         batch = sample_poisson_batch(rho, 2000, RngSeed(4))
         assert np.all(batch.mult == 1)
 
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError):
-            sample_poisson(3.0, RngSeed(0))
+    def test_rejects_wrong_type(self, window4):
+        # an atomic measure is a ReferenceMeasure(window, None, atoms)
+        for intensity in (3.0, AtomicMeasure(window4, (((0.5,), 2.0),))):
+            with pytest.raises(TypeError):
+                sample_poisson_batch(intensity, 1, RngSeed(0))
 
     def test_sites_window_with_atoms(self):
         # site c carries only a zero-weight atom, so it must stay empty
@@ -116,29 +117,31 @@ class TestGammaMeasure:
         params = PolyaParams(0.5, ReferenceMeasure.uniform(window4, 2.0))
         mean_total = 2.0  # m/a
         for seed in range(5):
-            kappa = sample_gamma_measure(params, 10.0, RngSeed(seed))
+            kappa = sample_gamma_measure_batch(
+                params, 10.0, 1, RngSeed(seed)).to_measures()[0]
             assert len(kappa.atoms) == 1
             assert kappa.total_mass <= mean_total + 1e-12
 
     def test_z_zero_gives_zero_measure(self, window4, rho_mass2):
-        kappa = sample_gamma_measure(PolyaParams(0.0, rho_mass2), EPS,
-                                     RngSeed(0))
-        assert kappa.atoms == ()
+        kappa = sample_gamma_measure_batch(PolyaParams(0.0, rho_mass2), EPS,
+                                           1, RngSeed(0))
+        assert kappa.to_measures()[0].atoms == ()
 
     def test_underflowing_mean_mass_gives_zero_measure(self, window4):
         # m/a = 1e-300 * 1e-300 underflows to 0: the remainder-only
         # branch used to emit atoms of weight 0.0
         params = PolyaParams(1e-300, ReferenceMeasure.uniform(window4,
                                                               1e-300))
-        assert sample_gamma_measure(params, EPS, RngSeed(1)).atoms == ()
+        one = sample_gamma_measure_batch(params, EPS, 1, RngSeed(1))
+        assert one.to_measures()[0].atoms == ()
         batch = sample_gamma_measure_batch(params, EPS, 3, RngSeed(1))
         assert [m.atoms for m in batch.to_measures()] == [()] * 3
 
     def test_eps_must_be_positive(self, rho_mass2):
         for eps in (0.0, -1.0, math.nan):
             with pytest.raises(ParameterError, match="truncation threshold"):
-                sample_gamma_measure(PolyaParams(0.5, rho_mass2), eps,
-                                     RngSeed(0))
+                sample_gamma_measure_batch(PolyaParams(0.5, rho_mass2), eps,
+                                           1, RngSeed(0))
 
     def test_atomic_reference_mass_handled_proportionally(self):
         w = Window.interval(0.0, 1.0, 2)
@@ -173,9 +176,9 @@ class TestGammaMeasure:
 class TestPolyaDirect:
     def test_z_zero_always_empty(self, rho_mass2):
         for seed in range(5):
-            mu = sample_polya_direct(PolyaParams(0.0, rho_mass2),
-                                     RngSeed(seed))
-            assert mu.points == ()
+            mu = sample_polya_direct_batch(PolyaParams(0.0, rho_mass2), 1,
+                                           RngSeed(seed))
+            assert mu.to_configurations()[0].points == ()
 
     def test_void_probability(self, window4):
         params = PolyaParams(0.5, ReferenceMeasure.uniform(window4, 1.0))
@@ -221,7 +224,8 @@ class TestPolyaDirect:
     def test_atomic_reference_merges_multiplicities(self):
         w = Window.interval(0.0, 1.0, 1)
         rho = ReferenceMeasure(w, np.array([0.1]), (((0.5,), 5.0),))
-        mu = sample_polya_direct(PolyaParams(0.8, rho), RngSeed(15))
+        mu = sample_polya_direct_batch(PolyaParams(0.8, rho), 1,
+                                       RngSeed(15)).to_configurations()[0]
         # clusters landing on the reference atom must merge into one
         # located point; the invariant is simply a valid configuration
         assert len({loc for loc, _ in mu.points}) == len(mu.points)
@@ -257,7 +261,8 @@ class TestPolyaCox:
 
     def test_requires_z_in_open_interval(self, rho_mass2):
         with pytest.raises(ParameterError):
-            sample_polya_cox(PolyaParams(0.0, rho_mass2), EPS, RngSeed(0))
+            sample_polya_cox_batch(PolyaParams(0.0, rho_mass2), EPS, 1,
+                                   RngSeed(0))
 
 
 class TestDirectRouteLaplace:
@@ -285,11 +290,11 @@ class TestPosterior:
     def test_empty_observation_is_plain_gamma_draw(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
         mu = PointConfiguration(window4, ())
-        a = sample_posterior(mu, params, EPS, RngSeed(41))
+        a = sample_posterior_batch(mu, params, EPS, 1, RngSeed(41))
         z_post = 0.5 / 1.5
-        b = sample_gamma_measure(PolyaParams(z_post, rho_mass2), EPS,
-                                 RngSeed(41))
-        assert a == b
+        b = sample_gamma_measure_batch(PolyaParams(z_post, rho_mass2), EPS,
+                                       1, RngSeed(41))
+        assert a.to_measures() == b.to_measures()
 
     def test_observed_point_weight_mean(self, window4, rho_mass2):
         # weight at an observed point of multiplicity k has mean
@@ -349,9 +354,8 @@ class TestPosterior:
             mass = batch.zeta(TestFunction.indicator(w, [cell]))
             se = mass.std(ddof=1) / math.sqrt(mass.size)
             assert abs(mass.mean() - target) < 3 * se + EPS_SLACK
-        one = sample_posterior(mu, params, EPS, RngSeed(45))
-        assert one == sample_posterior_batch(
-            mu, params, EPS, 1, RngSeed(45)).to_measures()[0]
+        one = sample_posterior_batch(mu, params, EPS, 1,
+                                     RngSeed(45)).to_measures()[0]
         assert {loc for loc, _ in one.atoms} >= {"a", "c"}
 
 
@@ -386,8 +390,10 @@ class TestMixed:
     def test_degenerate_zero_atom_gives_empty(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 2.0)
         mixing = MixingMeasure(rho0, ((0.0, 0.0, 1.0),))
-        mu, (z, w) = sample_mixed(mixing, "direct", EPS, RngSeed(53))
-        assert mu.points == () and z == 0.0 and w == 0.0
+        batch, z, w = sample_mixed_batch(mixing, "direct", EPS, 1,
+                                         RngSeed(53))
+        assert batch.to_configurations()[0].points == ()
+        assert z.tolist() == [0.0] and w.tolist() == [0.0]
 
     def test_latents_reported_per_replica(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 1.0)
@@ -479,12 +485,13 @@ _ATOM_HEAVY_DIGESTS = {
 class TestReproducibility:
     def test_same_seed_same_samples(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
-        a = sample_polya_direct(params, RngSeed(7, stream=3))
-        b = sample_polya_direct(params, RngSeed(7, stream=3))
-        assert a == b
-        ka = sample_gamma_measure(params, EPS, RngSeed(7, stream=3))
-        kb = sample_gamma_measure(params, EPS, RngSeed(7, stream=3))
-        assert ka == kb
+        a, b = (sample_polya_direct_batch(params, 1, RngSeed(7, stream=3))
+                for _ in range(2))
+        assert a.to_configurations() == b.to_configurations()
+        ka, kb = (sample_gamma_measure_batch(params, EPS, 1,
+                                             RngSeed(7, stream=3))
+                  for _ in range(2))
+        assert ka.to_measures() == kb.to_measures()
 
     def test_same_seed_same_batches(self, window4, rho_mass2):
         params = PolyaParams(0.5, rho_mass2)
@@ -519,7 +526,8 @@ class TestReproducibility:
         digests = {}
         for name, rho in rhos.items():
             params = PolyaParams(0.6, rho)
-            mu = sample_polya_direct(params, RngSeed(5))
+            mu = sample_polya_direct_batch(params, 1,
+                                           RngSeed(5)).to_configurations()[0]
             for route, batch in (
                     ("direct", sample_polya_direct_batch(params, 300,
                                                          RngSeed(11))),
@@ -658,15 +666,6 @@ class TestReproducibility:
     def test_a_bool_is_not_a_seed(self, seed):
         with pytest.raises(TypeError):
             samplers.as_generator(seed)
-
-
-class TestObjectBatchConsistency:
-    def test_object_api_equals_batch_of_one(self, window4, rho_mass2):
-        params = PolyaParams(0.5, rho_mass2)
-        obj = sample_polya_direct(params, RngSeed(91))
-        via_batch = sample_polya_direct_batch(
-            params, 1, RngSeed(91)).to_configurations()[0]
-        assert obj == via_batch
 
 
 def _assert_valid_batch(batch, objects, cls):
@@ -1011,3 +1010,82 @@ def test_mixing_atoms_stored_as_floats(rho_mass2):
     mixing = MixingMeasure(rho_mass2, ((0, 1, 1),))
     assert mixing.atoms == ((0.0, 1.0, 1.0),)
     assert all(type(x) is float for x in mixing.atoms[0])
+
+
+_N_RULE_RHO = _invariant_rho("box-atoms")
+_N_RULE_MIXING = MixingMeasure(_N_RULE_RHO, ((0.6, 1.0, 0.7), (0.3, 2.0, 0.3)))
+_N_RULE_ROUTES = {
+    "poisson": lambda n, rng, eps: sample_poisson_batch(_N_RULE_RHO, n, rng),
+    "gamma": lambda n, rng, eps: sample_gamma_measure_batch(
+        PolyaParams(0.6, _N_RULE_RHO), eps, n, rng),
+    "direct": lambda n, rng, eps: sample_polya_direct_batch(
+        PolyaParams(0.6, _N_RULE_RHO), n, rng),
+    "cox": lambda n, rng, eps: sample_polya_cox_batch(
+        PolyaParams(0.6, _N_RULE_RHO), eps, n, rng),
+    "posterior": lambda n, rng, eps: sample_posterior_batch(
+        _invariant_mu(_N_RULE_RHO.window), PolyaParams(0.6, _N_RULE_RHO),
+        eps, n, rng),
+    "mixed-direct": lambda n, rng, eps: sample_mixed_batch(
+        _N_RULE_MIXING, "direct", eps, n, rng),
+    "mixed-cox": lambda n, rng, eps: sample_mixed_batch(
+        _N_RULE_MIXING, "cox", eps, n, rng),
+}
+
+
+def _columns_of(draw):
+    """The columns of a sampler's batch, and a mixture's latents."""
+    batch, *latents = draw if isinstance(draw, tuple) else (draw,)
+    return batch, [*state_space._columns(batch), *latents]
+
+
+@pytest.mark.parametrize("n, error", [
+    (-1, ParameterError), (2.5, state_space.InvalidMeasureError),
+    (True, state_space.InvalidMeasureError),
+    ("3", state_space.InvalidMeasureError)])
+@pytest.mark.parametrize("route", sorted(_N_RULE_ROUTES))
+def test_replica_count_follows_the_number_rule(route, n, error):
+    # numpy used to take -1 and 2.5 as they were, or fail untyped
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match="replica"):
+        _N_RULE_ROUTES[route](n, rng, 1e-3)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [2.0, np.int64(2)],
+                         ids=["float", "int64"])
+@pytest.mark.parametrize("route", sorted(_N_RULE_ROUTES))
+def test_integral_replica_counts_draw_as_ints(route, n):
+    batch, got = _columns_of(_N_RULE_ROUTES[route](n, RngSeed(6), 1e-3))
+    _, want = _columns_of(_N_RULE_ROUTES[route](2, RngSeed(6), 1e-3))
+    assert type(batch.n) is int and batch.n == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("route", ["gamma", "cox", "posterior"])
+def test_truncation_threshold_follows_the_number_rule(route):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for eps in ("1e-3", True, None):
+        with pytest.raises(state_space.InvalidMeasureError, match="eps"):
+            _N_RULE_ROUTES[route](2, rng, eps)
+    assert rng.bit_generator.state == state
+
+
+class _UnwalkableAtoms(tuple):
+    def __iter__(self):
+        raise AssertionError("the atom tuple was walked")
+
+
+@pytest.mark.parametrize("rho", [
+    _atom_heavy_rho(2), _invariant_rho("box-atoms"),
+    _invariant_rho("sites-atoms")], ids=["atom-heavy", "box-atoms",
+                                         "sites-atoms"])
+def test_poisson_reads_the_atom_columns(rho):
+    # the atoms were decoded into columns once, when rho was built
+    want = sample_poisson_batch(rho, 40, RngSeed(8))
+    object.__setattr__(rho, "atoms", _UnwalkableAtoms(rho.atoms))
+    got = sample_poisson_batch(rho, 40, RngSeed(8))
+    assert got.n == want.n
+    for a, b in zip(state_space._columns(got), state_space._columns(want)):
+        assert np.array_equal(a, b)
