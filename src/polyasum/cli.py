@@ -16,10 +16,10 @@ varying byte between identical runs.
 ``simulate`` writes json and jsonl through one columnar writer that
 formats the sampled batch's records straight to text, byte-identical
 to ``json.dumps`` of the ``to_dict()`` of each object the batch
-converts to: it builds one %-template for the whole output, one
-layout per distinct record count, and applies it once to a flat tuple
-of the batch's values.  csv is a count histogram of point
-configurations.
+converts to: it renders one layout per distinct record count, then
+fills and writes one %-template per chunk of about ``_CHUNK`` records,
+so its memory follows the chunk and not the replica count.  csv is a
+count histogram of point configurations.
 
 Exit codes: 0 success / all checks pass, 1 check or estimation
 failure, 2 usage or config error.
@@ -28,6 +28,7 @@ failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -172,15 +173,24 @@ def provenance(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_output(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The output stream: stdout when ``path`` is None, else the file
+    at ``path``, opened for writing; an OSError on opening or writing
+    it becomes a :class:`ConfigError`."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}")
+
+
+def _write_output(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc: dict, config: ExperimentConfig) -> None:
@@ -188,9 +198,15 @@ def _emit_json(doc: dict, config: ExperimentConfig) -> None:
                   config.out)
 
 
-def _write_records(batch, latents=None, header=None) -> str:
-    """The ``simulate`` text of a sampled batch: one JSON line per
-    replica, or under a provenance ``header`` one indented document.
+# the records in one chunk of ``simulate`` text, each replica counted
+# as one record more; picked from the table in README
+_CHUNK = 1024
+
+
+def _write_records(batch, out, latents=None, header=None) -> None:
+    """Write the ``simulate`` text of a sampled batch to the stream
+    ``out``: one JSON line per replica, or under a provenance
+    ``header`` one indented document.
 
     Byte for byte ``json.dumps(..., sort_keys=True)`` of the
     ``to_dict()`` of each object of ``to_configurations()`` or
@@ -200,16 +216,17 @@ def _write_records(batch, latents=None, header=None) -> str:
     by replica (``_by_replica``), a replica's text depends only on its
     values and its record count.  json renders each piece of that
     layout once, around sentinel slots; the pieces, %-escaped, make one
-    template for the whole output, with one layout per distinct record
-    count, and one ``%`` fills it from a flat tuple of every replica's
-    latents and record columns, in text order.
+    layout per distinct record count.  The text is then written chunk
+    by chunk: a chunk is a run of whole replicas holding about
+    ``_CHUNK`` records, whose layouts make one template that one ``%``
+    fills from a flat tuple of the chunk's latents and record columns,
+    in text order.  Each chunk is written before the next is formatted,
+    so memory follows the chunk and not the batch.
     """
     window = batch.window
     configs = isinstance(batch, ConfigurationBatch)
     list_key, value_key = (("points", "mult") if configs
                            else ("atoms", "weight"))
-    order, bounds = _by_replica(batch)
-    values = (batch.mult if configs else batch.weight)[order]
     wdoc = window.to_dict()
     # longer than any string in the fixed parts, so that its rendering
     # occurs only where it was put
@@ -231,7 +248,8 @@ def _write_records(batch, latents=None, header=None) -> str:
                           sort_keys=True, indent=2)
 
     if not batch.n:  # no replica to lay out
-        return "" if header is None else render([]) + "\n"
+        out.write("" if header is None else render([]) + "\n")
+        return
 
     def pieces(render_list, item):
         # render_list([item]) is head + body + tail and
@@ -247,42 +265,68 @@ def _write_records(batch, latents=None, header=None) -> str:
     def fmt(text):
         return text.replace("%", "%%").replace(json.dumps(slot), "%s")
 
+    # the document's head, sample separator and tail hold no slot and
+    # are written as they are
     doc_head, empty, sample_sep, doc_tail = pieces(render, sample([]))
-    loc = slot if window.mode == "sites" else [slot] * window.dimension
+    sites = window.mode == "sites"
+    loc = slot if sites else [slot] * window.dimension
     head, rec, rec_sep, tail = pieces(
         lambda items: render([sample(items)]), {"loc": loc, value_key: slot})
     head = head[len(doc_head):]
     tail = tail[:len(tail) - len(doc_tail)]
     # the latent object sorts before "points" but after "atoms"
     latents_first = json.dumps(slot) in head
-    head, rec, rec_sep, tail, empty = map(fmt, (head, rec, rec_sep, tail,
-                                                empty))
-    counts = np.diff(bounds).tolist()
+    # sep is sample_sep as a piece of a chunk's template
+    head, rec, rec_sep, tail, empty, sep = map(
+        fmt, (head, rec, rec_sep, tail, empty, sample_sep))
+    order, bounds = _by_replica(batch)
+    counts = np.diff(bounds)
     layouts = {k: head + rec_sep.join([rec] * k) + tail if k else empty
-               for k in set(counts)}
-    template = (fmt(doc_head) + fmt(sample_sep).join(
-        [layouts[k] for k in counts]) + fmt(doc_tail) + "\n")
+               for k in set(counts.tolist())}
+    values = batch.mult if configs else batch.weight
+    labels = [json.dumps(site) for site in window.sites] if sites else None
+    lat_cols = ([latents[k] for k in sorted(latents)]
+                if latents is not None else [])
+    width = 2 if sites else window.dimension + 1
 
-    coords = batch.coords[order]
-    if window.mode == "sites":
-        labels = [json.dumps(site) for site in window.sites]
-        cols = [[labels[c] for c in coords.tolist()]]
-    else:
-        cols = coords.T.tolist()
-    cols.append(values.tolist())
-    width = len(cols)
-    args = [None] * (width * len(values))
-    for i, col in enumerate(cols):
-        args[i::width] = col
-    if latents is not None:
-        lats = zip(*(latents[k].tolist() for k in sorted(latents)))
+    def chunk_args(start, stop):
+        # the latents and record columns of replicas start:stop, in
+        # text order
+        a = bounds[start]
+        rows = order[a:bounds[stop]]
+        coords = batch.coords[rows]
+        cols = ([[labels[c] for c in coords.tolist()]] if sites
+                else coords.T.tolist())
+        cols.append(values[rows].tolist())
+        args = [None] * (width * rows.size)
+        for i, col in enumerate(cols):
+            args[i::width] = col
+        if not lat_cols:
+            return tuple(args)
+        lats = zip(*(col[start:stop].tolist() for col in lat_cols))
         flat = []
-        for lat, a, b in zip(lats, (bounds[:-1] * width).tolist(),
-                             (bounds[1:] * width).tolist()):
-            flat += ((*lat, *args[a:b]) if latents_first
-                     else (*args[a:b], *lat))
-        args = flat
-    return template % tuple(args)
+        for lat, p, q in zip(lats, ((bounds[start:stop] - a) * width).tolist(),
+                             ((bounds[start + 1:stop + 1] - a)
+                              * width).tolist()):
+            flat += (*lat, *args[p:q]) if latents_first else (*args[p:q], *lat)
+        return tuple(flat)
+
+    # a chunk ends at the first replica edge at or past _CHUNK records
+    # from its start, each replica counted one record more, so that a
+    # run of empty replicas is cut too
+    ends = bounds + np.arange(batch.n + 1)
+    out.write(doc_head)
+    start = 0
+    while start < batch.n:
+        stop = min(int(np.searchsorted(ends, ends[start] + _CHUNK)),
+                   batch.n)
+        if start:
+            out.write(sample_sep)
+        template = sep.join(map(layouts.__getitem__,
+                                counts[start:stop].tolist()))
+        out.write(template % chunk_args(start, stop))
+        start = stop
+    out.write(doc_tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +369,8 @@ def run_simulate(config: ExperimentConfig) -> int:
         return 0
 
     header = provenance(config) if config.fmt == "json" else None
-    _write_output(_write_records(batch, latents, header), config.out)
+    with _output(config.out) as out:
+        _write_records(batch, out, latents, header)
     return 0
 
 

@@ -144,6 +144,15 @@ def _check_n(n) -> int:
     return n
 
 
+def _check_eps(eps) -> float:
+    """The truncation threshold eps as a float > 0 by the number rule,
+    checked before a sampler or check draws."""
+    eps = _json_float(eps, "truncation threshold eps")
+    if not eps > 0:
+        raise ParameterError(f"truncation threshold must be > 0, got {eps}")
+    return eps
+
+
 # ---------------------------------------------------------------------------
 # Poisson processes
 # ---------------------------------------------------------------------------
@@ -247,9 +256,7 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     at most ``_MAX_RECORDS``.  z = 0, m = 0, or a mean mass m/a that
     underflows to 0 gives the zero measure, drawing nothing.
     """
-    eps = _json_float(eps, "truncation threshold eps")
-    if not eps > 0:
-        raise ParameterError(f"truncation threshold must be > 0, got {eps}")
+    eps = _check_eps(eps)
     n = _check_n(n)
     rng = as_generator(rng)
     window = params.window
@@ -425,8 +432,9 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     the requested route.  Returns (batch, z_latent, w_latent) so
     estimator validation can see the truth.  n times the largest cluster
     rate -log(1-z) w m0 of an atom bounds the expected record count, and
-    may be at most ``_MAX_RECORDS``.
+    may be at most ``_MAX_RECORDS``.  eps is checked on both routes.
     """
+    eps = _check_eps(eps)
     sample = _route_sampler(route)
     n = _check_n(n)
     rng = as_generator(rng)

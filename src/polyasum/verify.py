@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import density_batch, solve_zw_batch
-from .samplers import (MixingMeasure, PolyaParams, _check_zw,
-                       _poisson_from_atomic_batch,
+from .samplers import (MixingMeasure, PolyaParams, _check_eps, _check_n,
+                       _check_zw, _poisson_from_atomic_batch,
                        _posterior_from_config_batch, _route_sampler,
                        as_generator, sample_gamma_measure_batch,
                        sample_mixed_batch, sample_poisson_batch,
                        sample_polya_direct_batch)
 from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
-                          Window, _integrate_cellwise, _json_int)
+                          Window, _integrate_cellwise, _json_float,
+                          _json_int)
 from .transforms import (joint_laplace, laplace_gp, laplace_polya,
                          polya_campbell_exact)
 
@@ -136,23 +137,32 @@ def _slack(route: str, eps: float) -> float:
 
 
 def _start(n: int, rng):
-    """The start time and generator of a Monte Carlo check of n replicas."""
+    """The start time, replica count and generator of a Monte Carlo
+    check of n replicas, n judged by the samplers' number rule first."""
+    n = _check_n(n)
     if n < 100:
         raise ValueError("need n >= 100 replicas")
-    return time.perf_counter(), as_generator(rng)
+    return time.perf_counter(), n, as_generator(rng)
 
 
 def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
                     f: TestFunction, g: TestFunction):
     """Every part of a Campbell identity on ``batch`` but its kernel: per
     replica e^-zeta_g and zeta_f e^-zeta_g, then rho(f e^-g) and per
-    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf."""
-    weight = np.exp(-batch.zeta(g))
-    lhs = batch.zeta(f) * weight
+    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf.
+
+    Each distinct function is integrated once: at g = 0 zeta_g is +0.0
+    in every replica, which is what a pass would sum to, and where
+    f e^-g has the bits of f, zeta_f serves for it."""
+    zeta_g = batch.zeta(g) if g.values.any() else np.zeros(batch.n)
+    weight = np.exp(-zeta_g)
+    zeta_f = batch.zeta(f)
+    lhs = zeta_f * weight
     decay = np.exp(-g.values)
     fe_g = np.where(decay > 0, f.values * decay, 0.0)
-    return (weight, lhs, _integrate_cellwise(rho, fe_g),
-            batch.zeta(TestFunction(rho.window, fe_g)))
+    zeta_feg = (zeta_f if fe_g.tobytes() == f.values.tobytes()
+                else batch.zeta(TestFunction(rho.window, fe_g)))
+    return weight, lhs, _integrate_cellwise(rho, fe_g), zeta_feg
 
 
 def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
@@ -165,7 +175,7 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     evaluated on the same samples; the exact value
     rho(f e^-g) exp(-rho(1 - e^-g)) is attached.
     """
-    t0, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng)
     batch = sample_poisson_batch(rho, n, rng)
     weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g)
     rhs = rho_feg * weight
@@ -187,9 +197,12 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     on the same samples, with the exact closed form attached.
 
     ``kernel_z_factor`` deliberately corrupts the kernel (z -> factor
-    * z) for power studies: the check must then fail.
+    * z) for power studies: the check must then fail.  eps and the
+    factor are checked as numbers before any draw, on both routes.
     """
-    t0, rng = _start(n, rng)
+    eps = _check_eps(eps)
+    kernel_z_factor = _json_float(kernel_z_factor, "kernel_z_factor")
+    t0, n, rng = _start(n, rng)
     batch = _route_sampler(route)(params, eps, n, rng)
     weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
     z_kernel = params.z * kernel_z_factor
@@ -213,7 +226,8 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     whose exact value is the joint closed form.  lhs carries the
     forward estimate, rhs the backward one.
     """
-    t0, rng = _start(n, rng)
+    eps = _check_eps(eps)
+    t0, n, rng = _start(n, rng)
     slack = _slack("cox", eps)
 
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
@@ -252,11 +266,12 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     reported.  Passing ``fixed_zw`` replaces the per-sample estimates
     with one global pair, which must break the identity for genuinely
     mixed priors; it is checked as a mixing atom's (z, w) before any
-    draw.
+    draw, as eps is on both routes.
     """
+    eps = _check_eps(eps)
     if fixed_zw is not None:
         fixed_zw = _check_zw(*fixed_zw)
-    t0, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
     weight, lhs, rho0_feg, zeta_feg = _campbell_sides(batch, mixing.rho0,
                                                       f, g)

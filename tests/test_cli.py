@@ -3,13 +3,15 @@
 import json
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyasum import samplers
+from polyasum import cli, samplers
 from polyasum.cli import _write_records, main
 from polyasum.samplers import (MixingMeasure, PolyaParams, RngSeed,
                                sample_gamma_measure_batch, sample_mixed_batch,
@@ -75,6 +77,23 @@ def object_text(batch, latents, header):
         return "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
     return json.dumps({"provenance": header, "samples": docs}, indent=2,
                       sort_keys=True) + "\n"
+
+
+class WriteLog:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def written(batch, latents=None, header=None):
+    """The text ``_write_records`` writes for ``batch``."""
+    log = WriteLog()
+    _write_records(batch, log, latents, header)
+    return "".join(log.writes)
 
 
 def sample_route(route, window_doc, rho_doc, z, eps, n, seed):
@@ -153,6 +172,28 @@ def writer_case(draw):
         st.sampled_from(["100%", "%s", "%%d", "\0"]) | st.integers()
         | st.text(max_size=6)))
     return batch, latents, header
+
+
+def simulate_equals_object_path(tmp_path, route, window, fmt):
+    """``simulate`` of 30 replicas on a writer window writes the text of
+    the object path."""
+    window_doc, rho_doc = WRITER_WINDOWS[window]
+    route_field, _, mixed_route = route.partition("-")
+    cfg = write_config(tmp_path, {
+        "window": window_doc, "rho": rho_doc, "rho0": rho_doc, "z": 0.6,
+        "route": route_field, "mixed_route": mixed_route or "direct",
+        "mixing": {"atoms": [{"z": z, "w": w, "p": p}
+                             for z, w, p in WRITER_MIXING]},
+        "n": 30, "seed": 11, "eps": 1e-3,
+    })
+    out = tmp_path / f"out.{fmt}"
+    assert main(["simulate", "--config", cfg, "--format", fmt,
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    header = json.loads(text)["provenance"] if fmt == "json" else None
+    batch, latents = sample_route(route, window_doc, rho_doc, 0.6, 1e-3,
+                                  30, 11)
+    assert text == object_text(batch, latents, header)
 
 
 class TestSimulate:
@@ -309,23 +350,18 @@ class TestWriter:
     @pytest.mark.parametrize("window", sorted(WRITER_WINDOWS))
     @pytest.mark.parametrize("route", WRITER_ROUTES)
     def test_bytes_equal_object_path(self, tmp_path, route, window, fmt):
-        window_doc, rho_doc = WRITER_WINDOWS[window]
-        route_field, _, mixed_route = route.partition("-")
-        cfg = write_config(tmp_path, {
-            "window": window_doc, "rho": rho_doc, "rho0": rho_doc, "z": 0.6,
-            "route": route_field, "mixed_route": mixed_route or "direct",
-            "mixing": {"atoms": [{"z": z, "w": w, "p": p}
-                                 for z, w, p in WRITER_MIXING]},
-            "n": 30, "seed": 11, "eps": 1e-3,
-        })
-        out = tmp_path / f"out.{fmt}"
-        assert main(["simulate", "--config", cfg, "--format", fmt,
-                     "--out", str(out)]) == 0
-        text = out.read_text()
-        header = json.loads(text)["provenance"] if fmt == "json" else None
-        batch, latents = sample_route(route, window_doc, rho_doc, 0.6, 1e-3,
-                                      30, 11)
-        assert text == object_text(batch, latents, header)
+        simulate_equals_object_path(tmp_path, route, window, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    @pytest.mark.parametrize("window", sorted(WRITER_WINDOWS))
+    @pytest.mark.parametrize("route", WRITER_ROUTES)
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_small_chunks_equal_object_path(self, tmp_path, monkeypatch,
+                                            chunk, route, window, fmt):
+        # chunk edges fall inside and between replicas and on empty
+        # ones, with latents on the mixed routes
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        simulate_equals_object_path(tmp_path, route, window, fmt)
 
     @pytest.mark.parametrize("route, key", [("direct", "points"),
                                             ("gamma", "atoms")])
@@ -333,7 +369,7 @@ class TestWriter:
         window_doc, rho_doc = WRITER_WINDOWS["box-atoms"]
         batch, _ = sample_route(route, window_doc, rho_doc, 0.0, 1e-3, 5, 1)
         for header in (None, {"seed": 1}):
-            text = _write_records(batch, None, header)
+            text = written(batch, None, header)
             assert text == object_text(batch, None, header)
             assert text.count(f'"{key}": []') == 5
 
@@ -345,9 +381,9 @@ class TestWriter:
         coords = (none if window.mode == "sites"
                   else np.empty((0, window.dimension)))
         batch = cls(window, 0, none, none, none, coords)
-        assert _write_records(batch) == object_text(batch, None, None) == ""
+        assert written(batch) == object_text(batch, None, None) == ""
         header = {"seed": 1}
-        text = _write_records(batch, None, header)
+        text = written(batch, None, header)
         assert text == object_text(batch, None, header)
         assert json.loads(text)["samples"] == []
         assert '"samples": []' in text
@@ -362,7 +398,7 @@ class TestWriter:
         measures = batch.to_measures()
         assert batch.rep.size == sum(len(m.atoms) for m in measures)
         for head in (None, {"seed": 11}):
-            assert _write_records(batch, None, head) == object_text(
+            assert written(batch, None, head) == object_text(
                 batch, None, head)
 
     @given(writer_case())
@@ -372,15 +408,109 @@ class TestWriter:
         # labels and header strings hold "%", and latents sort after
         # "atoms" but before "points"
         batch, latents, header = case
-        assert _write_records(batch, latents, header) == object_text(
+        assert written(batch, latents, header) == object_text(
             batch, latents, header)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @given(case=writer_case())
+    @settings(max_examples=100, deadline=None)
+    def test_hand_built_batches_in_small_chunks(self, chunk, case):
+        batch, latents, header = case
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert written(batch, latents, header) == object_text(
+                batch, latents, header)
+
+    @pytest.mark.parametrize("latents", [False, True])
+    @pytest.mark.parametrize("header", [None, {"seed": "100%"}])
+    def test_replica_longer_than_a_chunk(self, monkeypatch, latents, header):
+        # replica 1 holds 10 records, past a chunk of 3; replica 2 is
+        # empty and replica 0 holds one record
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+        window = Window.interval(0.0, 1.0, 4)
+        rep = np.array([1] * 10 + [0])
+        coords = np.linspace(0.0, 1.0, 11).reshape(-1, 1)
+        batch = AtomicBatch(window, 3, rep, window.cells_of(coords),
+                            np.arange(1.0, 12.0), coords)
+        lat = ({"z": np.array([0.1, 0.2, 0.3]), "w": np.array([1.0, 2.0,
+                                                               3.0])}
+               if latents else None)
+        stream = WriteLog()
+        _write_records(batch, stream, lat, header)
+        assert "".join(stream.writes) == object_text(batch, lat, header)
+        # one write per chunk, the chunk {0, 1} and the chunk {2}, with
+        # the document's head, separator and tail written between
+        samples = [w for w in stream.writes if '"window"' in w]
+        assert [w.count('"window"') for w in samples] == [2, 1]
+
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    @pytest.mark.parametrize("route", ["direct", "mixed"])
+    def test_stdout_equals_out(self, tmp_path, capsys, monkeypatch, route,
+                               fmt):
+        monkeypatch.setattr(cli, "_CHUNK", 5)
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 3.0},
+            "rho0": {"uniform_mass": 3.0}, "z": 0.6, "route": route,
+            "mixing": {"atoms": [{"z": z, "w": w, "p": p}
+                                 for z, w, p in WRITER_MIXING]},
+            "n": 40, "seed": 11})
+        out = tmp_path / "out.txt"
+        assert main(["simulate", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        file_text = out.read_bytes().decode()
+        if fmt == "json":
+            stamp = r'"timestamp": "[^"]*"'
+            printed = re.sub(stamp, "", printed)
+            file_text = re.sub(stamp, "", file_text)
+        assert printed == file_text and printed.count('"window"') == 40
+
+    @pytest.mark.parametrize("case", ["gamma-csv", "records-past-ceiling"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_exit_two_writes_no_output(self, tmp_path, capsys, case,
+                                       existing):
+        # the output is opened only after the batch is drawn and the
+        # format judged
+        mass = (0.9 * samplers._POISSON_MAX / math.log(2.0)
+                if case == "records-past-ceiling" else 2.0)
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": mass}, "z": 0.5,
+            "route": "gamma" if case == "gamma-csv" else "direct", "n": 3,
+            "seed": 3})
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_text("kept\n")
+        assert main(["simulate", "--config", cfg, "--format", "csv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
+    def test_traced_peak_below_output_size(self, tmp_path):
+        # the text is written chunk by chunk: a whole-output template
+        # and its result peak at about three times the file's size
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0}, "z": 0.5,
+            "route": "direct", "n": 40000, "seed": 1})
+        out = tmp_path / "out.jsonl"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg, "--format", "jsonl",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
     def test_signed_zero_renders_as_object_path(self):
         window = Window.interval(-1.0, 1.0, 2)
         batch = AtomicBatch(window, 2, np.array([1, 0, 1]),
                             np.array([1, 1, 0]), np.array([1.0, 2.0, 3.0]),
                             np.array([[0.0], [-0.0], [-0.5]]))
-        text = _write_records(batch)
+        text = written(batch)
         assert text == object_text(batch, None, None)
         assert json.loads(text.splitlines()[0])["atoms"] == [
             {"loc": [-0.0], "weight": 2.0}]

@@ -2,6 +2,7 @@
 corrupted ones."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       check_mecke, check_mixed_ibp, check_polya_ibp,
                       laplace_polya, sample_mixed_batch,
                       sample_polya_cox_batch, sample_polya_direct_batch)
-from polyasum.state_space import ConfigurationBatch, _tile
+from polyasum.state_space import (ConfigurationBatch, _integrate_cellwise,
+                                  _tile)
 from polyasum.verify import EPS_ALLOWANCE, _campbell_sides, _mean_se
 
 INF = float("inf")
@@ -283,3 +285,106 @@ def test_bad_route_rejected_before_any_draw(window4, rho_mass2, ones, zeros):
         with pytest.raises(ParameterError, match="route"):
             call()
         assert rng.bit_generator.state == state
+
+
+def three_pass_sides(batch, rho, f, g):
+    """``_campbell_sides`` as three zeta passes, one per function."""
+    weight = np.exp(-batch.zeta(g))
+    lhs = batch.zeta(f) * weight
+    decay = np.exp(-g.values)
+    fe_g = np.where(decay > 0, f.values * decay, 0.0)
+    return (weight, lhs, _integrate_cellwise(rho, fe_g),
+            batch.zeta(TestFunction(rho.window, fe_g)))
+
+
+@pytest.mark.parametrize("f, g, passes", [
+    ((1.0, 0.2, 2.0, 0.7), (0.0, 0.0, 0.0, 0.0), 1),
+    ((1.0, -0.0, INF, 0.0), (-0.0, 0.0, -0.0, 0.0), 1),
+    # f e^-g has f's bits where f vanishes on g's support
+    ((1.0, 0.0, 2.0, 0.0), (0.0, 3.0, 0.0, INF), 2),
+    ((1.0, 0.2, 2.0, 0.7), (0.5, 0.0, INF, 1.0), 3),
+    ((-0.0, 0.2, 2.0, 0.7), (INF, 0.0, 0.0, 0.0), 3),
+])
+def test_campbell_sides_integrate_each_function_once(window4, f, g, passes):
+    rho = ReferenceMeasure.uniform(window4, 2.0)
+    f, g = TestFunction(window4, f), TestFunction(window4, g)
+    batch = sample_polya_direct_batch(PolyaParams(0.5, rho), 300,
+                                      RngSeed(4))
+    calls = []
+    zeta = ConfigurationBatch.zeta
+
+    def counted(self, h):
+        calls.append(h)
+        return zeta(self, h)
+    with mock.patch.object(ConfigurationBatch, "zeta", counted):
+        got = _campbell_sides(batch, rho, f, g)
+    assert len(calls) == passes
+    want = three_pass_sides(batch, rho, f, g)
+    assert [np.asarray(v).tobytes() for v in got] == [
+        np.asarray(v).tobytes() for v in want]
+
+
+@pytest.fixture
+def mixing_half(rho_mass2):
+    return MixingMeasure(rho_mass2, ((0.5, 1.0, 1.0),))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("mixed-direct-eps", InvalidMeasureError),
+    ("mixed-direct-negative-eps", ParameterError),
+    ("mixed-cox-eps", InvalidMeasureError),
+    ("mixed-cox-negative-eps", ParameterError),
+    ("mixed-ibp-direct-eps", InvalidMeasureError),
+    ("mixed-ibp-cox-negative-eps", ParameterError),
+    ("polya-ibp-direct-eps", InvalidMeasureError),
+    ("polya-ibp-cox-negative-eps", ParameterError),
+    ("polya-ibp-factor", InvalidMeasureError),
+    ("mecke-n-string", InvalidMeasureError),
+    ("mecke-n-fraction", InvalidMeasureError),
+    ("conjugacy-n-bool", InvalidMeasureError),
+    ("conjugacy-eps", InvalidMeasureError),
+])
+def test_bad_inputs_rejected_before_any_draw(case, error, rho_mass2,
+                                             mixing_half, ones, zeros):
+    # each used to draw first, or to fail with a bare TypeError
+    params = PolyaParams(0.5, rho_mass2)
+    call = {
+        "mixed-direct-eps": lambda rng: sample_mixed_batch(
+            mixing_half, "direct", "nonsense", 2, rng),
+        "mixed-direct-negative-eps": lambda rng: sample_mixed_batch(
+            mixing_half, "direct", -1.0, 2, rng),
+        "mixed-cox-eps": lambda rng: sample_mixed_batch(
+            mixing_half, "cox", "1e-3", 2, rng),
+        "mixed-cox-negative-eps": lambda rng: sample_mixed_batch(
+            mixing_half, "cox", -1.0, 2, rng),
+        "mixed-ibp-direct-eps": lambda rng: check_mixed_ibp(
+            mixing_half, ones, zeros, 200, rng, eps="x", route="direct"),
+        "mixed-ibp-cox-negative-eps": lambda rng: check_mixed_ibp(
+            mixing_half, ones, zeros, 200, rng, eps=-1.0, route="cox"),
+        "polya-ibp-direct-eps": lambda rng: check_polya_ibp(
+            params, "direct", ones, zeros, 200, rng, eps="x"),
+        "polya-ibp-cox-negative-eps": lambda rng: check_polya_ibp(
+            params, "cox", ones, zeros, 200, rng, eps=-1.0),
+        "polya-ibp-factor": lambda rng: check_polya_ibp(
+            params, "direct", ones, zeros, 200, rng, kernel_z_factor="2"),
+        "mecke-n-string": lambda rng: check_mecke(
+            rho_mass2, ones, zeros, "200", rng),
+        "mecke-n-fraction": lambda rng: check_mecke(
+            rho_mass2, ones, zeros, 200.5, rng),
+        "conjugacy-n-bool": lambda rng: check_conjugacy(
+            params, zeros, zeros, EPS, True, rng),
+        "conjugacy-eps": lambda rng: check_conjugacy(
+            params, zeros, zeros, "1e-3", 200, rng),
+    }[case]
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+def test_integral_float_n_reports_an_int(rho_mass2, ones, zeros):
+    got = check_mecke(rho_mass2, ones, zeros, 200.0, RngSeed(3))
+    want = check_mecke(rho_mass2, ones, zeros, 200, RngSeed(3))
+    assert type(got.n) is int
+    assert got.to_dict() == want.to_dict()
