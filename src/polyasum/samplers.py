@@ -145,11 +145,13 @@ def _check_n(n) -> int:
 
 
 def _check_eps(eps) -> float:
-    """The truncation threshold eps as a float > 0 by the number rule,
-    checked before a sampler or check draws."""
+    """The truncation threshold eps as a finite float > 0 by the number
+    rule, checked before a sampler or check draws; an infinite eps
+    would make every truncation allowance infinite."""
     eps = _json_float(eps, "truncation threshold eps")
-    if not eps > 0:
-        raise ParameterError(f"truncation threshold must be > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(
+            f"truncation threshold must be finite and > 0, got {eps}")
     return eps
 
 

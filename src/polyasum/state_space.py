@@ -15,16 +15,17 @@ as flat arrays with one row per located point or atom (replica index,
 flat cell index, multiplicity or weight, raw coordinates); a reference
 measure decodes its atoms once into such read-only columns.  This
 module holds the one batch builder (``_BatchWriter``), whose
-preallocated columns a sampler draws straight into, the rows of its
-next k records at a time, and the one merge rule for records at one
-location (``_merge``), which every sampler applies where it draws,
-keyed by the atom drawn, writing the shorter result back into the
-same rows.  So each sampled record is written once, and a batch holds
-each location once per replica, as its objects do; conversion and the
-CLI writer only group records by replica (``_by_replica``), and a
-hand-built batch that repeats a location fails to convert.  Single
-configurations and measures convert to and from batches here, and
-their evaluation maps are one-replica batch views.
+preallocated columns, views of one buffer, a sampler draws straight
+into, the rows of its next k records at a time, and the one merge rule
+for records at one location (``_merge``), which every sampler applies
+where it draws, keyed by the atom drawn, writing the shorter result
+back into the same rows.  So each sampled record is written once, and
+a batch holds each location once per replica, as its objects do;
+conversion and the CLI writer only group records by replica
+(``_by_replica``), and a hand-built batch that repeats a location
+fails to convert.  Single configurations and measures convert to and
+from batches here, and their evaluation maps are one-replica batch
+views.
 
 Each type checks the numbers it stores (``_json_float``, ``_json_int``),
 whether it is read from JSON or built in Python: a string or a bool
@@ -652,6 +653,28 @@ def _by_replica(batch) -> tuple:
     return order, bounds
 
 
+def _replica_runs(rep: np.ndarray) -> tuple:
+    """The runs of consecutive records that share a replica: (start,
+    owner), where each run starts and its replica index.
+
+    Every sampler writes its records in such runs, a few per replica,
+    so a reduction over runs reads each record once, in order, without
+    the float copy and the serial bin updates of ``np.bincount``.
+    """
+    new = np.empty(rep.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(rep[1:], rep[:-1], out=new[1:])
+    start = np.flatnonzero(new)
+    return start, rep[start]
+
+
+def _add_runs(n: int, owner: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Per-replica int64 sums of the run totals, shape (n,)."""
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, owner, totals)
+    return out
+
+
 def _split(batch, values: np.ndarray, cls) -> list:
     """One ``cls`` object per replica of ``batch``, its records in
     order; ``cls`` rejects a replica that repeats a location."""
@@ -693,10 +716,12 @@ class ConfigurationBatch:
         """Per-replica point counts with multiplicity, exact; the count
         in a region is ``zeta`` of its indicator.  A count past int64
         raises :class:`InvalidMeasureError`."""
-        total = np.bincount(self.rep, weights=self.mult, minlength=self.n)
-        # multiplicities are >= 1, so below 2**53 each partial sum is exact
-        if total.max(initial=0.0) < 2.0 ** 53:
-            return total.astype(np.int64)
+        mult = self.mult
+        # below this bound no partial sum can leave int64
+        if int(mult.max(initial=0)) * mult.size < 2 ** 63:
+            start, owner = _replica_runs(self.rep)
+            return _add_runs(self.n, owner, np.add.reduceat(
+                mult, start, dtype=np.int64) if start.size else start)
         order, bounds = _by_replica(self)
         counts = np.empty(self.n, dtype=np.int64)
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -709,7 +734,8 @@ class ConfigurationBatch:
 
     def distinct_counts(self) -> np.ndarray:
         """Per-replica counts of distinct locations."""
-        return np.bincount(self.rep, minlength=self.n)
+        start, owner = _replica_runs(self.rep)
+        return _add_runs(self.n, owner, np.diff(start, append=self.rep.size))
 
     def to_configurations(self) -> list:
         return _split(self, self.mult, PointConfiguration)
@@ -756,11 +782,22 @@ class _BatchWriter:
         self._cols = self._empty(capacity)
 
     def _empty(self, capacity: int) -> tuple:
-        value = np.int64 if self.cls is ConfigurationBatch else float
-        return (np.empty(capacity, dtype=np.int64),
-                np.empty(capacity, dtype=np.int64),
-                np.empty(capacity, dtype=value),
-                _empty_coords(self.window, capacity))
+        """Uninitialised columns of ``capacity`` rows, all views of one
+        buffer.  glibc returns a freed block past its mmap threshold to
+        the kernel, and raises that threshold (and the heap's trim
+        threshold, to twice it) to the largest such block freed: one
+        buffer per batch keeps a freed batch in the heap for the next,
+        where four columns left it to be faulted in again."""
+        width = 1 if self.window.mode == "sites" else self.window.dimension
+        buf = np.empty((3 + width) * capacity, dtype=np.int64)
+        rep, cell, value = (buf[i * capacity:(i + 1) * capacity]
+                            for i in range(3))
+        coords = buf[3 * capacity:]
+        if self.cls is AtomicBatch:
+            value = value.view(float)
+        if self.window.mode != "sites":
+            coords = coords.view(float).reshape(capacity, width)
+        return rep, cell, value, coords
 
     def _grow(self, need: int) -> None:
         cols = self._empty(max(need, 2 * len(self._cols[0])))

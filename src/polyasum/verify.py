@@ -27,8 +27,8 @@ from .samplers import (MixingMeasure, PolyaParams, _check_eps, _check_n,
 from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
                           Window, _integrate_cellwise, _json_float,
                           _json_int)
-from .transforms import (joint_laplace, laplace_gp, laplace_polya,
-                         polya_campbell_exact)
+from .transforms import (ParameterError, joint_laplace, laplace_gp,
+                         laplace_polya, polya_campbell_exact)
 
 # Truncation bias enters the tolerance linearly.  Measured against the
 # exact transform at mass 0.5, z = 0.5, g = 3 (test_verify.py,
@@ -91,10 +91,15 @@ class CheckReport:
 
 
 def _mean_se(values):
-    """Sample mean and standard error of per-replica values."""
+    """Sample mean and standard error of per-replica values.  When every
+    replica gave the same double, that double with standard error 0: a
+    summed mean would stray from it by a few ulps and give it a spread
+    that ``_exact_z`` reads as many standard errors."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least 2 replicas")
+    if values.min() == values.max():
+        return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
@@ -141,7 +146,7 @@ def _start(n: int, rng):
     check of n replicas, n judged by the samplers' number rule first."""
     n = _check_n(n)
     if n < 100:
-        raise ValueError("need n >= 100 replicas")
+        raise ParameterError(f"need n >= 100 replicas, got n={n}")
     return time.perf_counter(), n, as_generator(rng)
 
 
@@ -198,10 +203,14 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
 
     ``kernel_z_factor`` deliberately corrupts the kernel (z -> factor
     * z) for power studies: the check must then fail.  eps and the
-    factor are checked as numbers before any draw, on both routes.
+    factor are checked as finite numbers before any draw, on both
+    routes.
     """
     eps = _check_eps(eps)
     kernel_z_factor = _json_float(kernel_z_factor, "kernel_z_factor")
+    if not math.isfinite(kernel_z_factor):
+        raise ParameterError(
+            f"kernel_z_factor must be finite, got {kernel_z_factor}")
     t0, n, rng = _start(n, rng)
     batch = _route_sampler(route)(params, eps, n, rng)
     weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
@@ -316,7 +325,7 @@ def check_transform_identity(n_tuples: int, rng,
     """
     n_tuples = _json_int(n_tuples, "n_tuples")
     if n_tuples < 1:
-        raise ValueError(f"need n_tuples >= 1, got {n_tuples}")
+        raise ParameterError(f"need n_tuples >= 1, got {n_tuples}")
     t0 = time.perf_counter()
     rng = as_generator(rng)
     worst_gp = 0.0

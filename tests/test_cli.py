@@ -660,6 +660,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "'rho'" in err and "overflows" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kernel_z_factor_exits_two(self, tmp_path, capsys,
+                                                  factor):
+        # it used to print rhs=nan±nan, or inf with a RuntimeWarning
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 0.5,
+            "kernel_z_factor": factor})
+        assert main(["verify", "polya-ibp", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "kernel_z_factor must be finite" in err
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "posterior",
                                       "window": BASE_WINDOW})
@@ -803,6 +815,18 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--format", "jsonl",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_mecke_at_g_zero_passes_on_inexact_masses(self, tmp_path,
+                                                      capsys):
+        # rho(f) = 2.4 is summed inexactly; the constant rhs used to
+        # fail as rhs=2.4±3.1e-17 with exit 1
+        cfg = write_config(tmp_path, {
+            "window": {"mode": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                       "cells": [2, 3]},
+            "rho": {"masses": [0.4] * 6}, "n": 200, "seed": 3})
+        assert main(["verify", "mecke", "--config", cfg]) == 0
+        assert re.search(r"^PASS mecke: .* rhs=2\.4±0 ",
+                         capsys.readouterr().out)
 
     def test_infinite_g_parses(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1089,3 +1089,154 @@ def test_poisson_reads_the_atom_columns(rho):
     assert got.n == want.n
     for a, b in zip(state_space._columns(got), state_space._columns(want)):
         assert np.array_equal(a, b)
+
+
+def _mixing_atoms(k):
+    """k mixing atoms (z, w, p) of distinct z and w."""
+    z = np.linspace(0.8, 0.1, k)
+    w = np.linspace(2.0, 0.3, k)
+    p = np.arange(1.0, k + 1)
+    return tuple(zip(z.tolist(), w.tolist(), (p / p.sum()).tolist()))
+
+
+_REDUCE_ROUTES = {
+    **{route: _INVARIANT_ROUTES[route] for route in (
+        "poisson", "gamma", "direct", "cox", "posterior")},
+    **{f"mixed-{route}-{k}": (
+        lambda rho, rng, route=route, k=k: sample_mixed_batch(
+            MixingMeasure(rho, _mixing_atoms(k)), route, 1e-3, 300, rng)[0])
+       for route in ("direct", "cox") for k in (1, 2, 40)},
+}
+
+
+def _as_configurations(batch):
+    """``batch``, or an atomic batch's records as simple points."""
+    if isinstance(batch, AtomicBatch):
+        return state_space.ConfigurationBatch(
+            batch.window, batch.n, batch.rep, batch.cell,
+            np.ones_like(batch.rep), batch.coords)
+    return batch
+
+
+def _assert_reductions_equal_bincount(batch):
+    want_counts = np.bincount(batch.rep, weights=batch.mult,
+                              minlength=batch.n)
+    want_distinct = np.bincount(batch.rep, minlength=batch.n)
+    counts, distinct = batch.counts(), batch.distinct_counts()
+    assert counts.dtype == distinct.dtype == np.int64
+    assert counts.shape == distinct.shape == (batch.n,)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(distinct, want_distinct)
+
+
+class TestReductions:
+    """counts and distinct_counts reduce runs of records that share a
+    replica; every route and every record order gives bincount's sums."""
+
+    @pytest.mark.parametrize("kind", ["box-atoms", "sites-atoms"])
+    @pytest.mark.parametrize("route", sorted(_REDUCE_ROUTES))
+    def test_counts_equal_bincount_on_every_route(self, route, kind):
+        batch = _as_configurations(
+            _REDUCE_ROUTES[route](_invariant_rho(kind), RngSeed(23)))
+        assert batch.rep.size > batch.n
+        _assert_reductions_equal_bincount(batch)
+
+    @pytest.mark.parametrize("case", ["random-order", "empty-replicas",
+                                      "no-replicas", "one-record"])
+    def test_counts_equal_bincount_on_hand_built_batches(self, case):
+        window = Window.interval(0.0, 1.0, 4)
+        rng = np.random.default_rng(3)
+        n, rep = {
+            "random-order": (50, rng.integers(0, 50, 5000)),
+            # replicas 0, 2, 3, 6, 7 and 8 hold nothing
+            "empty-replicas": (9, np.sort(rng.choice([1, 4, 5], 40))),
+            "no-replicas": (0, np.zeros(0, dtype=np.int64)),
+            "one-record": (3, np.array([2]))}[case]
+        size = rep.size
+        coords = rng.random((size, 1))
+        batch = state_space.ConfigurationBatch(
+            window, n, rep, window.cells_of(coords),
+            rng.integers(1, 10**6, size), coords)
+        _assert_reductions_equal_bincount(batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(1, 2**62)),
+            max_size=30 if n else 0))))
+    def test_counts_are_exact_sums(self, case):
+        # large multiplicities take the exact loop, and its typed error
+        # past int64; the rest the int64 runs
+        n, records = case
+        window = Window.interval(0.0, 1.0, 4)
+        rep = np.array([r for r, _ in records], dtype=np.int64)
+        mult = np.array([m for _, m in records], dtype=np.int64)
+        batch = state_space.ConfigurationBatch(
+            window, n, rep, np.zeros(rep.size, dtype=np.int64), mult,
+            np.zeros((rep.size, 1)))
+        want = [sum(m for r, m in records if r == i) for i in range(n)]
+        assert batch.distinct_counts().tolist() == [
+            sum(r == i for r, _ in records) for i in range(n)]
+        if max(want, default=0) >= 2**63:
+            with pytest.raises(state_space.InvalidMeasureError,
+                               match="past int64"):
+                batch.counts()
+        else:
+            assert batch.counts().tolist() == want
+
+
+def _buffer(column):
+    """The array that owns a column's memory."""
+    while column.base is not None:
+        column = column.base
+    return column
+
+
+def _assert_one_buffer(batch):
+    columns = state_space._columns(batch)
+    owner = _buffer(columns[0])
+    assert all(_buffer(col) is owner for col in columns)
+    value_dtype = np.int64 if isinstance(
+        batch, state_space.ConfigurationBatch) else np.float64
+    coords_dtype = np.int64 if batch.window.mode == "sites" else np.float64
+    assert [col.dtype for col in columns] == [
+        np.int64, np.int64, value_dtype, coords_dtype]
+    assert all(col.flags.c_contiguous and col.flags.writeable
+               for col in columns)
+
+
+class TestOneBuffer:
+    """The batch writer keeps a batch's four columns in one buffer."""
+
+    @pytest.mark.parametrize("kind", ["box-atoms", "sites-atoms"])
+    @pytest.mark.parametrize("route", ["poisson", "gamma", "direct",
+                                       "posterior", "mixed-direct",
+                                       "mixed-cox"])
+    def test_written_batch_is_one_buffer(self, route, kind):
+        _assert_one_buffer(_INVARIANT_ROUTES[route](_invariant_rho(kind),
+                                                    RngSeed(24)))
+
+    @pytest.mark.parametrize("cls", [state_space.ConfigurationBatch,
+                                     AtomicBatch])
+    @pytest.mark.parametrize("window", [
+        Window.box([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)], [1, 2, 3]),
+        Window.discrete(["a", "b", "c"])], ids=["box-3d", "sites"])
+    def test_columns_hold_after_growing(self, cls, window):
+        # capacity 1: every put past it grows the buffer, which must
+        # keep the rows written so far and stay one buffer
+        out = state_space._BatchWriter(cls, window, 4, 1)
+        rng = np.random.default_rng(5)
+        parts = []
+        for k in (1, 3, 0, 17, 2):
+            value = (rng.random(k) if cls is AtomicBatch
+                     else rng.integers(1, 99, k))
+            coords = (rng.integers(0, 3, k) if window.mode == "sites"
+                      else rng.random((k, 3)))
+            part = (rng.integers(0, 4, k), rng.integers(0, 6, k), value,
+                    coords)
+            out.put(*part)
+            parts.append(part)
+        batch = out.batch()
+        _assert_one_buffer(batch)
+        for got, want in zip(state_space._columns(batch), zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))

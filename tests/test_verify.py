@@ -1,12 +1,14 @@
 """The verification harness: validity on true identities, power on
 corrupted ones."""
 
+import inspect
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import polyasum
 from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
                       Window, check_conjugacy, check_transform_identity,
@@ -15,7 +17,8 @@ from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       sample_polya_cox_batch, sample_polya_direct_batch)
 from polyasum.state_space import (ConfigurationBatch, _integrate_cellwise,
                                   _tile)
-from polyasum.verify import EPS_ALLOWANCE, _campbell_sides, _mean_se
+from polyasum.verify import (_DEGENERATE_ATOL, EPS_ALLOWANCE,
+                             _campbell_sides, _ibp_report, _mean_se)
 
 INF = float("inf")
 EPS = 1e-6
@@ -78,8 +81,34 @@ class TestMecke:
         assert report.lhs == 0.0 and report.rhs == 0.0 and report.exact == 0.0
 
     def test_requires_enough_replicas(self, window4, rho_mass2, ones, zeros):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="n >= 100"):
             check_mecke(rho_mass2, ones, zeros, 10, RngSeed(0))
+
+    @pytest.mark.parametrize("atom", [False, True])
+    def test_constant_side_at_g_zero_passes_across_seeds(self, atom):
+        # at g = 0 the rhs is rho(f) in every replica; its summed mean
+        # used to sit an ulp from the exact value, read as many sigma,
+        # and the check failed at all 100 seeds
+        window = Window.box([(0.0, 1.0), (0.0, 1.0)], [2, 3])
+        atoms = (((0.3, 0.5), 0.7),) if atom else ()
+        rho = ReferenceMeasure(window, np.full(6, 0.4), atoms)
+        f = TestFunction(window, [1.0, 0.2, 2.0, 0.7, 0.3, 1.1])
+        g = TestFunction.constant(window, 0.0)
+        reports = [check_mecke(rho, f, g, 200, RngSeed(seed))
+                   for seed in range(100)]
+        assert sum(r.passed for r in reports) >= 97
+        assert all(r.rhs_stderr == 0.0 for r in reports)
+
+    def test_constant_side_off_the_exact_value_fails(self):
+        lhs = np.linspace(1.4, 3.4, 200)
+        rhs = np.full(200, 2.4)
+        for exact, passed in ((2.4 + 1e-9, False),
+                              (2.4 + 0.5 * _DEGENERATE_ATOL, True)):
+            report = _ibp_report("t", lhs, rhs, exact, 0.0, 200, 0.0, {})
+            assert (report.rhs, report.rhs_stderr) == (2.4, 0.0)
+            assert report.details["z_rhs_exact"] == (
+                0.0 if passed else INF)
+            assert report.passed is passed
 
 
 class TestPolyaIBP:
@@ -222,7 +251,7 @@ class TestTransformIdentity:
 
     @pytest.mark.parametrize("n_tuples", [0, -3])
     def test_needs_one_tuple(self, n_tuples):
-        with pytest.raises(ValueError, match="n_tuples"):
+        with pytest.raises(ParameterError, match="n_tuples"):
             check_transform_identity(n_tuples, RngSeed(18))
 
 
@@ -388,3 +417,81 @@ def test_integral_float_n_reports_an_int(rho_mass2, ones, zeros):
     want = check_mecke(rho_mass2, ones, zeros, 200, RngSeed(3))
     assert type(got.n) is int
     assert got.to_dict() == want.to_dict()
+
+
+def test_equal_doubles_have_their_value_and_no_spread():
+    values = np.full(300, 0.1)
+    assert values.mean() != 0.1  # the summed mean strays by ulps
+    assert _mean_se(values) == (0.1, 0.0)
+    assert _mean_se([0.1, 0.1 + 2**-56]) != (0.1, 0.0)
+
+
+# valid arguments of every public function that takes an rng, keyed by
+# name; the numeric ones are replaced one at a time by bad values
+_W4 = Window.interval(0.0, 1.0, 4)
+_RHO = ReferenceMeasure.uniform(_W4, 2.0)
+_ONES = TestFunction.constant(_W4, 1.0)
+_ZEROS = TestFunction.constant(_W4, 0.0)
+_PARAMS = PolyaParams(0.5, _RHO)
+_MIXING = MixingMeasure(_RHO, ((0.5, 1.0, 1.0),))
+_VALID_CALLS = {
+    "sample_poisson_batch": dict(rho=_RHO, n=3),
+    "sample_gamma_measure_batch": dict(params=_PARAMS, eps=1e-3, n=3),
+    "sample_polya_direct_batch": dict(params=_PARAMS, n=3),
+    "sample_polya_cox_batch": dict(params=_PARAMS, eps=1e-3, n=3),
+    "sample_posterior_batch": dict(
+        mu=polyasum.PointConfiguration(_W4, (((0.1,), 2),)),
+        params=_PARAMS, eps=1e-3, n=3),
+    "sample_mixed_batch": dict(mixing=_MIXING, route="cox", eps=1e-3, n=3),
+    "check_mecke": dict(rho=_RHO, f=_ONES, g=_ZEROS, n=100),
+    "check_polya_ibp": dict(params=_PARAMS, route="cox", f=_ONES, g=_ZEROS,
+                            n=100, eps=1e-3, kernel_z_factor=1.0),
+    "check_conjugacy": dict(params=_PARAMS, g=_ZEROS, h=_ZEROS, eps=1e-3,
+                            n=100),
+    "check_mixed_ibp": dict(mixing=_MIXING, f=_ONES, g=_ZEROS, n=100,
+                            eps=1e-3, route="cox"),
+    "check_transform_identity": dict(n_tuples=1),
+}
+_NUMERIC = ("n", "eps", "n_tuples", "kernel_z_factor")
+
+
+def _bad_values(name, param):
+    bad = ["3", True, None, math.nan, INF, -INF]
+    if param in ("n", "n_tuples"):
+        bad += [-1, 1.5]
+        if param == "n_tuples" or name.startswith("check_"):
+            bad.append(0 if param == "n_tuples" else 99)  # below the least
+    if param == "eps":
+        bad += [0.0, -1e-3]
+    return bad
+
+
+def _rng_functions():
+    """The public functions that take an rng and a numeric parameter."""
+    out = {}
+    for name in polyasum.__all__:
+        obj = getattr(polyasum, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters
+            if "rng" in params and set(params) & set(_NUMERIC):
+                out[name] = [p for p in params if p in _NUMERIC]
+    return out
+
+
+def test_every_rng_function_has_a_valid_call():
+    assert set(_rng_functions()) == set(_VALID_CALLS)
+    for name, kwargs in _VALID_CALLS.items():
+        getattr(polyasum, name)(rng=RngSeed(2), **kwargs)
+
+
+@pytest.mark.parametrize("name, param, value", [
+    (name, param, value)
+    for name, params in sorted(_rng_functions().items())
+    for param in params for value in _bad_values(name, param)])
+def test_bad_numbers_raise_typed_errors_before_any_draw(name, param, value):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    kwargs = {**_VALID_CALLS[name], param: value}
+    with pytest.raises((ParameterError, InvalidMeasureError)):
+        getattr(polyasum, name)(rng=rng, **kwargs)
+    assert rng.bit_generator.state == state
