@@ -89,6 +89,10 @@ _SEED_COEFFS = (
     0.2647370104515432,
 )
 _TAIL_STEPS = 5
+# e1_inverse takes the y > 1 formula over blocks of this many
+# arguments, whose arrays stay in cache: over 31k arguments this was
+# the fastest of 2048 to 16384 and the whole input at once (README)
+_BLOCK = 8192
 
 
 def _e1_series(x, log=np.log):
@@ -202,6 +206,19 @@ def _invert_low(y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _invert_high(y: np.ndarray) -> None:
+    # the y > 1 formula written over y: x = w e^d = e^(d - gamma - y);
+    # for y >= 745 w underflows to 0, d is 0 and so is x, also for
+    # y = inf.  Finite at every y > 0, so it runs over every entry
+    rhs = np.add(y, EULER_GAMMA, out=y)
+    w = np.negative(rhs)
+    np.exp(w, out=w)
+    out = _horner(_D_COEFFS, w / _W1)
+    out *= w
+    out -= rhs
+    np.exp(out, out=y)
+
+
 def e1_inverse(y):
     """Solve E1(x) = y for x > 0.
 
@@ -218,16 +235,14 @@ def e1_inverse(y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not np.all(y_arr > 0.0):
         raise ValueError("e1_inverse requires strictly positive arguments")
-    # x = w e^d = e^(d - gamma - y); for y >= 745 w underflows to 0, d
-    # is 0 and so is x, also for y = inf.  Finite at every y > 0, so it
-    # runs over the whole input and the y <= 1 entries are overwritten
-    rhs = y_arr + EULER_GAMMA
-    w = np.exp(-rhs)
-    out = _horner(_D_COEFFS, w / _W1)
-    out *= w
-    out -= rhs
-    np.exp(out, out=out)
-    low = np.flatnonzero(y_arr <= 1.0)
+    out = y_arr.astype(float, order="C")  # a copy, written over
+    flat = out.reshape(-1)
+    low = np.flatnonzero(flat <= 1.0)
+    y_low = flat.take(low)
+    # the y > 1 formula block by block, so that its temporaries stay a
+    # few blocks whatever the size of y; then the y <= 1 entries
+    for start in range(0, flat.size, _BLOCK):
+        _invert_high(flat[start:start + _BLOCK])
     if low.size:
-        out.put(low, _invert_low(y_arr.take(low)))
+        flat.put(low, _invert_low(y_low))
     return float(out[0]) if np.ndim(y) == 0 else out

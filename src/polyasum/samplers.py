@@ -243,6 +243,24 @@ def _poisson_from_atomic_batch(kappa: AtomicBatch, rng) -> ConfigurationBatch:
 # Gamma random measures (truncated inverse-Levy)
 # ---------------------------------------------------------------------------
 
+def _jump_rate(params: PolyaParams, eps: float, n: int):
+    """``(a, m/a, lam_eps)`` of a Ferguson-Klass draw at ``eps``: the
+    rate lam_eps = m E1(a r_eps) of the jumps above r_eps, checked by
+    :func:`_check_rate` for n replicas, or None when no jump is drawn
+    (m/a is 0 or at most eps).  Where a r_eps underflows to 0 the rate
+    is infinite, a :class:`ParameterError` naming eps."""
+    m = params.rho.total_mass
+    a = params.a if params.z > 0.0 else math.inf
+    mean_total = m / a
+    if eps >= mean_total:
+        return a, mean_total, None
+    r_eps = -math.log1p(-eps * a / m) / a
+    x_eps = a * r_eps
+    return a, mean_total, _check_rate(
+        m * e1(x_eps) if x_eps > 0.0 else math.inf,
+        "the jump rate m E1(a r_eps) of z, eps and the mass m of rho", n)
+
+
 def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
                                rng) -> AtomicBatch:
     """n truncated Ferguson-Klass draws of the Gamma random measure.
@@ -256,20 +274,26 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
     atom count is truncated.  Locations are i.i.d. rho/m, atoms of rho
     included in proportion.  n times the jump rate m E1(a r_eps) may be
     at most ``_MAX_RECORDS``.  z = 0, m = 0, or a mean mass m/a that
-    underflows to 0 gives the zero measure, drawing nothing.
+    underflows to 0 gives the zero measure, drawing nothing; an eps so
+    small that a r_eps underflows to 0 makes the jump rate infinite and
+    raises :class:`ParameterError`, drawing nothing.
+
+    The batch is drawn in place: the arrival times go straight into the
+    rows' weight column, the jumps below the threshold then the n last
+    ones, one ``e1_inverse`` call over all of them gives the jump sizes,
+    divided by a there, and the n remainder atoms follow from the last
+    jumps.  Besides the batch only ``e1_inverse``'s result, one double
+    per jump, and a few blocks of its temporaries are held at a time.
     """
     eps = _check_eps(eps)
     n = _check_n(n)
     rng = as_generator(rng)
-    window = params.window
-    m = params.rho.total_mass
-    out = _BatchWriter(AtomicBatch, window, n)
-    a = params.a if params.z > 0.0 else math.inf
-    mean_total = m / a
+    out = _BatchWriter(AtomicBatch, params.window, n)
+    a, mean_total, lam_eps = _jump_rate(params, eps, n)
     if mean_total == 0.0:  # z = 0, m = 0, or m/a underflows
         return out.batch()
 
-    if eps >= mean_total:
+    if lam_eps is None:
         # even the full process has expected mass below the threshold:
         # emit only the remainder atom
         rows = out.rows(n)
@@ -278,29 +302,32 @@ def sample_gamma_measure_batch(params: PolyaParams, eps: float, n: int,
         params.rho._locations_into(rows.cell, rows.coords, rng)
         return out.batch()
 
-    r_eps = -math.log1p(-eps * a / m) / a
-    lam_eps = _check_rate(m * e1(a * r_eps),
-                          "the jump rate m E1(a r_eps) of z, eps and the "
-                          "mass m of rho", n)
+    m = params.rho.total_mass
     n_jumps = rng.poisson(lam_eps, size=n)
     total = int(n_jumps.sum())
-    # arrival times below lam_eps are i.i.d. uniforms; the first
-    # arrival beyond is lam_eps + Exp(1) by memorylessness.  The
-    # (0, 1] form keeps arrival times strictly positive.  The jumps
-    # below solve E1(a r) = (1 - U) lam_eps / m, formed in place.
-    y_below = rng.random(size=total)
-    np.subtract(1.0, y_below, out=y_below)
-    y_below *= lam_eps
-    y_below /= m
-    gamma_last = lam_eps + rng.exponential(size=n)
-
     rows = out.rows(total + 2 * n)
     every = np.arange(n, dtype=np.int64)
     np.concatenate([np.repeat(every, n_jumps), every, every], out=rows.rep)
-    np.divide(e1_inverse(y_below), a, out=rows.weight[:total])
-    radii_last = e1_inverse(gamma_last / m) / a
-    rows.weight[total:total + n] = radii_last
-    rows.weight[total + n:] = mean_total * -np.expm1(-a * radii_last)
+    # arrival times below lam_eps are i.i.d. uniforms; the first
+    # arrival beyond is lam_eps + Exp(1) by memorylessness.  The
+    # (0, 1] form keeps arrival times strictly positive.  Each jump
+    # solves E1(a r) = y, y = (1 - U) lam_eps / m below and
+    # (lam_eps + E) / m for the last, drawn and formed in its row's
+    # weight
+    y = rows.weight[:total + n]
+    below, last = y[:total], y[total:]
+    rng.random(out=below)
+    np.subtract(1.0, below, out=below)
+    below *= lam_eps
+    below /= m
+    rng.standard_exponential(out=last)  # rng.exponential's draws
+    last += lam_eps
+    last /= m
+    np.divide(e1_inverse(y), a, out=y)
+    remainder = rows.weight[total + n:]
+    np.multiply(last, -a, out=remainder)
+    np.expm1(remainder, out=remainder)
+    remainder *= -mean_total  # mean_total (1 - e^(-a r_last))
     # at small reference mass e1_inverse underflows to 0 for late
     # arrivals; such atoms carry no mass, so dropping them leaves the
     # law unchanged and keeps every replica a valid measure
@@ -445,6 +472,10 @@ def sample_mixed_batch(mixing: MixingMeasure, route: str, eps: float, n: int,
     rates = -np.log1p(-z_atom) * w_atom * m0
     _check_rate(rates.max(), "the cluster rate -log(1-z) w m0 of a mixing "
                 "atom's z and w and the mass m0 of rho0", n)
+    if route == "cox":  # each component's jump rate, before any draw
+        for z, w, _ in mixing.atoms:
+            if z > 0.0 and w > 0.0:
+                _jump_rate(PolyaParams(z, mixing.rho0.scale(w)), eps, 0)
     comp = _categorical(probs / probs.sum(), n, rng)
     z_lat, w_lat = z_atom[comp], w_atom[comp]
 

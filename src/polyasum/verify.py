@@ -239,13 +239,15 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     t0, n, rng = _start(n, rng)
     slack = _slack("cox", eps)
 
+    # the forward half is reduced to its per-replica values, and its
+    # batches dropped, before the backward half draws
     kappa = sample_gamma_measure_batch(params, eps, n, rng)
-    mu_fwd = _poisson_from_atomic_batch(kappa, rng)
-    fwd = np.exp(-mu_fwd.zeta(g) - kappa.zeta(h))
-
-    mu_bwd = sample_polya_direct_batch(params, n, rng)
-    kappa_bwd = _posterior_from_config_batch(mu_bwd, params, eps, rng)
-    bwd = np.exp(-mu_bwd.zeta(g) - kappa_bwd.zeta(h))
+    fwd = np.exp(-_poisson_from_atomic_batch(kappa, rng).zeta(g)
+                 - kappa.zeta(h))
+    del kappa
+    mu = sample_polya_direct_batch(params, n, rng)
+    bwd = np.exp(-mu.zeta(g)
+                 - _posterior_from_config_batch(mu, params, eps, rng).zeta(h))
 
     exact = joint_laplace(g, h, params.z, params.rho).value
     fm, fs = _mean_se(fwd)

@@ -297,6 +297,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "truncation threshold" in err and "csv" not in err
 
+    def test_infinite_jump_rate_exits_two(self, tmp_path, capsys):
+        # at eps = 5e-324 the jump threshold a r_eps underflows to 0, so
+        # the jump rate is infinite; E1 refused its argument 0 with a
+        # bare ValueError
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},
+            "z": 0.5, "route": "gamma", "n": 3, "seed": 3, "eps": 5e-324,
+        })
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "jump rate" in err and "eps" in err
+        assert "strictly positive" not in err
+
     @pytest.mark.parametrize("route", ["direct", "gamma", "poisson",
                                        "mixed"])
     def test_poisson_rate_past_numpy_exits_two(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """The E1 evaluator against scipy's, and the inverse against round trips."""
 
 import hashlib
+import json
 import warnings
 
 import mpmath as mp
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import exp1
 
 from polyasum import (AtomicBatch, MixingMeasure, PointConfiguration,
-                      PolyaParams, ReferenceMeasure, RngSeed, Window,
+                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
+                      Window, check_conjugacy, check_polya_ibp,
                       sample_gamma_measure_batch, sample_mixed_batch,
                       sample_poisson_batch, sample_polya_cox_batch,
                       sample_polya_direct_batch, sample_posterior_batch)
@@ -273,3 +275,101 @@ def test_gamma_weights_keep_their_bits():
         "cox":
             "1b3a5b245c4a7405c540af4e66a55311abb128d838626b239dda2ec2ac062c93",
     }
+
+
+def _fk_windows():
+    """rho on a 1-d box, a 2-d box with an atom and a sites window, each
+    with an observation mu for the posterior (on the atom in the 2-d
+    box)."""
+    line = Window.interval(0.0, 1.0, 4)
+    plane = Window.box([(0.0, 1.0), (-1.0, 1.0)], [2, 3])
+    sites = Window.discrete(["a", "b", "c"])
+    return {
+        "box-1d": (ReferenceMeasure.uniform(line, 2.0),
+                   PointConfiguration(line, (((0.1,), 3), ((0.6,), 1)))),
+        "box-2d-atom": (
+            ReferenceMeasure(plane, np.array([0.5, 0.25, 0.75, 0.1, 0.4,
+                                              0.3]),
+                             (((0.3, 0.4), 0.75),)),
+            PointConfiguration(plane, (((0.3, 0.4), 2),
+                                       ((0.8, -0.5), 1)))),
+        "sites": (ReferenceMeasure(sites, np.array([0.5, 1.0, 0.25])),
+                  PointConfiguration(sites, (("a", 2), ("c", 1)))),
+    }
+
+
+_FK_SAMPLERS = {
+    "gamma": lambda p, mu, eps, n, rng: sample_gamma_measure_batch(
+        p, eps, n, rng),
+    "cox": lambda p, mu, eps, n, rng: sample_polya_cox_batch(p, eps, n, rng),
+    "posterior": lambda p, mu, eps, n, rng: sample_posterior_batch(
+        mu, p, eps, n, rng),
+}
+
+
+class TestFKBits:
+    """The Ferguson-Klass draws and the checks built on them, pinned
+    bit for bit: each digest hashes the batches at n in (1, 3, 200) and
+    eps in (1e-9, 1e-6, 1e-2), in that order, recorded with numpy 2.4
+    on x86-64."""
+
+    DIGESTS = {
+        ("cox", "box-1d"):
+            "04ae81f4674f5862c81f92232d84f475ee389262db0ba8194fb47514b3001303",
+        ("cox", "box-2d-atom"):
+            "86f98da9c91cf610d233e22deafd0e5cd0868b6ff6a150413950625a12414b20",
+        ("cox", "sites"):
+            "df1ab17ca8a2343ddaf6bcc17473f385a25e12a2f665a6ecee2e6e2bef20b944",
+        ("gamma", "box-1d"):
+            "02eb4caf68cb19c904f80b03e28593ab753e05154cfd053d0bd175342d9f0b45",
+        ("gamma", "box-2d-atom"):
+            "143481df79976e4c93d6734da5b7a2dea08cc8b975f86524a8a22446ab83c892",
+        ("gamma", "sites"):
+            "9b9ccc1524aa0f6c8a9716f455cff0896e4d92c7874772f791bbc4849a87b7d1",
+        ("posterior", "box-1d"):
+            "2de3f2c898048f417e7fedd513b5feb7b2f45b236045c7054e9045494fe60189",
+        ("posterior", "box-2d-atom"):
+            "74083fee3fbe59c7dfe4e7b47dcde21d8175ccd7f9a4a2bcff494eeadd0adc72",
+        ("posterior", "sites"):
+            "59c6c819527b5e0f280f720dd31bb48a2010a98a35ba58afe73bd9eb18efbf1f",
+    }
+    REPORTS = {
+        ("conjugacy", 0.3):
+            "ef37bd562e17deddcadbed9b749236094b0ccb3622589832d2016322164dd293",
+        ("conjugacy", 0.7):
+            "5e7ba4bbd98d270a121a665c4835bc86cf52c5895da70498e0cbd22cce1c253e",
+        ("polya-ibp-cox", 0.3):
+            "bfd753795513e721d657ad634390e47102c68545193e743bcd79ae7f64418519",
+        ("polya-ibp-cox", 0.7):
+            "cefa00103bcc536534bb359bbf5082c6b8eec8b464d0a3b14e15b1bf13f422b7",
+    }
+
+    @pytest.mark.parametrize("sampler", sorted(_FK_SAMPLERS))
+    @pytest.mark.parametrize("window", sorted(_fk_windows()))
+    def test_fk_batches_keep_their_bits(self, sampler, window):
+        rho, mu = _fk_windows()[window]
+        params = PolyaParams(0.6, rho)
+        h = hashlib.sha256()
+        for k, (n, eps) in enumerate((n, eps) for n in (1, 3, 200)
+                                     for eps in (1e-9, 1e-6, 1e-2)):
+            batch = _FK_SAMPLERS[sampler](params, mu, eps, n,
+                                          RngSeed(61, stream=k))
+            h.update(_batch_digest(batch).encode())
+        assert h.hexdigest() == self.DIGESTS[sampler, window]
+
+    @pytest.mark.parametrize("check", ["conjugacy", "polya-ibp-cox"])
+    @pytest.mark.parametrize("z", [0.3, 0.7])
+    def test_fk_reports_keep_their_bits(self, check, z):
+        window = Window.interval(0.0, 1.0, 4)
+        params = PolyaParams(z, ReferenceMeasure.uniform(window, 2.0))
+        f = TestFunction(window, np.array([1.2, 0.5, 0.9, 1.4]))
+        g = TestFunction(window, np.array([0.3, 1.1, 0.0, 0.7]))
+        h = TestFunction(window, np.array([0.8, 0.2, 1.3, 0.4]))
+        if check == "conjugacy":
+            report = check_conjugacy(params, g, h, 1e-6, 400, RngSeed(62))
+        else:
+            report = check_polya_ibp(params, "cox", f, g, 400, RngSeed(63),
+                                     eps=1e-6)
+        doc = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == \
+            self.REPORTS[check, z]

@@ -3,6 +3,7 @@ corrupted ones."""
 
 import inspect
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,8 @@ from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       check_mecke, check_mixed_ibp, check_polya_ibp,
                       laplace_polya, sample_mixed_batch,
                       sample_polya_cox_batch, sample_polya_direct_batch)
-from polyasum.state_space import (ConfigurationBatch, _integrate_cellwise,
-                                  _tile)
+from polyasum.state_space import (ConfigurationBatch, _BatchWriter,
+                                  _integrate_cellwise, _tile)
 from polyasum.verify import (_DEGENERATE_ATOL, EPS_ALLOWANCE,
                              _campbell_sides, _ibp_report, _mean_se)
 
@@ -462,7 +463,9 @@ def _bad_values(name, param):
         if param == "n_tuples" or name.startswith("check_"):
             bad.append(0 if param == "n_tuples" else 99)  # below the least
     if param == "eps":
-        bad += [0.0, -1e-3]
+        # at 5e-324 the jump threshold a r_eps underflows to 0, where
+        # the jump rate m E1(a r_eps) is infinite
+        bad += [0.0, -1e-3, 5e-324]
     return bad
 
 
@@ -495,3 +498,65 @@ def test_bad_numbers_raise_typed_errors_before_any_draw(name, param, value):
     with pytest.raises((ParameterError, InvalidMeasureError)):
         getattr(polyasum, name)(rng=rng, **kwargs)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, params in _rng_functions().items() if "eps" in params))
+def test_infinite_jump_rate_raises_before_any_draw(name):
+    # an admissible eps that a mass of 1e308 makes underflow: eps a / m
+    # and with it a r_eps are 0, so the jump rate is infinite.  The
+    # mixed entry points refuse the mass first, by its cluster rate
+    rho = ReferenceMeasure.uniform(_W4, 1e308)
+    kwargs = {**_VALID_CALLS[name], "eps": 1e-20}
+    if "params" in kwargs:
+        kwargs["params"] = PolyaParams(0.5, rho)
+    if "mixing" in kwargs:
+        kwargs["mixing"] = MixingMeasure(rho, ((0.5, 1.0, 1.0),))
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError) as err:
+        getattr(polyasum, name)(rng=rng, **kwargs)
+    assert rng.bit_generator.state == state
+    assert ("cluster rate" if "mixed" in name else "eps") in str(err.value)
+
+
+@pytest.mark.parametrize("check, bound", [("conjugacy", 2.25),
+                                          ("polya-ibp-cox", 1.75)])
+def test_fk_checks_keep_few_batches_alive(check, bound, monkeypatch):
+    # tracemalloc's peak over a check at the benchmark's verify-fk
+    # setting, against the largest batch buffer it allocates (about
+    # 1 MB), on a second call, so that first-use set-up (the logseries
+    # replay's probe) is not counted.  Measured over seeds 0-4 and z in
+    # (0.3, 0.5, 0.7): 2.01-2.04 for the conjugacy check, whose
+    # posterior copies its Gamma batch, and 1.50-1.54 on the Cox route
+    # (2.03 and 1.50 here); when the conjugacy check held its forward
+    # batches while the backward half drew, and e1_inverse's
+    # temporaries spanned its whole input, they were 3.18-3.25 and
+    # 2.20-2.24 (3.21 and 2.20 here)
+    window = Window.interval(0.0, 1.0, 4)
+    params = PolyaParams(0.7, ReferenceMeasure.uniform(window, 2.0))
+    f = TestFunction(window, np.array([1.2, 0.5, 0.9, 1.4]))
+    g = TestFunction(window, np.array([0.3, 1.1, 0.0, 0.7]))
+    buffers = []
+    empty = _BatchWriter._empty
+
+    def spy(self, capacity):
+        cols = empty(self, capacity)
+        buffers.append(cols[0].base.nbytes)
+        return cols
+
+    def run():
+        if check == "conjugacy":
+            check_conjugacy(params, g, g, 1e-6, 1000, RngSeed(5))
+        else:
+            check_polya_ibp(params, "cox", f, g, 1000, RngSeed(5), eps=1e-6)
+
+    run()
+    monkeypatch.setattr(_BatchWriter, "_empty", spy)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * max(buffers)
