@@ -1,8 +1,11 @@
 """The verification harness: validity on true identities, power on
 corrupted ones."""
 
+import hashlib
 import inspect
+import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -16,6 +19,7 @@ from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       check_mecke, check_mixed_ibp, check_polya_ibp,
                       laplace_polya, sample_mixed_batch,
                       sample_polya_cox_batch, sample_polya_direct_batch)
+from polyasum.cli import main
 from polyasum.state_space import (ConfigurationBatch, _BatchWriter,
                                   _integrate_cellwise, _tile)
 from polyasum.verify import (_DEGENERATE_ATOL, EPS_ALLOWANCE,
@@ -560,3 +564,112 @@ def test_fk_checks_keep_few_batches_alive(check, bound, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound * max(buffers)
+
+
+class TestKernelBits:
+    """The reports of the kernel-based checks and the bytes of the
+    commands that build kernels, pinned bit for bit: sha256 digests of
+    each check's ``to_dict()`` and of each command's output with its
+    provenance timestamp removed, recorded with numpy 2.4 on x86-64."""
+
+    WINDOW = Window.interval(0.0, 1.0, 4)
+    F = TestFunction(WINDOW, np.array([1.0, 0.2, 2.0, 0.7]))
+    G = TestFunction(WINDOW, np.array([0.5, 0.0, 1.0, 0.3]))
+    POLYA = {
+        1.0:
+            "203d5f4c65000193b52f252a473a6decc4630433e2ebc5f2afd567caecea9861",
+        0.5:
+            "311dd9bc7c05b3a3abdd7a338646eb304b49b46cdd73c2320e3919bf17c29a91",
+    }
+    MIXED = {
+        ("plug-in", "direct", "f1-g0"):
+            "adeac70b9bc8edd1e74d8306bbbdd206c11197a1666d8cf5378f008d346b28e7",
+        ("plug-in", "direct", "fg"):
+            "7f3798ab1f015cbc80e4179420e856e433fb01796347b137bc99580cb08473c7",
+        ("plug-in", "cox", "f1-g0"):
+            "00d03837b01e4b97eedd9033e2cf04f4192667228fd4fbba16c16043420e71c6",
+        ("plug-in", "cox", "fg"):
+            "c83c716e0c23244ecd4f5e214db8df06f1af5dda590d2d582a03536784b46abd",
+        ("fixed", "direct", "f1-g0"):
+            "2f4cd9725a7c59094e1cf3280656b69318d07a1b4ac025a4a7e69b30d7366420",
+        ("fixed", "direct", "fg"):
+            "1354df09ec9455192c6cfa6ab0693ce16be36cbbf3d1090f86af267b592b3401",
+        ("fixed", "cox", "f1-g0"):
+            "885228015a379112727cae8b035253dbb4ff591fd6207ede2953655f7d9ee00d",
+        ("fixed", "cox", "fg"):
+            "7e3d5960eb58bdf779462434d5b93812466f2b2687a58160c15abc2fe7548b9d",
+    }
+    COMMANDS = {
+        ("posterior", "box-atoms"):
+            "aaef5baf0e103143189182571a1f2a7ee0d2d53c143cad3824f16101d6d6ec27",
+        ("posterior", "sites"):
+            "c84e7c0711b11159de07eff3cf8e04f160c99ff4eb06eca9c72404bf6fd64830",
+        ("estimate-zw", "box-atoms"):
+            "ce5cb6550c1c2db48c99629973978b2ee91b05aaabf8fb5fbc441e44b995ad3d",
+        ("estimate-zw", "sites"):
+            "baecf54959ea47c4cf0005a20f3ca929b5478ce5bc8d5afcd2ab2d2b72d529d6",
+        ("estimate-zw", "infeasible"):
+            "8d6ffee74edf1e62f116b59de7204205df864b947646eb8edd333bf6d7af4349",
+    }
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def report_digest(self, report):
+        return self.digest(json.dumps(report.to_dict(), sort_keys=True))
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5])
+    def test_polya_reports_keep_their_bits(self, factor):
+        params = PolyaParams(0.6, ReferenceMeasure.uniform(self.WINDOW, 2.0))
+        report = check_polya_ibp(params, "direct", self.F, self.G, 400,
+                                 RngSeed(64), kernel_z_factor=factor)
+        assert self.report_digest(report) == self.POLYA[factor]
+
+    @pytest.mark.parametrize("kernel", ["plug-in", "fixed"])
+    @pytest.mark.parametrize("route", ["direct", "cox"])
+    @pytest.mark.parametrize("functions", ["f1-g0", "fg"])
+    def test_mixed_reports_keep_their_bits(self, kernel, route, functions):
+        mixing = MixingMeasure(ReferenceMeasure.uniform(self.WINDOW, 2.0),
+                               ((0.3, 1.0, 0.5), (0.7, 2.0, 0.5)))
+        if functions == "fg":
+            f, g = self.F, self.G
+        else:
+            f = TestFunction.constant(self.WINDOW, 1.0)
+            g = TestFunction.constant(self.WINDOW, 0.0)
+        report = check_mixed_ibp(
+            mixing, f, g, 400, RngSeed(65), eps=1e-6, route=route,
+            fixed_zw=(0.5, 1.5) if kernel == "fixed" else None)
+        assert self.report_digest(report) == \
+            self.MIXED[kernel, route, functions]
+
+    @pytest.mark.parametrize("command, case", sorted(COMMANDS))
+    def test_command_bytes_keep_their_bits(self, tmp_path, command, case):
+        box = {"mode": "box", "bounds": [[0.0, 1.0]], "cells": [4]}
+        box_rho = {"masses": [0.5, 0.0, 1.0, 0.5],
+                   "atoms": [{"loc": [0.3], "weight": 1.5},
+                             {"loc": [0.8], "weight": 0.7}]}
+        box_mu = {"points": [{"loc": [0.3], "mult": 3},
+                             {"loc": [0.05], "mult": 1},
+                             {"loc": [0.6], "mult": 2},
+                             {"loc": [0.61], "mult": 1}]}
+        docs = {
+            "box-atoms": {"window": box, "rho": box_rho, "rho0": box_rho,
+                          "z": 0.35, "mu": box_mu},
+            "sites": {"window": {"mode": "sites", "sites": ["a", "b", "c"]},
+                      "rho": {"masses": [1.0, 0.5, 0.0],
+                              "atoms": [{"loc": "c", "weight": 2.0}]},
+                      "rho0": {"uniform_mass": 3.0}, "z": 0.7,
+                      "mu": {"points": [{"loc": "a", "mult": 4},
+                                        {"loc": "c", "mult": 1}]}},
+            "infeasible": {"window": box, "rho0": {"uniform_mass": 10.0},
+                           "mu": {"points": [{"loc": [0.5], "mult": 1}]}},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(docs[case]))
+        out = tmp_path / "out.json"
+        main([command, "--config", str(cfg), "--out", str(out)])
+        text = out.read_text()
+        stripped = re.sub(r'\n *"timestamp": "[^"]*",?', "", text)
+        assert stripped != text
+        assert self.digest(stripped) == self.COMMANDS[command, case]
