@@ -8,10 +8,10 @@ harness verifying every functional identity against its closed form.
 
 __version__ = "0.1.0"
 
-from .bayes import bayes_estimator, posterior_intensity, posterior_params
-from .estimators import (DensityStats, InfeasibleDensitiesError, ZWEstimate,
-                         density_batch, density_ratio, density_stats,
-                         papangelou_kernel, solve_zw, solve_zw_batch)
+from .bayes import (kernel, papangelou_kernel, posterior_intensity,
+                    posterior_params)
+from .estimators import (InfeasibleDensitiesError, ZWEstimate, density_batch,
+                         density_ratio, solve_zw, solve_zw_batch)
 from .expint import e1, e1_inverse
 from .samplers import (MixingMeasure, PolyaParams, RngSeed, as_generator,
                        sample_gamma_measure_batch, sample_mixed_batch,

@@ -1,4 +1,4 @@
-"""Conjugate posterior update and Bayes estimator.
+"""Conjugate posterior update and the kernels b (c rho0 + mu).
 
 Observing a configuration mu updates a Gamma random measure prior with
 parameters (z, rho) to one with parameters (z/(1+z), rho + mu); in the
@@ -10,8 +10,13 @@ estimator of the directing intensity is z (rho + mu).
 
 from __future__ import annotations
 
+import numpy as np
+
+from .estimators import (InfeasibleDensitiesError, density_batch,
+                         solve_zw_batch)
 from .samplers import PolyaParams
-from .state_space import PointConfiguration, ReferenceMeasure, superpose
+from .state_space import (ConfigurationBatch, PointConfiguration,
+                          ReferenceMeasure, _one_replica, superpose)
 from .transforms import _check_z_open
 
 
@@ -27,13 +32,6 @@ def posterior_params(z: float, rho: ReferenceMeasure,
     return PolyaParams(z / (1.0 + z), superpose(rho, mu))
 
 
-def bayes_estimator(z: float, rho: ReferenceMeasure,
-                    mu: PointConfiguration) -> ReferenceMeasure:
-    """The posterior-mean intensity measure z (rho + mu)."""
-    z = _check_z_open(z)
-    return superpose(rho, mu).scale(z)
-
-
 def posterior_intensity(params: PolyaParams) -> ReferenceMeasure:
     """First-moment measure of a Gamma measure: (z/(1-z)) rho.
 
@@ -43,3 +41,30 @@ def posterior_intensity(params: PolyaParams) -> ReferenceMeasure:
     """
     factor = params.z / (1.0 - params.z)
     return params.rho.scale(factor)
+
+
+def kernel(batch: ConfigurationBatch, rho0: ReferenceMeasure,
+           pair: tuple | None = None):
+    """Coefficients (b, c), shape (n,) each, of the kernel b (c rho0 + mu)
+    of every replica mu of ``batch``: the given ``pair`` ((z, 1.0) is the
+    Polya sum kernel), or else the plug-in (z_hat, w_hat) that each
+    replica's densities over ``rho0`` solve, NaN where they admit none."""
+    if pair is not None:
+        return np.full(batch.n, pair[0]), np.full(batch.n, pair[1])
+    u, v, _ = density_batch(batch, rho0)
+    return solve_zw_batch(u, v)[:2]
+
+
+def papangelou_kernel(mu: PointConfiguration,
+                      rho0: ReferenceMeasure) -> ReferenceMeasure:
+    """Plug-in conditional intensity z_hat (w_hat rho0 + mu), built from
+    :func:`kernel`'s answer for the one configuration mu.  It is the
+    mixture's Bayes estimator only as the reference mass grows."""
+    one = _one_replica(mu)
+    (b,), (c,) = kernel(one, rho0)
+    if np.isnan(b):
+        u, v, _ = density_batch(one, rho0)
+        raise InfeasibleDensitiesError(float(u[0]), float(v[0]))
+    if b == 0.0:
+        return rho0.scale(0.0)
+    return superpose(rho0.scale(c), mu).scale(b)

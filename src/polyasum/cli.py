@@ -41,13 +41,14 @@ import numpy as np
 
 from . import __version__
 from .bayes import posterior_intensity, posterior_params
-from .estimators import InfeasibleDensitiesError, density_stats, solve_zw
+from .estimators import InfeasibleDensitiesError, density_batch, solve_zw
 from .samplers import (ROUTES, MixingMeasure, PolyaParams, RngSeed,
                        _check_zw, _route_sampler, sample_gamma_measure_batch,
                        sample_mixed_batch, sample_poisson_batch)
 from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
                           PointConfiguration, ReferenceMeasure, TestFunction,
-                          Window, _by_replica, _json_float, _json_int)
+                          Window, _by_replica, _json_float, _json_int,
+                          _one_replica)
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
 
@@ -396,16 +397,16 @@ def run_estimate_zw(config: ExperimentConfig) -> int:
     window = config.window()
     rho0 = config.reference_measure("rho0", window)
     mu = config.configuration("mu", window)
-    stats = density_stats(mu, rho0)
+    (u,), (v,), _ = density_batch(_one_replica(mu), rho0)
     try:
-        est = solve_zw(stats.u, stats.v)
+        est = solve_zw(u, v)
     except InfeasibleDensitiesError as exc:
         _emit_json({"provenance": provenance(config),
-                    "error": str(exc), "u": stats.u, "v": stats.v}, config)
+                    "error": str(exc), "u": u, "v": v}, config)
         return 1
     _emit_json({
         "provenance": provenance(config),
-        "estimate": {"u": stats.u, "v": stats.v, "z_hat": est.z_hat,
+        "estimate": {"u": u, "v": v, "z_hat": est.z_hat,
                      "w_hat": est.w_hat, "residual": est.residual,
                      "converged": est.converged},
     }, config)

@@ -5,9 +5,9 @@ Per unit of reference mass, a Polya sum process with parameters
 distinct-point density v = -w log(1-z).  Observing (u, v) therefore
 pins (z, w) down uniquely: the ratio u/v determines z through the
 strictly increasing map R(z) = [z/(1-z)]/(-log(1-z)), and v then
-yields w.  The plug-in Papangelou kernel z_hat (w_hat rho0 + mu) is at
-the same time the Bayes estimator of the intensity under any mixing
-prior over (z, w).
+yields w.  The plug-in kernel z_hat (w_hat rho0 + mu) is the Bayes
+estimator of the intensity under a mixing prior only as the reference
+mass grows (ROADMAP.md, the exact Bayes kernel for mixing priors).
 
 These are finite-window estimates of almost-sure limiting densities;
 their sampling error shrinks as the window mass grows.
@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_space import (ConfigurationBatch, PointConfiguration,
-                          ReferenceMeasure, _json_float, _one_replica,
-                          superpose)
+from .state_space import ConfigurationBatch, ReferenceMeasure, _json_float
 
 _Z_TOL = 1e-13
 _Z_LO = 1e-15
@@ -47,25 +45,6 @@ class InfeasibleDensitiesError(ValueError):
 
 
 @dataclass(frozen=True)
-class DensityStats:
-    """Empirical densities: points per unit reference mass, with and
-    without multiplicity."""
-
-    u: float
-    v: float
-    window_mass: float
-
-    def __post_init__(self):
-        for name in ("u", "v", "window_mass"):
-            object.__setattr__(self, name,
-                               _json_float(getattr(self, name), name))
-        if not self.window_mass > 0:
-            raise ValueError("window_mass must be > 0")
-        if not (self.v >= 0 and self.u >= self.v - 1e-12):
-            raise ValueError(f"need u >= v >= 0, got u={self.u}, v={self.v}")
-
-
-@dataclass(frozen=True)
 class ZWEstimate:
     """Solution of the density equations w z/(1-z) = u, -w log(1-z) = v."""
 
@@ -84,13 +63,6 @@ def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure):
     if mass <= 0:
         raise ValueError("estimation window has zero reference mass")
     return batch.counts() / mass, batch.distinct_counts() / mass, mass
-
-
-def density_stats(mu: PointConfiguration,
-                  rho0: ReferenceMeasure) -> DensityStats:
-    """:func:`density_batch` of the one configuration ``mu``."""
-    u, v, mass = density_batch(_one_replica(mu), rho0)
-    return DensityStats(u=float(u[0]), v=float(v[0]), window_mass=mass)
 
 
 def density_ratio(z) -> np.ndarray:
@@ -158,17 +130,3 @@ def solve_zw(u: float, v: float) -> ZWEstimate:
     converged = residual <= 1e-9 * max(1.0, u, v)
     return ZWEstimate(z_hat=z, w_hat=w, converged=converged, residual=residual)
 
-
-def papangelou_kernel(mu: PointConfiguration,
-                      rho0: ReferenceMeasure) -> ReferenceMeasure:
-    """Plug-in conditional intensity z_hat (w_hat rho0 + mu).
-
-    (z_hat, w_hat) are estimated from mu itself over the window; the
-    same measure is the plug-in Bayes estimator of the directing
-    intensity.
-    """
-    stats = density_stats(mu, rho0)
-    est = solve_zw(stats.u, stats.v)
-    if est.z_hat == 0.0:
-        return rho0.scale(0.0)
-    return superpose(rho0.scale(est.w_hat), mu).scale(est.z_hat)

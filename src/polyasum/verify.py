@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import density_batch, solve_zw_batch
+from .bayes import kernel
 from .samplers import (MixingMeasure, PolyaParams, _check_eps, _check_n,
                        _check_zw, _poisson_from_atomic_batch,
                        _posterior_from_config_batch, _route_sampler,
@@ -213,9 +213,9 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
             f"kernel_z_factor must be finite, got {kernel_z_factor}")
     t0, n, rng = _start(n, rng)
     batch = _route_sampler(route)(params, eps, n, rng)
+    b, c = kernel(batch, params.rho, (params.z * kernel_z_factor, 1.0))
     weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
-    z_kernel = params.z * kernel_z_factor
-    rhs = z_kernel * (rho_feg + zeta_feg) * weight
+    rhs = b * (c * rho_feg + zeta_feg) * weight
     exact = polya_campbell_exact(f, g, params.z, params.rho)
 
     report = _ibp_report(name, lhs, rhs, exact, _slack(route, eps), n, t0,
@@ -272,31 +272,27 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
 
     The kernel coefficients are estimated from each sample itself:
     (z_hat, w_hat) solve the density equations for that replica, and
-    the RHS uses the plug-in kernel z_hat (w_hat rho0 + mu).  Replicas
-    where the densities are infeasible are dropped and their fraction
-    reported.  Passing ``fixed_zw`` replaces the per-sample estimates
-    with one global pair, which must break the identity for genuinely
-    mixed priors; it is checked as a mixing atom's (z, w) before any
-    draw, as eps is on both routes.
+    the RHS uses the plug-in kernel z_hat (w_hat rho0 + mu), the Bayes
+    estimator only as the reference mass grows: at finite mass and
+    g != 0 a true model can fail.  Replicas where the densities are
+    infeasible are dropped and their fraction reported; fewer than 2
+    left raise ``ParameterError``.  Passing ``fixed_zw`` replaces the
+    per-sample estimates with one global pair, which must break the
+    identity for genuinely mixed priors; it is checked as a mixing
+    atom's (z, w) before any draw, as eps is on both routes.
     """
     eps = _check_eps(eps)
     if fixed_zw is not None:
         fixed_zw = _check_zw(*fixed_zw)
     t0, n, rng = _start(n, rng)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
-    weight, lhs, rho0_feg, zeta_feg = _campbell_sides(batch, mixing.rho0,
-                                                      f, g)
-    if fixed_zw is None:
-        u, v, _ = density_batch(batch, mixing.rho0)
-        z_hat, w_hat, feasible = solve_zw_batch(u, v)
-        kernel_mode = "plug-in"
-    else:
-        z_hat = np.full(n, fixed_zw[0])
-        w_hat = np.full(n, fixed_zw[1])
-        feasible = np.ones(n, dtype=bool)
-        kernel_mode = "fixed"
-    rhs = z_hat * (w_hat * rho0_feg + zeta_feg) * weight
-    failure_fraction = 1.0 - feasible.mean()
+    b, c = kernel(batch, mixing.rho0, fixed_zw)
+    weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, mixing.rho0, f, g)
+    rhs = b * (c * rho_feg + zeta_feg) * weight
+    feasible = ~np.isnan(b)
+    if feasible.sum() < 2:
+        raise ParameterError(f"only {feasible.sum()} of the n={n} replicas "
+                             f"admit a plug-in (z, w); need at least 2")
 
     branches = []
     for zc, wc, pc in mixing.atoms:
@@ -309,8 +305,8 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
                              "lhs_mean": bm, "rhs_mean": br})
     return _ibp_report(
         name, lhs[feasible], rhs[feasible], None, _slack(route, eps), n, t0,
-        {"kernel": kernel_mode, "route": route,
-         "solver_failure_fraction": float(failure_fraction),
+        {"kernel": "plug-in" if fixed_zw is None else "fixed", "route": route,
+         "solver_failure_fraction": float(1.0 - feasible.mean()),
          "branches": branches})
 
 

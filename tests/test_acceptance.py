@@ -17,13 +17,13 @@ import numpy as np
 
 from polyasum import (MixingMeasure, PointConfiguration, PolyaParams,
                       ReferenceMeasure, RngSeed, TestFunction, Window,
-                      bayes_estimator, check_conjugacy, check_mixed_ibp,
-                      check_polya_ibp, joint_laplace, laplace_gp,
-                      laplace_polya, nb_pmf_table, posterior_intensity,
-                      posterior_params, sample_gamma_measure_batch,
-                      sample_mixed_batch, sample_polya_cox_batch,
-                      sample_polya_direct_batch, sample_posterior_batch,
-                      solve_zw, solve_zw_batch, zeta)
+                      check_conjugacy, check_mixed_ibp, check_polya_ibp,
+                      joint_laplace, laplace_gp, laplace_polya, nb_pmf_table,
+                      posterior_intensity, posterior_params,
+                      sample_gamma_measure_batch, sample_mixed_batch,
+                      sample_polya_cox_batch, sample_polya_direct_batch,
+                      sample_posterior_batch, solve_zw, solve_zw_batch,
+                      superpose, zeta)
 from polyasum.samplers import (_poisson_from_atomic_batch,
                                _posterior_from_config_batch)
 
@@ -151,13 +151,13 @@ def test_criterion_3_count_law():
 
 
 def test_criterion_4_bayes_estimator():
-    """Posterior sample means match z (rho + mu); the estimator equals
-    the intensity of the updated parameters exactly."""
+    """Posterior sample means match the estimator, the intensity of the
+    updated parameters; that intensity equals z (rho + mu) exactly."""
     z = 0.5
     mu = PointConfiguration(WINDOW, (((0.15,), 3), ((0.65,), 1)))
     params = PolyaParams(z, RHO2)
     batch = sample_posterior_batch(mu, params, EPS, 100_000, RngSeed(43))
-    target = bayes_estimator(z, RHO2, mu)
+    target = posterior_intensity(posterior_params(z, RHO2, mu))
     mc_ok = True
     worst = 0.0
     for cell in range(WINDOW.n_cells):
@@ -186,7 +186,7 @@ def test_criterion_4_bayes_estimator():
         for _ in range(int(rng.integers(0, 4))):
             pts[(float(rng.uniform(0, 1)),)] = int(rng.integers(1, 5))
         obs = PointConfiguration(w, tuple(pts.items()))
-        direct = bayes_estimator(zz, rho, obs)
+        direct = superpose(rho, obs).scale(zz)
         via = posterior_intensity(posterior_params(zz, rho, obs))
         ident_ok &= np.allclose(direct.cell_masses, via.cell_masses,
                                 rtol=1e-13, atol=0.0)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from polyasum import (PointConfiguration, PolyaParams, ReferenceMeasure,
-                      RngSeed, TestFunction, Window, bayes_estimator,
-                      posterior_intensity, posterior_params,
-                      sample_gamma_measure_batch, sample_posterior_batch,
-                      superpose, zeta)
+                      RngSeed, TestFunction, Window, posterior_intensity,
+                      posterior_params, sample_gamma_measure_batch,
+                      sample_posterior_batch, superpose, zeta)
 from polyasum.transforms import ParameterError
 
 
@@ -81,23 +80,27 @@ class TestConjugacyClosure:
 
 
 class TestBayesEstimator:
+    """The Bayes estimator z (rho + mu) is the posterior route's
+    intensity, posterior_intensity(posterior_params(z, rho, mu))."""
+
     def test_direct_substitution(self, window4):
         rho = ReferenceMeasure.uniform(window4, 2.0)
         mu = PointConfiguration(window4, (((0.3,), 3),))
-        b = bayes_estimator(0.5, rho, mu)
+        b = posterior_intensity(posterior_params(0.5, rho, mu))
         assert b.total_mass == pytest.approx(2.5, rel=1e-14)
 
     def test_empty_observation_scales_prior(self, window4, rho_mass2):
-        b = bayes_estimator(0.5, rho_mass2, PointConfiguration(window4))
+        b = posterior_intensity(posterior_params(
+            0.5, rho_mass2, PointConfiguration(window4)))
         assert np.allclose(b.cell_masses, 0.5 * rho_mass2.cell_masses)
         assert b.atoms == ()
 
     def test_equals_posterior_intensity_of_update(self):
-        # same measure through two routes, exact up to float rounding
+        # the posterior route gives z (rho + mu) up to float rounding
         rng = np.random.default_rng(99)
         for _ in range(100):
             z, rho, mu = random_inputs(rng)
-            direct = bayes_estimator(z, rho, mu)
+            direct = superpose(rho, mu).scale(z)
             via_posterior = posterior_intensity(posterior_params(z, rho, mu))
             assert np.allclose(direct.cell_masses, via_posterior.cell_masses,
                                rtol=1e-13, atol=0.0)

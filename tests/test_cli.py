@@ -640,6 +640,17 @@ class TestVerifyCommand:
         assert main(["verify", "mixed-ibp", "--config", cfg,
                      "--n", "400", "--seed", "4"]) == 0
 
+    def test_too_few_plug_in_pairs_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho0": {"uniform_mass": 1e4},
+            "mixing": {"atoms": [{"z": 0.001, "w": 1.0, "p": 1.0}]},
+        })
+        assert main(["verify", "mixed-ibp", "--config", cfg,
+                     "--n", "100", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"error: only [01] of the n=100 replicas admit a "
+                         r"plug-in \(z, w\)", err), err
+
 
 class TestConfigErrors:
     def test_missing_field_is_named(self, tmp_path, capsys):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyasum import (DensityStats, InfeasibleDensitiesError,
-                      InvalidMeasureError, MixingMeasure, PointConfiguration,
-                      PolyaParams, ReferenceMeasure, RngSeed, Window,
-                      density_batch, density_ratio, density_stats,
-                      papangelou_kernel, sample_mixed_batch,
-                      sample_polya_direct_batch, solve_zw, solve_zw_batch)
+from polyasum import (InfeasibleDensitiesError, InvalidMeasureError,
+                      MixingMeasure, PointConfiguration, PolyaParams,
+                      ReferenceMeasure, RngSeed, Window, density_batch,
+                      density_ratio, kernel, papangelou_kernel,
+                      sample_mixed_batch, sample_polya_direct_batch,
+                      solve_zw, solve_zw_batch, superpose)
+from polyasum.state_space import _one_replica
 
 
 def forward(z, w):
@@ -20,41 +21,45 @@ def forward(z, w):
     return w * z / (1.0 - z), -w * math.log1p(-z)
 
 
+def densities(mu, rho0):
+    """(u, v, mass) of the one configuration mu: density_batch of its
+    one-replica batch."""
+    u, v, mass = density_batch(_one_replica(mu), rho0)
+    assert u.shape == v.shape == (1,)
+    return u[0], v[0], mass
+
+
 class TestDensityStats:
     def test_u_direct(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 100.0)
         mu = PointConfiguration(window4, (((0.1,), 60), ((0.6,), 40)))
-        assert density_stats(mu, rho0).u == pytest.approx(1.0)
+        assert densities(mu, rho0)[0] == pytest.approx(1.0)
 
     def test_empty_configuration(self, window4, rho_mass2):
         mu = PointConfiguration(window4)
-        assert density_stats(mu, rho_mass2).u == 0.0
-        assert density_stats(mu, rho_mass2).v == 0.0
+        assert densities(mu, rho_mass2)[:2] == (0.0, 0.0)
 
     def test_v_counts_without_multiplicity(self):
         w = Window.interval(0.0, 1.0, 1)
         rho0 = ReferenceMeasure.uniform(w, 1.0)
         mu = PointConfiguration(w, (((0.5,), 5),))
-        assert density_stats(mu, rho0).v == pytest.approx(1.0)
-        assert density_stats(mu, rho0).u == pytest.approx(5.0)
+        u, v, _ = densities(mu, rho0)
+        assert v == pytest.approx(1.0)
+        assert u == pytest.approx(5.0)
 
     def test_zero_mass_region_rejected(self, window4):
         rho0 = ReferenceMeasure(window4, np.zeros(4))
         mu = PointConfiguration(window4)
         with pytest.raises(ValueError):
-            density_stats(mu, rho0)
+            densities(mu, rho0)
 
     def test_bundled_stats(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 4.0)
         mu = PointConfiguration(window4, (((0.1,), 3), ((0.6,), 1)))
-        stats = density_stats(mu, rho0)
-        assert stats.u == pytest.approx(1.0)
-        assert stats.v == pytest.approx(0.5)
-        assert stats.window_mass == pytest.approx(4.0)
-        for u, v, mass in ((0.3, 0.5, 1.0), (1.0, math.nan, 1.0),
-                           (math.nan, 0.5, 1.0), (1.0, 0.5, math.nan)):
-            with pytest.raises(ValueError):
-                DensityStats(u=u, v=v, window_mass=mass)
+        u, v, mass = densities(mu, rho0)
+        assert u == pytest.approx(1.0)
+        assert v == pytest.approx(0.5)
+        assert mass == pytest.approx(4.0)
 
     def test_sample_means(self, window4):
         rho0 = ReferenceMeasure.uniform(window4, 2.0)
@@ -184,10 +189,10 @@ class TestPapangelouKernel:
         batch = sample_polya_direct_batch(PolyaParams(0.5, rho0), 1,
                                           RngSeed(62))
         mu = batch.to_configurations()[0]
-        stats = density_stats(mu, rho0)
-        est = solve_zw(stats.u, stats.v)
-        kernel = papangelou_kernel(mu, rho0)
-        atom_weights = dict(kernel.atoms)
+        u, v, _ = density_batch(batch, rho0)
+        est = solve_zw(u[0], v[0])
+        out = papangelou_kernel(mu, rho0)
+        atom_weights = dict(out.atoms)
         for loc, k in mu.points:
             assert atom_weights[loc] == pytest.approx(est.z_hat * k,
                                                       rel=1e-12)
@@ -200,8 +205,8 @@ class TestPapangelouKernel:
                                           RngSeed(63))
         scales = []
         for mu in batch.to_configurations():
-            kernel = papangelou_kernel(mu, rho0)
-            scales.append(kernel.cell_masses.sum() / 1e4)
+            out = papangelou_kernel(mu, rho0)
+            scales.append(out.cell_masses.sum() / 1e4)
         assert abs(np.median(scales) - 0.5) < 0.05 * 0.5
 
 
@@ -229,30 +234,41 @@ class TestOneCopy:
         for u, v in (("2", "1"), (True, 0.5), (2.0, "1"), (2.0, False)):
             with pytest.raises(InvalidMeasureError):
                 solve_zw(u, v)
-        for u, v, mass in (("1", 0.5, 1.0), (1.0, True, 1.0),
-                           (1.0, 0.5, "2")):
-            with pytest.raises(InvalidMeasureError):
-                DensityStats(u=u, v=v, window_mass=mass)
-        stats = DensityStats(u=np.float64(1.0), v=1, window_mass=2)
-        assert [type(x) for x in (stats.u, stats.v, stats.window_mass)] == [
-            float, float, float]
 
-    @pytest.mark.parametrize("kind", ["box-atoms", "sites"])
-    def test_batch_densities_equal_per_replica_stats(self, kind):
+    @pytest.mark.parametrize("kind", ["box", "sites"])
+    def test_batch_kernel_equals_per_replica_kernel(self, kind):
+        # replica i's plug-in (z_hat, w_hat) in the batch is, bit for
+        # bit, the pair papangelou_kernel builds replica i's measure from
         if kind == "sites":
             window = Window.discrete(["a", "b", "c"])
             rho0 = ReferenceMeasure(window, [1.0, 0.5, 0.0], (("c", 2.0),))
         else:
             window = Window.interval(0.0, 1.0, 4)
-            rho0 = ReferenceMeasure(window, [0.5, 0.0, 1.0, 0.5],
-                                    (((0.3,), 1.5), ((0.8,), 0.7)))
-        batch = sample_polya_direct_batch(PolyaParams(0.6, rho0), 60,
-                                          RngSeed(70))
-        u, v, mass = density_batch(batch, rho0)
-        assert u.shape == v.shape == (60,)
+            rho0 = ReferenceMeasure.uniform(window, 3.0)
+        mixing = MixingMeasure(rho0, ((0.3, 1.0, 0.3), (0.6, 2.0, 0.4),
+                                      (0.0, 0.0, 0.3)))
+        batch, _, _ = sample_mixed_batch(mixing, "direct", 1e-6, 200,
+                                         RngSeed(70))
+        b, c = kernel(batch, rho0)
+        assert b.shape == c.shape == (200,)
+        outcomes = set()
         for i, mu in enumerate(batch.to_configurations()):
-            stats = density_stats(mu, rho0)
-            assert (stats.u, stats.v, stats.window_mass) == (u[i], v[i], mass)
+            one = kernel(_one_replica(mu), rho0)
+            assert (one[0].tobytes(), one[1].tobytes()) == (
+                b[i:i + 1].tobytes(), c[i:i + 1].tobytes())
+            if np.isnan(b[i]):
+                assert np.isnan(c[i])
+                with pytest.raises(InfeasibleDensitiesError):
+                    papangelou_kernel(mu, rho0)
+                outcomes.add("infeasible")
+            elif b[i] == 0.0:
+                assert papangelou_kernel(mu, rho0) == rho0.scale(0.0)
+                outcomes.add("zero")
+            else:
+                assert papangelou_kernel(mu, rho0) == superpose(
+                    rho0.scale(c[i]), mu).scale(b[i])
+                outcomes.add("solved")
+        assert outcomes == {"infeasible", "zero", "solved"}
 
     def test_zero_mass_region_rejected(self, window4):
         rho0 = ReferenceMeasure(window4, np.zeros(4))

@@ -238,6 +238,18 @@ class TestMixedIBP:
         assert report.passed
         assert len(report.details["branches"]) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_too_few_plug_in_pairs_raise_typed_error(self, window4, seed):
+        # at z = 0.001 on mass 1e4 nearly every replica holds only simple
+        # points (u == v), which admit no (z, w)
+        mixing = MixingMeasure(ReferenceMeasure.uniform(window4, 1e4),
+                               ((0.001, 1.0, 1.0),))
+        with pytest.raises(ParameterError, match=(
+                r"only [01] of the n=100 replicas admit a plug-in \(z, w\)")):
+            check_mixed_ibp(mixing, TestFunction.constant(window4, 1.0),
+                            TestFunction.constant(window4, 0.0), 100,
+                            RngSeed(seed))
+
     def test_zero_atom_only(self, window4, rho_mass2):
         mixing = MixingMeasure(rho_mass2, ((0.0, 0.0, 1.0),))
         report = check_mixed_ibp(mixing,
