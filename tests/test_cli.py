@@ -1,5 +1,6 @@
 """The command-line front end: determinism, schemas, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -528,6 +529,82 @@ class TestWriter:
         assert json.loads(text.splitlines()[0])["atoms"] == [
             {"loc": [-0.0], "weight": 2.0}]
         assert '"loc": [-0.0]' in text
+
+
+class TestOutputBits:
+    """The files ``simulate`` and ``verify`` write, pinned bit for bit:
+    sha256 digests of each output with its provenance timestamp
+    removed, recorded with numpy 2.4 on x86-64."""
+
+    SIMULATE = {
+        ("direct", "box", "json"):
+            "677d4633392a76788b77eec1c7ebcd30551525e136fcf7bd132e4a547a606fda",
+        ("direct", "box", "jsonl"):
+            "2d87e16f6276d3b45269fde4357caef70748d93578b182868566041186ac828d",
+        ("direct", "box", "csv"):
+            "9e0db6df342ab71b948f03fcc48c0f7eb8a5e8ed3d58841c020aa873556d5fb3",
+        ("direct", "sites", "json"):
+            "0417fb57cc1738465f5d7594612b1706ae7bc204c5c3cfa78c81be61e02d025c",
+        ("direct", "sites", "jsonl"):
+            "0e351fc3a3678b945d7172d0976565f3eb991f55ae90ed5bfeb4ee004d984f03",
+        ("direct", "sites", "csv"):
+            "d1b6e14396ca82c46e6916f6b63f43bca33e0e2e806a221c48cad5b180746eb1",
+        ("cox", "box", "jsonl"):
+            "762d753dd97c2e83328f2aa84090effc42f249abcf714fec2e217fefe2eb1520",
+        ("cox", "box", "csv"):
+            "9ca15acf4e63ab4343cd12c328ea593d00a86b0700b07afd01207d1fa6f4c416",
+        ("poisson", "box", "jsonl"):
+            "98f33cff274aa0470f6196f5897038f4c64d48eb2c431bcbd26c37de113e894d",
+        ("poisson", "box", "csv"):
+            "4d484d6cb56dfedc6adb66fcf4758645569eee479a47f21f1a2b2cb568d60107",
+        ("gamma", "box", "json"):
+            "5a5637b5cc79fa7e68a4ee914db27b491c5e92794599ebefe9fb5d3d24db46e8",
+        ("gamma", "box", "jsonl"):
+            "ac87d35b74f9bb7dcda05bb16752036b882d49f746bcdf18226d0505b4f37ef9",
+        ("mixed", "box", "jsonl"):
+            "1988d2d2bfa63422ca2cddcd17d7483676d75483f9a4317f5b06c3a5c942bcaa",
+    }
+    VERIFY = {
+        "json":
+            "936a5e465cb2ef870f8926b3cf89fd45c903dd6b47f5ad1775406c961435f19c",
+        "csv":
+            "9ddd1022ab95999e0e06b3f7c08d81b0c9ea9d3d85f80bbb6de4e90ffffde238",
+    }
+
+    @staticmethod
+    def digest(path):
+        # the bytes as written: csv rows end in "\r\n"
+        data = (without_timestamp(path).encode() if path.suffix == ".json"
+                else path.read_bytes())
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("route, window, fmt", sorted(SIMULATE))
+    def test_simulate_keeps_its_bits(self, tmp_path, route, window, fmt):
+        # the box's rho has two atoms and the sites' rho one, so the
+        # direct route merges its draws on both
+        window_doc, rho_doc = WRITER_WINDOWS[
+            "box-atoms" if window == "box" else "sites"]
+        cfg = write_config(tmp_path, {
+            "window": window_doc, "rho": rho_doc, "rho0": rho_doc, "z": 0.6,
+            "route": route, "mixing": {"atoms": [
+                {"z": z, "w": w, "p": p} for z, w, p in WRITER_MIXING]},
+            "n": 40, "seed": 21, "eps": 1e-3})
+        out = tmp_path / f"out.{fmt}"
+        assert main(["simulate", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert self.digest(out) == self.SIMULATE[route, window, fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(VERIFY))
+    def test_verify_keeps_its_bits(self, tmp_path, fmt):
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0}, "z": 0.5,
+            "f": {"values": [1.0, 0.2, 2.0, 0.7]},
+            "g": {"values": [0.5, 0.0, 1.0, 0.3]}, "h": {"const": 0.4}})
+        out = tmp_path / f"rep.{fmt}"
+        assert main(["verify", "mecke", "polya-ibp", "conjugacy", "--config",
+                     cfg, "--n", "300", "--seed", "8", "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert self.digest(out) == self.VERIFY[fmt]
 
 
 class TestPosterior:
