@@ -32,7 +32,6 @@ import contextlib
 import csv
 import datetime
 import hashlib
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -45,10 +44,9 @@ from .estimators import InfeasibleDensitiesError, density_batch, solve_zw
 from .samplers import (ROUTES, MixingMeasure, PolyaParams, RngSeed,
                        _check_zw, _route_sampler, sample_gamma_measure_batch,
                        sample_mixed_batch, sample_poisson_batch)
-from .state_space import (SCHEMA_VERSION, ConfigurationBatch,
-                          PointConfiguration, ReferenceMeasure, TestFunction,
-                          Window, _by_replica, _json_float, _json_int,
-                          _one_replica)
+from .state_space import (ConfigurationBatch, PointConfiguration,
+                          ReferenceMeasure, TestFunction, Window, _by_replica,
+                          _doc, _items, _json_float, _json_int, _one_replica)
 from .verify import (check_conjugacy, check_transform_identity, check_mecke,
                      check_mixed_ibp, check_polya_ibp)
 
@@ -189,14 +187,9 @@ def _output(path: str | None):
         raise ConfigError(f"cannot write output: {exc}")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _emit_json(doc: dict, config: ExperimentConfig) -> None:
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                  config.out)
+    with _output(config.out) as out:
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # the records in one chunk of ``simulate`` text, each replica counted
@@ -212,12 +205,15 @@ def _write_records(batch, out, latents=None, header=None) -> None:
     Byte for byte ``json.dumps(..., sort_keys=True)`` of the
     ``to_dict()`` of each object of ``to_configurations()`` or
     ``to_measures()`` (``indent=2`` under a header), each with a
-    ``latent`` object from the per-replica arrays in ``latents``.
-    A sampled batch holds each location once per replica, so, grouped
-    by replica (``_by_replica``), a replica's text depends only on its
-    values and its record count.  json renders each piece of that
-    layout once, around sentinel slots; the pieces, %-escaped, make one
-    layout per distinct record count.  The text is then written chunk
+    ``latent`` object from the per-replica arrays in ``latents``, by
+    construction: the layout is rendered from a document of
+    ``state_space._doc`` holding items of ``_items``, the helpers every
+    ``to_dict`` builds its document with.  A sampled batch holds each
+    location once per replica, so, grouped by replica
+    (``_by_replica``), a replica's text depends only on its values and
+    its record count.  json renders each piece of that layout once,
+    around sentinel slots; the pieces, %-escaped, make one layout per
+    distinct record count.  The text is then written chunk
     by chunk: a chunk is a run of whole replicas holding about
     ``_CHUNK`` records, whose layouts make one template that one ``%``
     fills from a flat tuple of the chunk's latents and record columns,
@@ -228,15 +224,13 @@ def _write_records(batch, out, latents=None, header=None) -> None:
     configs = isinstance(batch, ConfigurationBatch)
     list_key, value_key = (("points", "mult") if configs
                            else ("atoms", "weight"))
-    wdoc = window.to_dict()
     # longer than any string in the fixed parts, so that its rendering
     # occurs only where it was put
-    slot = "\0" * (len(json.dumps([wdoc, header])) + 1)
+    slot = "\0" * (len(json.dumps([window.to_dict(), header])) + 1)
     mark = slot + "\1"
 
     def sample(items):
-        doc = {"schema_version": SCHEMA_VERSION, "window": wdoc,
-               list_key: items}
+        doc = _doc(window, list_key, items)
         if latents is not None:
             doc["latent"] = dict.fromkeys(latents, slot)
         return doc
@@ -270,9 +264,9 @@ def _write_records(batch, out, latents=None, header=None) -> None:
     # are written as they are
     doc_head, empty, sample_sep, doc_tail = pieces(render, sample([]))
     sites = window.mode == "sites"
-    loc = slot if sites else [slot] * window.dimension
-    head, rec, rec_sep, tail = pieces(
-        lambda items: render([sample(items)]), {"loc": loc, value_key: slot})
+    loc = slot if sites else (slot,) * window.dimension
+    head, rec, rec_sep, tail = pieces(lambda items: render([sample(items)]),
+                                      *_items([(loc, slot)], value_key))
     head = head[len(doc_head):]
     tail = tail[:len(tail) - len(doc_tail)]
     # the latent object sorts before "points" but after "atoms"
@@ -361,12 +355,10 @@ def run_simulate(config: ExperimentConfig) -> int:
             raise ConfigError("csv output is only defined for point "
                               "configurations (field 'route')")
         ks, freq = np.unique(batch.counts(), return_counts=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["count", "frequency"])
-        for k, c in zip(ks, freq):
-            writer.writerow([int(k), int(c)])
-        _write_output(buf.getvalue(), config.out)
+        with _output(config.out) as out:
+            writer = csv.writer(out)
+            writer.writerow(["count", "frequency"])
+            writer.writerows(zip(ks.tolist(), freq.tolist()))
         return 0
 
     header = provenance(config) if config.fmt == "json" else None
@@ -457,15 +449,13 @@ def run_verify(config: ExperimentConfig, checks) -> int:
     doc = {"provenance": provenance(config),
            "reports": [r.to_dict(include_runtime=False) for r in reports]}
     if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
-                         "exact", "z_score", "passed", "n"])
-        for r in reports:
-            writer.writerow([r.name, r.lhs, r.lhs_stderr, r.rhs,
-                             r.rhs_stderr, r.exact, r.z_score, r.passed,
-                             r.n])
-        _write_output(buf.getvalue(), config.out)
+        with _output(config.out) as out:
+            writer = csv.writer(out)
+            writer.writerow(["name", "lhs", "lhs_stderr", "rhs",
+                             "rhs_stderr", "exact", "z_score", "passed", "n"])
+            writer.writerows([r.name, r.lhs, r.lhs_stderr, r.rhs,
+                              r.rhs_stderr, r.exact, r.z_score, r.passed,
+                              r.n] for r in reports)
     elif config.out is not None:
         _emit_json(doc, config)
     return 0 if all(r.passed for r in reports) else 1

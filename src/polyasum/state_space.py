@@ -316,6 +316,21 @@ def _weight(v, positive: bool = False) -> float:
     return v
 
 
+def _doc(window: Window, key: str, items: list) -> dict:
+    """The one measure document: schema version, window, and ``items``
+    under ``key``; ``to_dict`` and the ``simulate`` writer build theirs
+    here."""
+    return {"schema_version": SCHEMA_VERSION, "window": window.to_dict(),
+            key: items}
+
+
+def _items(pairs, value_key: str) -> list:
+    """A measure document's items: one ``{"loc", value_key}`` object per
+    (location, value) pair, a box location as a list."""
+    return [{"loc": list(loc) if isinstance(loc, tuple) else loc,
+             value_key: v} for loc, v in pairs]
+
+
 def _pairs(data: dict, key: str, value_key: str) -> tuple:
     """The (location, value) pairs of a measure document's list ``key``."""
     return tuple((d["loc"], d[value_key]) for d in data.get(key, ()))
@@ -365,12 +380,7 @@ class PointConfiguration:
         return len(self.points)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "window": self.window.to_dict(),
-            "points": [{"loc": list(loc) if isinstance(loc, tuple) else loc,
-                        "mult": m} for loc, m in self.points],
-        }
+        return _doc(self.window, "points", _items(self.points, "mult"))
 
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "PointConfiguration":
@@ -394,12 +404,7 @@ class AtomicMeasure:
         return _add_in_order(w for _, w in self.atoms)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "window": self.window.to_dict(),
-            "atoms": [{"loc": list(loc) if isinstance(loc, tuple) else loc,
-                       "weight": w} for loc, w in self.atoms],
-        }
+        return _doc(self.window, "atoms", _items(self.atoms, "weight"))
 
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "AtomicMeasure":
@@ -528,13 +533,8 @@ class ReferenceMeasure:
         return at, order[pos[at]]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "window": self.window.to_dict(),
-            "masses": [float(v) for v in self.cell_masses],
-            "atoms": [{"loc": list(loc) if isinstance(loc, tuple) else loc,
-                       "weight": w} for loc, w in self.atoms],
-        }
+        return {**_doc(self.window, "masses", self.cell_masses.tolist()),
+                "atoms": _items(self.atoms, "weight")}
 
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "ReferenceMeasure":
@@ -592,9 +592,7 @@ class TestFunction:
         return TestFunction(self.window, self.values + other.values)
 
     def to_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION,
-                "window": self.window.to_dict(),
-                "values": [float(v) for v in self.values]}
+        return _doc(self.window, "values", self.values.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, TestFunction):
