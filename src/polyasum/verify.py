@@ -151,10 +151,11 @@ def _start(n: int, rng):
 
 
 def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
-                    f: TestFunction, g: TestFunction):
+                    f: TestFunction, g: TestFunction, mu_term: bool = True):
     """Every part of a Campbell identity on ``batch`` but its kernel: per
     replica e^-zeta_g and zeta_f e^-zeta_g, then rho(f e^-g) and per
-    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf.
+    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf; None for
+    the last when the kernel has no mu term (``mu_term`` false).
 
     Each distinct function is integrated once: at g = 0 zeta_g is +0.0
     in every replica, which is what a pass would sum to, and where
@@ -165,7 +166,8 @@ def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
     lhs = zeta_f * weight
     decay = np.exp(-g.values)
     fe_g = np.where(decay > 0, f.values * decay, 0.0)
-    zeta_feg = (zeta_f if fe_g.tobytes() == f.values.tobytes()
+    zeta_feg = (None if not mu_term
+                else zeta_f if fe_g.tobytes() == f.values.tobytes()
                 else batch.zeta(TestFunction(rho.window, fe_g)))
     return weight, lhs, _integrate_cellwise(rho, fe_g), zeta_feg
 
@@ -182,7 +184,8 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     """
     t0, n, rng = _start(n, rng)
     batch = sample_poisson_batch(rho, n, rng)
-    weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g)
+    weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g,
+                                              mu_term=False)
     rhs = rho_feg * weight
     exact = rho_feg * math.exp(-_integrate_cellwise(
         rho, -np.expm1(-g.values)))

@@ -370,6 +370,23 @@ def test_campbell_sides_integrate_each_function_once(window4, f, g, passes):
         np.asarray(v).tobytes() for v in want]
 
 
+def test_mecke_integrates_g_and_f_only(window4):
+    # the Poisson kernel has no mu term, so f e^-g is not integrated
+    # against the batch: two passes at g != 0
+    rho = ReferenceMeasure.uniform(window4, 2.0)
+    f = TestFunction(window4, np.array([1.0, 0.2, 2.0, 0.7]))
+    g = TestFunction(window4, np.array([0.5, 0.0, 1.0, 0.3]))
+    calls = []
+    zeta = ConfigurationBatch.zeta
+
+    def counted(self, h):
+        calls.append(h)
+        return zeta(self, h)
+    with mock.patch.object(ConfigurationBatch, "zeta", counted):
+        check_mecke(rho, f, g, 300, RngSeed(4))
+    assert calls == [g, f]
+
+
 @pytest.fixture
 def mixing_half(rho_mass2):
     return MixingMeasure(rho_mass2, ((0.5, 1.0, 1.0),))
