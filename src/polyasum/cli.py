@@ -153,18 +153,12 @@ def _inf(v):
     return v
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def provenance(config: ExperimentConfig) -> dict:
-    payload = dict(config.raw)
-    payload["_seed"] = config.seed
-    payload["_n"] = config.n
-    payload["_eps"] = config.eps
+    payload = {**config.raw, "_seed": config.seed, "_n": config.n,
+               "_eps": config.eps}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return {
-        "config_hash": hashlib.sha256(
-            _canonical_json(payload).encode()).hexdigest(),
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "seed": config.seed,
         "version": __version__,
         "timestamp": datetime.datetime.now(
@@ -449,13 +443,12 @@ def run_verify(config: ExperimentConfig, checks) -> int:
     doc = {"provenance": provenance(config),
            "reports": [r.to_dict(include_runtime=False) for r in reports]}
     if config.fmt == "csv":
+        columns = ("name", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
+                   "exact", "z_score", "passed", "n")
         with _output(config.out) as out:
             writer = csv.writer(out)
-            writer.writerow(["name", "lhs", "lhs_stderr", "rhs",
-                             "rhs_stderr", "exact", "z_score", "passed", "n"])
-            writer.writerows([r.name, r.lhs, r.lhs_stderr, r.rhs,
-                              r.rhs_stderr, r.exact, r.z_score, r.passed,
-                              r.n] for r in reports)
+            writer.writerow(columns)
+            writer.writerows([getattr(r, c) for c in columns] for r in reports)
     elif config.out is not None:
         _emit_json(doc, config)
     return 0 if all(r.passed for r in reports) else 1

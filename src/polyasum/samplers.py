@@ -230,9 +230,11 @@ def sample_poisson_batch(rho: ReferenceMeasure, n: int,
 
 
 def _poisson_from_atomic_batch(kappa: AtomicBatch, rng) -> ConfigurationBatch:
-    """Poisson configurations directed by a batch of atomic intensities."""
+    """Poisson configurations directed by a batch of atomic intensities;
+    a weight past numpy's Poisson limit raises :class:`ParameterError`."""
     rng = as_generator(rng)
-    k = rng.poisson(lam=kappa.weight)  # int64
+    k = rng.poisson(lam=_check_rate(kappa.weight, "an atom weight of the "
+                                    "directing measure"))  # int64
     hit = np.flatnonzero(k)
     return ConfigurationBatch(
         kappa.window, kappa.n, kappa.rep.take(hit), kappa.cell.take(hit),

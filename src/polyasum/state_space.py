@@ -539,8 +539,7 @@ class ReferenceMeasure:
     @classmethod
     def from_dict(cls, data: dict, window: Window | None = None) -> "ReferenceMeasure":
         win = window or Window.from_dict(data["window"])
-        masses = data["masses"] if "masses" in data else None
-        return cls(win, masses, _pairs(data, "atoms", "weight"))
+        return cls(win, data.get("masses"), _pairs(data, "atoms", "weight"))
 
     def __eq__(self, other):
         if not isinstance(other, ReferenceMeasure):
@@ -673,6 +672,27 @@ def _add_runs(n: int, owner: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _int_sums(values, start, owner, n: int, replica=None) -> np.ndarray:
+    """The one exact rule for sums of multiplicities: per-owner sums,
+    shape (n,), of the runs of the integers ``values`` that begin at
+    ``start``, run j owned by ``owner[j]``; in int64 while max(values)
+    · values.size < 2**63, where no partial sum can leave it, else in
+    Python ints.  A sum past int64 raises :class:`InvalidMeasureError`
+    naming its replica, ``replica[owner]`` or else the owner."""
+    if int(values.max(initial=0)) * values.size < 2 ** 63:
+        return _add_runs(n, owner, np.add.reduceat(
+            values, start, dtype=np.int64) if start.size else start)
+    sums = [0] * n
+    for o, run in zip(owner.tolist(), np.split(values, start[1:])):
+        sums[o] += sum(run.tolist())
+    i = sums.index(max(sums))
+    if sums[i] >= 2 ** 63:
+        raise InvalidMeasureError(
+            f"replica {i if replica is None else replica[i]} holds "
+            f"{sums[i]} points, past int64")
+    return np.array(sums, dtype=np.int64)
+
+
 def _split(batch, values: np.ndarray, cls) -> list:
     """One ``cls`` object per replica of ``batch``, its records in
     order; ``cls`` rejects a replica that repeats a location."""
@@ -713,22 +733,8 @@ class ConfigurationBatch:
     def counts(self) -> np.ndarray:
         """Per-replica point counts with multiplicity, exact; the count
         in a region is ``zeta`` of its indicator.  A count past int64
-        raises :class:`InvalidMeasureError`."""
-        mult = self.mult
-        # below this bound no partial sum can leave int64
-        if int(mult.max(initial=0)) * mult.size < 2 ** 63:
-            start, owner = _replica_runs(self.rep)
-            return _add_runs(self.n, owner, np.add.reduceat(
-                mult, start, dtype=np.int64) if start.size else start)
-        order, bounds = _by_replica(self)
-        counts = np.empty(self.n, dtype=np.int64)
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            count = sum(self.mult[order[a:b]].tolist())
-            if count >= 2 ** 63:
-                raise InvalidMeasureError(
-                    f"replica {i} holds {count} points, past int64")
-            counts[i] = count
-        return counts
+        raises :class:`InvalidMeasureError` (``_int_sums``)."""
+        return _int_sums(self.mult, *_replica_runs(self.rep), self.n)
 
     def distinct_counts(self) -> np.ndarray:
         """Per-replica counts of distinct locations."""
@@ -869,7 +875,9 @@ def _merge(batch, at=(), key=()):
     2**-53 per draw); on a sites window every record by its cell.
     Other records keep their order; each group follows once, in
     (replica, key) order, with its first record's cell and coordinates
-    and its values summed in record order.  Nothing to group: ``batch``.
+    and its values summed: multiplicities exactly, by the rule of
+    ``counts()`` (``_int_sums``), weights in record order.  Nothing to
+    group: ``batch``.
     """
     rep, cell, value, coords = _columns(batch)
     if batch.window.mode == "sites":
@@ -881,8 +889,13 @@ def _merge(batch, at=(), key=()):
     order, key = np.asarray(at)[perm], np.asarray(key)[perm]
     start = np.ones(order.size, dtype=bool)
     start[1:] = (rep[order][1:] != rep[order][:-1]) | (key[1:] != key[:-1])
-    summed = np.bincount(np.cumsum(start) - 1, weights=value[order])
     first = order[start]
+    if value.dtype.kind == "f":
+        summed = np.bincount(np.cumsum(start) - 1, weights=value[order])
+    else:
+        heads = np.flatnonzero(start)
+        summed = _int_sums(value[order], heads, np.arange(heads.size),
+                           heads.size, rep[first])
     groups = (rep[first], cell[first], summed.astype(value.dtype),
               coords[first])
     return type(batch)(batch.window, batch.n, *(

@@ -346,6 +346,21 @@ class TestSimulate:
         assert ("rho0" if route == "mixed" else "of rho") in err
         assert re.search(r"\bz\b", err)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_merged_multiplicity_past_int64_exits_two(self, tmp_path, capsys,
+                                                      fmt):
+        # one site draws about 1e19 points: its merged multiplicity is
+        # past int64
+        cfg = write_config(tmp_path, {
+            "window": {"mode": "sites", "sites": ["a"]},
+            "rho": {"uniform_mass": 1e4}, "z": 0.999999999999999,
+            "route": "direct", "n": 1, "seed": 1})
+        out = tmp_path / f"out.{fmt}"
+        assert main(["simulate", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 2
+        assert "past int64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gamma_route_emits_atomic_measures(self, tmp_path):
         cfg = write_config(tmp_path, {
             "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0},

@@ -953,31 +953,52 @@ _EDGE_ROUTES = {
     "gamma": lambda params, n, rng: sample_gamma_measure_batch(
         params, EPS, n, rng),
     "posterior": lambda params, n, rng: sample_posterior_batch(
-        PointConfiguration(params.window, (((0.3,), 2),)), params, EPS,
-        n, rng),
+        PointConfiguration(params.window, (
+            (params.window.sites[0] if params.window.sites else (0.3,), 2),)),
+        params, EPS, n, rng),
     "mixed-direct": lambda params, n, rng: sample_mixed_batch(
         MixingMeasure(params.rho, ((params.z, 1.0, 1.0),)), "direct", EPS,
         n, rng)[0],
 }
 
 
+# a 4-cell box, where no record merges, and two windows where records
+# merge: 4 sites, and a 4-cell box whose one atom holds half the mass
+_EDGE_WINDOWS = {
+    "box": lambda mass: ReferenceMeasure.uniform(
+        Window.interval(0.0, 1.0, 4), mass),
+    "sites": lambda mass: ReferenceMeasure.uniform(
+        Window.discrete(["a", "b", "c", "d"]), mass),
+    "box-atom": lambda mass: ReferenceMeasure(
+        Window.interval(0.0, 1.0, 4), np.full(4, mass / 8),
+        (((0.3,), mass / 2),)),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_EDGE_WINDOWS))
 @pytest.mark.parametrize("route", sorted(_EDGE_ROUTES))
 @pytest.mark.parametrize("mass", [1e-300, 1e-6, 1e4])
 @pytest.mark.parametrize("z", [1e-300, 1e-12, 0.5, 1.0 - 1e-12,
                                np.nextafter(1.0, 0.0)])
-def test_edge_grid_gives_valid_batches_or_typed_errors(z, mass, route):
+def test_edge_grid_gives_valid_batches_or_typed_errors(z, mass, route,
+                                                       window):
     # at every admissible (z, mass) a route gives a valid batch or a
     # typed error, and no floating-point warning on the way; near z = 1
-    # at mass 1e4 the counts of direct, Cox and mixed draws pass int64
-    window = Window.interval(0.0, 1.0, 4)
-    params = PolyaParams(z, ReferenceMeasure.uniform(window, mass))
+    # at mass 1e4 the counts of direct, Cox and mixed draws pass int64,
+    # and on sites and at an atom so do the merged multiplicities
+    params = PolyaParams(z, _EDGE_WINDOWS[window](mass))
     n = 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             batch = _EDGE_ROUTES[route](params, n, RngSeed(5))
             assert np.all((batch.rep >= 0) & (batch.rep < n))
-            assert np.all((batch.coords >= 0.0) & (batch.coords <= 1.0))
+            if window == "sites":
+                assert np.array_equal(batch.coords, batch.cell)
+                assert np.all((batch.cell >= 0) & (batch.cell < 4))
+            else:
+                assert np.all((batch.coords >= 0.0)
+                              & (batch.coords <= 1.0))
             if isinstance(batch, AtomicBatch):
                 assert np.all(np.isfinite(batch.weight))
                 assert np.all(batch.weight > 0)

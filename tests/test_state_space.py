@@ -549,6 +549,24 @@ class TestMerge:
             [0, 0, 1], [1, 2, 0], [3, 5, 7], [1, 2, 0]]
         assert out.mult.dtype == mult.dtype
 
+    @pytest.mark.filterwarnings("error")
+    def test_site_sums_past_2_53_are_exact(self):
+        # about 3.3e16 points a site: a float sum of the multiplicities
+        # strays from numpy's own draws by 17-18 thousand a site
+        window = Window.discrete(["a", "b", "c"])
+        rho = ReferenceMeasure.uniform(window, 1e5)
+        z = 1.0 - 1e-12
+        batch = sample_polya_direct_batch(PolyaParams(z, rho), 1, RngSeed(1))
+        gen = RngSeed(1).generator()
+        k = int(gen.poisson(-math.log1p(-z) * 1e5, size=1)[0])
+        cells = gen.choice(3, k, p=rho.cell_masses / rho.cell_masses.sum())
+        mult = gen.logseries(z, k)
+        want = [sum(mult[cells == c].tolist()) for c in range(3)]
+        assert max(want) > 2 ** 53
+        assert batch.cell.tolist() == [0, 1, 2]
+        assert batch.mult.tolist() == want
+        assert batch.counts().tolist() == [sum(want)]
+
     def test_box_without_atoms_is_untouched(self, w):
         batch = ConfigurationBatch(w, 1, np.array([0, 0]), np.array([1, 1]),
                                    np.array([1, 1]), np.array([[0.3], [0.3]]))
