@@ -260,7 +260,7 @@ def _write_records(batch, out, latents=None, header=None) -> None:
     sites = window.mode == "sites"
     loc = slot if sites else (slot,) * window.dimension
     head, rec, rec_sep, tail = pieces(lambda items: render([sample(items)]),
-                                      *_items([(loc, slot)], value_key))
+                                      _items([(loc, slot)], value_key)[0])
     head = head[len(doc_head):]
     tail = tail[:len(tail) - len(doc_tail)]
     # the latent object sorts before "points" but after "atoms"
