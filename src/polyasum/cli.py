@@ -34,7 +34,7 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -205,14 +205,17 @@ def _write_records(batch, out, latents=None, header=None) -> None:
     ``to_dict`` builds its document with.  A sampled batch holds each
     location once per replica, so, grouped by replica
     (``_by_replica``), a replica's text depends only on its values and
-    its record count.  json renders each piece of that layout once,
-    around sentinel slots; the pieces, %-escaped, make one layout per
-    distinct record count.  The text is then written chunk
-    by chunk: a chunk is a run of whole replicas holding about
-    ``_CHUNK`` records, whose layouts make one template that one ``%``
-    fills from a flat tuple of the chunk's latents and record columns,
-    in text order.  Each chunk is written before the next is formatted,
-    so memory follows the chunk and not the batch.
+    its record count.  Each level of that layout, the document's and a
+    sample's, comes from one split of a rendering of two equal marks,
+    which json renders as head + mark + separator + mark + tail; one
+    record and the empty sample are renderings trimmed of those heads
+    and tails.  Values render as sentinel slots, and the pieces,
+    %-escaped, make one layout per distinct record count.  The text is
+    then written chunk by chunk: a chunk is a run of whole replicas
+    holding about ``_CHUNK`` records, whose layouts make one template
+    that one ``%`` fills from a flat tuple of the chunk's latents and
+    record columns, in text order.  Each chunk is written before the
+    next is formatted, so memory follows the chunk and not the batch.
     """
     window = batch.window
     configs = isinstance(batch, ConfigurationBatch)
@@ -240,29 +243,20 @@ def _write_records(batch, out, latents=None, header=None) -> None:
         out.write("" if header is None else render([]) + "\n")
         return
 
-    def pieces(render_list, item):
-        # render_list([item]) is head + body + tail and
-        # render_list([item, item]) is head + body + sep + body + tail
-        head, tail = render_list([mark]).split(json.dumps(mark))
-
-        def body(items):
-            text = render_list(items)
-            return text[len(head):len(text) - len(tail)]
-        one = body([item])
-        return head, one, body([item, item])[len(one):-len(one)], tail
-
     def fmt(text):
         return text.replace("%", "%%").replace(json.dumps(slot), "%s")
 
     # the document's head, sample separator and tail hold no slot and
     # are written as they are
-    doc_head, empty, sample_sep, doc_tail = pieces(render, sample([]))
+    marker = json.dumps(mark)
+    doc_head, sample_sep, doc_tail = render([mark, mark]).split(marker)
+    head, rec_sep, tail = render([sample([mark, mark])]).split(marker)
+    empty = render([sample([])]).removeprefix(doc_head).removesuffix(doc_tail)
     sites = window.mode == "sites"
     loc = slot if sites else (slot,) * window.dimension
-    head, rec, rec_sep, tail = pieces(lambda items: render([sample(items)]),
-                                      _items([(loc, slot)], value_key)[0])
-    head = head[len(doc_head):]
-    tail = tail[:len(tail) - len(doc_tail)]
+    rec = render([sample(_items([(loc, slot)], value_key))]).removeprefix(
+        head).removesuffix(tail)
+    head, tail = head.removeprefix(doc_head), tail.removesuffix(doc_tail)
     # the latent object sorts before "points" but after "atoms"
     latents_first = json.dumps(slot) in head
     # sep is sample_sep as a piece of a chunk's template
@@ -390,12 +384,8 @@ def run_estimate_zw(config: ExperimentConfig) -> int:
         _emit_json({"provenance": provenance(config),
                     "error": str(exc), "u": u, "v": v}, config)
         return 1
-    _emit_json({
-        "provenance": provenance(config),
-        "estimate": {"u": u, "v": v, "z_hat": est.z_hat,
-                     "w_hat": est.w_hat, "residual": est.residual,
-                     "converged": est.converged},
-    }, config)
+    _emit_json({"provenance": provenance(config),
+                "estimate": {"u": u, "v": v, **asdict(est)}}, config)
     return 0
 
 
@@ -443,12 +433,11 @@ def run_verify(config: ExperimentConfig, checks) -> int:
     doc = {"provenance": provenance(config),
            "reports": [r.to_dict(include_runtime=False) for r in reports]}
     if config.fmt == "csv":
-        columns = ("name", "lhs", "lhs_stderr", "rhs", "rhs_stderr",
-                   "exact", "z_score", "passed", "n")
+        columns = [k for k in doc["reports"][0] if k != "details"]
         with _output(config.out) as out:
-            writer = csv.writer(out)
-            writer.writerow(columns)
-            writer.writerows([getattr(r, c) for c in columns] for r in reports)
+            writer = csv.DictWriter(out, columns, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(doc["reports"])
     elif config.out is not None:
         _emit_json(doc, config)
     return 0 if all(r.passed for r in reports) else 1
