@@ -45,9 +45,9 @@ import numpy as np
 from .expint import e1, e1_inverse
 from .replay import _categorical, _logseries
 from .state_space import (AtomicBatch, ConfigurationBatch,
-                          InvalidMeasureError, PointConfiguration,
-                          ReferenceMeasure, Window, _BatchWriter,
-                          _json_float, _json_int, _tile)
+                          PointConfiguration, ReferenceMeasure, Window,
+                          _BatchWriter, _json_float, _json_int,
+                          _require_same_window, _tile)
 from .transforms import ParameterError, _check_z_half_open, _check_z_open
 
 
@@ -433,8 +433,7 @@ def _posterior_from_config_batch(mus: ConfigurationBatch, params: PolyaParams,
     """
     _check_z_open(params.z)
     rng = as_generator(rng)
-    if mus.window != params.window:
-        raise InvalidMeasureError("observation and parameters share no window")
+    _require_same_window(mus, params)
     z_post = params.z / (1.0 + params.z)
     a_post = params.a + 1.0
     diffuse = sample_gamma_measure_batch(

@@ -590,9 +590,6 @@ class TestFunction:
         _require_same_window(self, other)
         return TestFunction(self.window, self.values + other.values)
 
-    def to_dict(self) -> dict:
-        return _doc(self.window, "values", self.values.tolist())
-
     def __eq__(self, other):
         if not isinstance(other, TestFunction):
             return NotImplemented
@@ -726,7 +723,9 @@ class ConfigurationBatch:
     coords: np.ndarray
 
     def zeta(self, f: TestFunction) -> np.ndarray:
-        """Per-replica integral of f, shape (n,)."""
+        """Per-replica integral of f, shape (n,); f on the batch's
+        window."""
+        _require_same_window(self, f)
         contrib = self.mult * f.values[self.cell]
         return np.bincount(self.rep, weights=contrib, minlength=self.n)
 
@@ -758,6 +757,7 @@ class AtomicBatch:
     coords: np.ndarray
 
     def zeta(self, h: TestFunction) -> np.ndarray:
+        _require_same_window(self, h)
         contrib = self.weight * h.values[self.cell]
         return np.bincount(self.rep, weights=contrib, minlength=self.n)
 

@@ -26,7 +26,7 @@ from .samplers import (MixingMeasure, PolyaParams, _check_eps, _check_n,
                        sample_polya_direct_batch)
 from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
                           Window, _integrate_cellwise, _json_float,
-                          _json_int)
+                          _json_int, _require_same_window)
 from .transforms import (ParameterError, joint_laplace, laplace_gp,
                          laplace_polya, polya_campbell_exact)
 
@@ -141,12 +141,15 @@ def _slack(route: str, eps: float) -> float:
     return EPS_ALLOWANCE * eps if route == "cox" else 0.0
 
 
-def _start(n: int, rng):
+def _start(n: int, rng, measure, *functions):
     """The start time, replica count and generator of a Monte Carlo
-    check of n replicas, n judged by the samplers' number rule first."""
+    check of n replicas, n judged by the samplers' number rule first,
+    and each of ``functions`` required on ``measure``'s window."""
     n = _check_n(n)
     if n < 100:
         raise ParameterError(f"need n >= 100 replicas, got n={n}")
+    for function in functions:
+        _require_same_window(measure, function)
     return time.perf_counter(), n, as_generator(rng)
 
 
@@ -182,7 +185,7 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     evaluated on the same samples; the exact value
     rho(f e^-g) exp(-rho(1 - e^-g)) is attached.
     """
-    t0, n, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng, rho, f, g)
     batch = sample_poisson_batch(rho, n, rng)
     weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g,
                                               mu_term=False)
@@ -214,7 +217,7 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     if not math.isfinite(kernel_z_factor):
         raise ParameterError(
             f"kernel_z_factor must be finite, got {kernel_z_factor}")
-    t0, n, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng, params, f, g)
     batch = _route_sampler(route)(params, eps, n, rng)
     b, c = kernel(batch, params.rho, (params.z * kernel_z_factor, 1.0))
     weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
@@ -239,7 +242,7 @@ def check_conjugacy(params: PolyaParams, g: TestFunction, h: TestFunction,
     forward estimate, rhs the backward one.
     """
     eps = _check_eps(eps)
-    t0, n, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng, params, g, h)
     slack = _slack("cox", eps)
 
     # the forward half is reduced to its per-replica values, and its
@@ -287,7 +290,7 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     eps = _check_eps(eps)
     if fixed_zw is not None:
         fixed_zw = _check_zw(*fixed_zw)
-    t0, n, rng = _start(n, rng)
+    t0, n, rng = _start(n, rng, mixing, f, g)
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
     b, c = kernel(batch, mixing.rho0, fixed_zw)
     weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, mixing.rho0, f, g)

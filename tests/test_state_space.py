@@ -125,9 +125,15 @@ class TestZeta:
         assert zeta(rho, TestFunction.constant(w, 0.5)) == pytest.approx(1.0)
 
     def test_window_mismatch(self, w):
-        other = Window.interval(0.0, 1.0, 2)
-        with pytest.raises(WindowMismatchError):
-            zeta(PointConfiguration(w, ()), TestFunction.constant(other, 1.0))
+        other = TestFunction.constant(Window.interval(0.0, 1.0, 2), 1.0)
+        mu = PointConfiguration(w, (((0.2,), 3),))
+        kappa = AtomicMeasure(w, (((0.4,), 2.5),))
+        for integral in (lambda f: zeta(PointConfiguration(w, ()), f),
+                         _one_replica(mu).zeta, _one_replica(kappa).zeta):
+            for f in (other, TestFunction.constant(
+                    Window.interval(0.0, 2.0, 4), 1.0)):
+                with pytest.raises(WindowMismatchError):
+                    integral(f)
 
     def test_infinite_value_on_zero_mass_cell(self, w):
         rho = ReferenceMeasure(w, np.array([0.0, 1.0, 0.0, 0.0]))

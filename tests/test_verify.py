@@ -14,11 +14,13 @@ import pytest
 
 import polyasum
 from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
-                      PolyaParams, ReferenceMeasure, RngSeed, TestFunction,
-                      Window, check_conjugacy, check_transform_identity,
+                      PointConfiguration, PolyaParams, ReferenceMeasure,
+                      RngSeed, TestFunction, Window, WindowMismatchError,
+                      check_conjugacy, check_transform_identity,
                       check_mecke, check_mixed_ibp, check_polya_ibp,
                       laplace_polya, sample_mixed_batch,
-                      sample_polya_cox_batch, sample_polya_direct_batch)
+                      sample_polya_cox_batch, sample_polya_direct_batch,
+                      sample_posterior_batch)
 from polyasum.cli import main
 from polyasum.state_space import (ConfigurationBatch, _BatchWriter,
                                   _integrate_cellwise, _tile)
@@ -406,12 +408,34 @@ def mixing_half(rho_mass2):
     ("mecke-n-fraction", InvalidMeasureError),
     ("conjugacy-n-bool", InvalidMeasureError),
     ("conjugacy-eps", InvalidMeasureError),
+    *((f"{target}-window-{other}", WindowMismatchError)
+      for target in ("mecke", "polya-ibp-direct", "polya-ibp-cox",
+                     "conjugacy", "mixed-ibp", "posterior")
+      for other in ("bounds", "cells")),
 ])
 def test_bad_inputs_rejected_before_any_draw(case, error, rho_mass2,
                                              mixing_half, ones, zeros):
-    # each used to draw first, or to fail with a bare TypeError
+    # each used to draw first, or to fail with a bare TypeError; the
+    # window rows put f and g, or mu, on other bounds with the same cell
+    # count or on another cell count, where a check could pass, raise an
+    # IndexError, or raise only after its draws
     params = PolyaParams(0.5, rho_mass2)
+    other = (Window.interval(0.0, 2.0, 4) if case.endswith("-bounds")
+             else Window.interval(0.0, 1.0, 8))
+    f, g = TestFunction.constant(other, 1.0), TestFunction.constant(other, 0.5)
+    mu = PointConfiguration(other, (((0.1,), 2),))
     call = {
+        "mecke-window": lambda rng: check_mecke(rho_mass2, f, g, 200, rng),
+        "polya-ibp-direct-window": lambda rng: check_polya_ibp(
+            params, "direct", f, g, 200, rng),
+        "polya-ibp-cox-window": lambda rng: check_polya_ibp(
+            params, "cox", f, g, 200, rng),
+        "conjugacy-window": lambda rng: check_conjugacy(
+            params, f, g, EPS, 200, rng),
+        "mixed-ibp-window": lambda rng: check_mixed_ibp(
+            mixing_half, f, g, 200, rng),
+        "posterior-window": lambda rng: sample_posterior_batch(
+            mu, params, EPS, 3, rng),
         "mixed-direct-eps": lambda rng: sample_mixed_batch(
             mixing_half, "direct", "nonsense", 2, rng),
         "mixed-direct-negative-eps": lambda rng: sample_mixed_batch(
@@ -438,7 +462,7 @@ def test_bad_inputs_rejected_before_any_draw(case, error, rho_mass2,
             params, zeros, zeros, EPS, True, rng),
         "conjugacy-eps": lambda rng: check_conjugacy(
             params, zeros, zeros, "1e-3", 200, rng),
-    }[case]
+    }[case.removesuffix("-bounds").removesuffix("-cells")]
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with pytest.raises(error):
