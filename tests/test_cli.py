@@ -676,13 +676,15 @@ class TestVerifyCommand:
             "f": {"const": 1.0}, "g": {"values": [0.2, 0.0, 0.5, 1.0]},
         })
         out = tmp_path / "rep.json"
-        code = main(["verify", "polya-ibp", "mecke", "--config", cfg,
-                     "--n", "2000", "--seed", "5", "--out", str(out)])
+        code = main(["verify", "polya-ibp", "mecke", "transform-identity",
+                     "--config", cfg, "--n", "2000", "--seed", "5",
+                     "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr()
-        assert captured.out.count("PASS") == 2
+        assert captured.out.count("PASS") == 3
         doc = json.loads(out.read_text())
-        assert len(doc["reports"]) == 2
+        assert [r["name"] for r in doc["reports"]] == [
+            "polya-ibp", "mecke", "transform-identity"]
         assert all("runtime" not in r for r in doc["reports"])
 
     def test_deterministic_report_bytes(self, tmp_path):
@@ -798,6 +800,20 @@ class TestConfigErrors:
         path.write_text("{nope")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("[1, 2]", "config must be a JSON object"),
+    ])
+    def test_unusable_config_exits_two(self, tmp_path, capsys, text,
+                                       message):
+        # a config path that does not exist, and a config that is not
+        # an object
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_z_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "window": BASE_WINDOW, "rho": {"uniform_mass": 1.0}, "z": 1.5,
@@ -827,6 +843,8 @@ class TestConfigErrors:
         # numpy's error on a negative seed names no field
         ("simulate", "seed", -1),
         ("simulate --seed -1", "seed", 3),
+        ("simulate", "n", 0),
+        ("simulate --n 0", "n", 100),
         # routes are read where they are used, each under its own name
         ("simulate", "mixed_route", "x"),
         ("verify polya-ibp", "route", "x"),

@@ -263,6 +263,8 @@ class TestPolyaCox:
         with pytest.raises(ParameterError):
             sample_polya_cox_batch(PolyaParams(0.0, rho_mass2), EPS, 1,
                                    RngSeed(0))
+        with pytest.raises(ParameterError, match="undefined at z = 0"):
+            PolyaParams(0.0, rho_mass2).a
 
 
 class TestDirectRouteLaplace:
@@ -666,6 +668,10 @@ class TestReproducibility:
     def test_a_bool_is_not_a_seed(self, seed):
         with pytest.raises(TypeError):
             samplers.as_generator(seed)
+
+    def test_an_int_seed_is_its_rng_seed(self):
+        assert np.array_equal(samplers.as_generator(7).random(8),
+                              RngSeed(7).generator().random(8))
 
 
 def _assert_valid_batch(batch, objects, cls):

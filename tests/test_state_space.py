@@ -64,12 +64,24 @@ class TestWindow:
             w.cell_of("z")
 
     def test_invalid_windows(self):
-        with pytest.raises(InvalidMeasureError):
-            Window.box([(1, 0)], [2])
-        with pytest.raises(InvalidMeasureError):
-            Window.box([(0, 1)], [0])
-        with pytest.raises(InvalidMeasureError):
-            Window.discrete([])
+        sites = Window.discrete(["a", "b"])
+        for make, match in [
+                (lambda: Window.box([(1, 0)], [2]), "bad axis bounds"),
+                (lambda: Window.box([(0, 1)], [0]), "cell counts"),
+                (lambda: Window.discrete([]), "at least one site"),
+                (lambda: Window.box([], []), "at least one axis"),
+                (lambda: Window.box([(0, 1)], [2, 2]), "equal length"),
+                (lambda: Window(mode="ring"), "unknown window mode"),
+                (lambda: Window.from_dict({"mode": "ring"}),
+                 "unknown window mode"),
+                (lambda: Window.interval(0.0, 1.0, 4).cell_of((1.5,)),
+                 "outside window"),
+                (lambda: sites.cells_of([[0.5]]), "needs a box window"),
+                (lambda: sites.uniform_in_cells(
+                    np.array([0]), np.random.default_rng(0)),
+                 "needs a box window")]:
+            with pytest.raises(InvalidMeasureError, match=match):
+                make()
 
     def test_site_labels_distinct_as_strings(self):
         # labels are stored as strings, so 1 and "1" would name one site

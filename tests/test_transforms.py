@@ -302,7 +302,8 @@ class TestNumberRule:
             logseries_mean(z)
 
     @pytest.mark.parametrize("k, m", [(2.7, 1.0), (True, 1.0), ("2", 1.0),
-                                      (1, math.nan), (1, INF), (1, "1.0")])
+                                      (1, math.nan), (1, INF), (1, "1.0"),
+                                      (-1, 1.0)])
     def test_nb_pmf_refuses(self, k, m):
         with pytest.raises(ValueError):
             nb_pmf(k, m, 0.5)
@@ -314,6 +315,12 @@ class TestNumberRule:
         # checked before the mode m z/(1-z) is computed from it
         with pytest.raises(error, match="'3'|m must be finite"):
             nb_pmf_table(m, 0.5)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-15, math.nan])
+    def test_nb_pmf_table_refuses_tol(self, tol):
+        # the table's loop ends only for tol > 0
+        with pytest.raises(ParameterError, match="tol must be > 0"):
+            nb_pmf_table(2.0, 0.5, tol=tol)
 
     @pytest.mark.parametrize("k", [2.7, True, "2"])
     def test_logseries_pmf_refuses(self, k):
