@@ -523,11 +523,9 @@ def main(argv=None) -> int:
             return run_estimate_zw(config)
         if args.command == "verify":
             return run_verify(config, args.checks)
-        parser.error(f"unknown command {args.command!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

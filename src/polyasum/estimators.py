@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .state_space import ConfigurationBatch, ReferenceMeasure, _json_float
+from .transforms import ParameterError
 
 _Z_TOL = 1e-13
 _Z_LO = 1e-15
@@ -61,7 +62,7 @@ def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure):
     mass = ``rho0.total_mass``."""
     mass = rho0.total_mass
     if mass <= 0:
-        raise ValueError("estimation window has zero reference mass")
+        raise ParameterError("estimation window has zero reference mass")
     return batch.counts() / mass, batch.distinct_counts() / mass, mass
 
 

@@ -132,20 +132,6 @@ class Window:
             return len(self.sites)
         return math.prod(self.cells_per_axis)
 
-    @property
-    def all_cells(self) -> np.ndarray:
-        return np.arange(self.n_cells)
-
-    @property
-    def cell_volume(self) -> float:
-        """Lebesgue volume of one grid cell (1.0 for discrete sites)."""
-        if self.mode == "sites":
-            return 1.0
-        vol = 1.0
-        for (lo, hi), n in zip(self.bounds, self.cells_per_axis):
-            vol *= (hi - lo) / n
-        return vol
-
     def contains(self, loc: Location) -> bool:
         if self.mode == "sites":
             return loc in self.sites

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,16 +68,9 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "name": self.name,
-            "lhs": self.lhs, "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs, "rhs_stderr": self.rhs_stderr,
-            "exact": self.exact,
-            "z_score": self.z_score,
-            "passed": bool(self.passed),
-            "n": self.n,
-            "details": self.details,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "runtime"}
+        out["passed"] = bool(self.passed)
         if include_runtime:
             out["runtime"] = self.runtime
         return out
@@ -153,12 +146,23 @@ def _start(n: int, rng, measure, *functions):
     return time.perf_counter(), n, as_generator(rng)
 
 
+def _campbell_start(n: int, rng, measure, f: TestFunction, g: TestFunction):
+    """``_start`` of a Campbell check, which also requires f finite:
+    +inf is a value for exponents, and zeta_f would be inf or NaN."""
+    started = _start(n, rng, measure, f, g)
+    if np.isinf(f.values).any():
+        raise ParameterError("f must be finite: +inf is a value for exponents")
+    return started
+
+
 def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
-                    f: TestFunction, g: TestFunction, mu_term: bool = True):
-    """Every part of a Campbell identity on ``batch`` but its kernel: per
-    replica e^-zeta_g and zeta_f e^-zeta_g, then rho(f e^-g) and per
-    replica zeta_{f e^-g}, with f e^-g = 0 where g = +inf; None for
-    the last when the kernel has no mu term (``mu_term`` false).
+                    f: TestFunction, g: TestFunction, kernel=None):
+    """Both sides of the Campbell identity
+    E[zeta_f e^-zeta_g] = E[k(f e^-g) e^-zeta_g] on ``batch``: per
+    replica lhs zeta_f e^-zeta_g and rhs k(f e^-g) e^-zeta_g, then
+    rho(f e^-g), with f e^-g = 0 where g = +inf.  ``kernel`` is the
+    (b, c) of k = b (c rho + mu); None is the Poisson kernel rho, which
+    has no mu term, so f e^-g is not integrated against the batch.
 
     Each distinct function is integrated once: at g = 0 zeta_g is +0.0
     in every replica, which is what a pass would sum to, and where
@@ -169,10 +173,13 @@ def _campbell_sides(batch: ConfigurationBatch, rho: ReferenceMeasure,
     lhs = zeta_f * weight
     decay = np.exp(-g.values)
     fe_g = np.where(decay > 0, f.values * decay, 0.0)
-    zeta_feg = (None if not mu_term
-                else zeta_f if fe_g.tobytes() == f.values.tobytes()
+    rho_feg = _integrate_cellwise(rho, fe_g)
+    if kernel is None:
+        return lhs, rho_feg * weight, rho_feg
+    b, c = kernel
+    zeta_feg = (zeta_f if fe_g.tobytes() == f.values.tobytes()
                 else batch.zeta(TestFunction(rho.window, fe_g)))
-    return weight, lhs, _integrate_cellwise(rho, fe_g), zeta_feg
+    return lhs, b * (c * rho_feg + zeta_feg) * weight, rho_feg
 
 
 def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
@@ -185,11 +192,9 @@ def check_mecke(rho: ReferenceMeasure, f: TestFunction, g: TestFunction,
     evaluated on the same samples; the exact value
     rho(f e^-g) exp(-rho(1 - e^-g)) is attached.
     """
-    t0, n, rng = _start(n, rng, rho, f, g)
+    t0, n, rng = _campbell_start(n, rng, rho, f, g)
     batch = sample_poisson_batch(rho, n, rng)
-    weight, lhs, rho_feg, _ = _campbell_sides(batch, rho, f, g,
-                                              mu_term=False)
-    rhs = rho_feg * weight
+    lhs, rhs, rho_feg = _campbell_sides(batch, rho, f, g)
     exact = rho_feg * math.exp(-_integrate_cellwise(
         rho, -np.expm1(-g.values)))
 
@@ -217,11 +222,11 @@ def check_polya_ibp(params: PolyaParams, route: str, f: TestFunction,
     if not math.isfinite(kernel_z_factor):
         raise ParameterError(
             f"kernel_z_factor must be finite, got {kernel_z_factor}")
-    t0, n, rng = _start(n, rng, params, f, g)
+    t0, n, rng = _campbell_start(n, rng, params, f, g)
     batch = _route_sampler(route)(params, eps, n, rng)
-    b, c = kernel(batch, params.rho, (params.z * kernel_z_factor, 1.0))
-    weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, params.rho, f, g)
-    rhs = b * (c * rho_feg + zeta_feg) * weight
+    lhs, rhs, _ = _campbell_sides(
+        batch, params.rho, f, g,
+        kernel(batch, params.rho, (params.z * kernel_z_factor, 1.0)))
     exact = polya_campbell_exact(f, g, params.z, params.rho)
 
     report = _ibp_report(name, lhs, rhs, exact, _slack(route, eps), n, t0,
@@ -285,16 +290,18 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
     left raise ``ParameterError``.  Passing ``fixed_zw`` replaces the
     per-sample estimates with one global pair, which must break the
     identity for genuinely mixed priors; it is checked as a mixing
-    atom's (z, w) before any draw, as eps is on both routes.
+    atom's (z, w) before any draw, as eps is on both routes.  Without
+    it, rho0 must have positive mass before any draw.
     """
     eps = _check_eps(eps)
     if fixed_zw is not None:
         fixed_zw = _check_zw(*fixed_zw)
-    t0, n, rng = _start(n, rng, mixing, f, g)
+    t0, n, rng = _campbell_start(n, rng, mixing, f, g)
+    if fixed_zw is None and mixing.rho0.total_mass <= 0:
+        raise ParameterError("the plug-in kernel needs rho0 of positive mass")
     batch, z_lat, w_lat = sample_mixed_batch(mixing, route, eps, n, rng)
     b, c = kernel(batch, mixing.rho0, fixed_zw)
-    weight, lhs, rho_feg, zeta_feg = _campbell_sides(batch, mixing.rho0, f, g)
-    rhs = b * (c * rho_feg + zeta_feg) * weight
+    lhs, rhs, _ = _campbell_sides(batch, mixing.rho0, f, g, (b, c))
     feasible = ~np.isnan(b)
     if feasible.sum() < 2:
         raise ParameterError(f"only {feasible.sum()} of the n={n} replicas "
@@ -325,7 +332,10 @@ def check_transform_identity(n_tuples: int, rng,
     Gamma-measure transform at 1 - e^-g + h and (ii) the composition
     that mirrors the posterior factorization: the Gamma transform of h
     at z/(1+z) times the point-process transform at g + log(1 + z h).
-    lhs/rhs report the worst relative deviations of (i)/(ii).
+    lhs/rhs report the worst relative deviations of (i)/(ii).  (i)
+    evaluates ``laplace_gp`` with the same float operations on the same
+    array that ``joint_laplace`` builds, so lhs is exactly 0.0: only
+    (ii) can fail.
     """
     n_tuples = _json_int(n_tuples, "n_tuples")
     if n_tuples < 1:

@@ -790,6 +790,16 @@ class TestConfigErrors:
         out, err = capsys.readouterr()
         assert out == "" and "kernel_z_factor must be finite" in err
 
+    def test_infinite_f_exits_two(self, tmp_path, capsys):
+        # +inf is a value for exponents: as f it wrote NaN tokens into
+        # the report and exited 1
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho": {"uniform_mass": 2.0}, "z": 0.5,
+            "n": 200, "f": {"values": [1.0, "inf", 0.5, 0.2]}})
+        assert main(["verify", "mecke", "polya-ibp", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "f must be finite" in err
+
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"command": "posterior",
                                       "window": BASE_WINDOW})

@@ -177,6 +177,10 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+# _e1 evaluates up to _SMALL arguments with numpy's exp and log on
+# one-element arrays: numpy's vector exp and log must round an
+# element alike at every array length
+@pytest.mark.numpy_bits
 class TestE1Paths:
     """_e1 takes inputs of at most _SMALL arguments one at a time in
     Python floats, larger ones as arrays; both give the same bits.  Their
@@ -307,6 +311,10 @@ _FK_SAMPLERS = {
 }
 
 
+# the digests, recorded on numpy 2.4, must come out of the oldest
+# numpy's random, standard_exponential, poisson and vector exp, log
+# and expm1 alike
+@pytest.mark.numpy_bits
 class TestFKBits:
     """The Ferguson-Klass draws and the checks built on them, pinned
     bit for bit: each digest hashes the batches at n in (1, 3, 200) and

@@ -311,6 +311,8 @@ class TestPosterior:
         se = weights.std(ddof=1) / math.sqrt(weights.size)
         assert abs(weights.mean() - 1.5) < 3 * se
 
+    # the merge of mu's points with rho's atoms decides the records
+    @pytest.mark.numpy_bits
     def test_observed_points_on_atoms_of_rho(self):
         # a point of mu on an atom of rho is one atom of rho + mu: its
         # weight is the prior's jump there plus its own Gamma weight,
@@ -757,6 +759,8 @@ _INVARIANT_ROUTES = {
 }
 
 
+# state_space._merge decides the record order of every route's batch
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("kind", ["box-diffuse", "box-atoms",
                                   "sites-diffuse", "sites-atoms"])
 @pytest.mark.parametrize("route", sorted(_INVARIANT_ROUTES))
@@ -795,6 +799,9 @@ def test_sampled_batch_holds_each_location_once(route, kind, monkeypatch):
     assert (sum(merged) > 0) == can_repeat
 
 
+# the batch writer's block-wise batches must equal the one-shot
+# construction from numpy's draws
+@pytest.mark.numpy_bits
 class TestBlocks:
     """Batches the samplers write into preallocated columns, block by
     block, against the one-shot construction they replace."""
@@ -981,6 +988,9 @@ _EDGE_WINDOWS = {
 }
 
 
+# the verdict at each (z, mass) rests on numpy's Poisson limit, its
+# gamma sampler and logseries near p = 1
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("window", sorted(_EDGE_WINDOWS))
 @pytest.mark.parametrize("route", sorted(_EDGE_ROUTES))
 @pytest.mark.parametrize("mass", [1e-300, 1e-6, 1e4])
@@ -1156,6 +1166,9 @@ def _assert_reductions_equal_bincount(batch):
     assert np.array_equal(distinct, want_distinct)
 
 
+# the replica counts, reduced over runs with np.add.reduceat and
+# np.add.at, must equal bincount's
+@pytest.mark.numpy_bits
 class TestReductions:
     """counts and distinct_counts reduce runs of records that share a
     replica; every route and every record order gives bincount's sums."""
@@ -1232,6 +1245,9 @@ def _assert_one_buffer(batch):
                for col in columns)
 
 
+# the batch writer's int64 and float64 views of one buffer must keep
+# their rows as the buffer grows
+@pytest.mark.numpy_bits
 class TestOneBuffer:
     """The batch writer keeps a batch's four columns in one buffer."""
 

@@ -34,7 +34,7 @@ EPS = 1e-6
 def campbell_mean_se(batch, f, g):
     """Mean and standard error of zeta_f e^-zeta_g over ``batch``."""
     rho = ReferenceMeasure.uniform(batch.window, 1.0)
-    return _mean_se(_campbell_sides(batch, rho, f, g)[1])
+    return _mean_se(_campbell_sides(batch, rho, f, g)[0])
 
 
 class TestCampbellEstimate:
@@ -335,14 +335,15 @@ def test_bad_route_rejected_before_any_draw(window4, rho_mass2, ones, zeros):
         assert rng.bit_generator.state == state
 
 
-def three_pass_sides(batch, rho, f, g):
+def three_pass_sides(batch, rho, f, g, b, c):
     """``_campbell_sides`` as three zeta passes, one per function."""
     weight = np.exp(-batch.zeta(g))
     lhs = batch.zeta(f) * weight
     decay = np.exp(-g.values)
     fe_g = np.where(decay > 0, f.values * decay, 0.0)
-    return (weight, lhs, _integrate_cellwise(rho, fe_g),
-            batch.zeta(TestFunction(rho.window, fe_g)))
+    rho_feg = _integrate_cellwise(rho, fe_g)
+    zeta_feg = batch.zeta(TestFunction(rho.window, fe_g))
+    return lhs, b * (c * rho_feg + zeta_feg) * weight, rho_feg
 
 
 @pytest.mark.parametrize("f, g, passes", [
@@ -365,9 +366,9 @@ def test_campbell_sides_integrate_each_function_once(window4, f, g, passes):
         calls.append(h)
         return zeta(self, h)
     with mock.patch.object(ConfigurationBatch, "zeta", counted):
-        got = _campbell_sides(batch, rho, f, g)
+        got = _campbell_sides(batch, rho, f, g, (0.5, 1.5))
     assert len(calls) == passes
-    want = three_pass_sides(batch, rho, f, g)
+    want = three_pass_sides(batch, rho, f, g, 0.5, 1.5)
     assert [np.asarray(v).tobytes() for v in got] == [
         np.asarray(v).tobytes() for v in want]
 
@@ -408,6 +409,10 @@ def mixing_half(rho_mass2):
     ("mecke-n-fraction", InvalidMeasureError),
     ("conjugacy-n-bool", InvalidMeasureError),
     ("conjugacy-eps", InvalidMeasureError),
+    ("mecke-infinite-f", ParameterError),
+    ("polya-ibp-infinite-f", ParameterError),
+    ("mixed-ibp-infinite-f", ParameterError),
+    ("mixed-ibp-zero-mass", ParameterError),
     *((f"{target}-window-{other}", WindowMismatchError)
       for target in ("mecke", "polya-ibp-direct", "polya-ibp-cox",
                      "conjugacy", "mixed-ibp", "posterior")
@@ -418,8 +423,13 @@ def test_bad_inputs_rejected_before_any_draw(case, error, rho_mass2,
     # each used to draw first, or to fail with a bare TypeError; the
     # window rows put f and g, or mu, on other bounds with the same cell
     # count or on another cell count, where a check could pass, raise an
-    # IndexError, or raise only after its draws
+    # IndexError, or raise only after its draws; an infinite f gave
+    # NaN in the report, and the plug-in kernel on a zero-mass rho0 a
+    # bare ValueError after the draws
     params = PolyaParams(0.5, rho_mass2)
+    inf_f = TestFunction(rho_mass2.window, (1.0, INF, 0.5, 0.2))
+    massless = MixingMeasure(ReferenceMeasure.uniform(rho_mass2.window, 0.0),
+                             ((0.3, 1.0, 0.5), (0.7, 2.0, 0.5)))
     other = (Window.interval(0.0, 2.0, 4) if case.endswith("-bounds")
              else Window.interval(0.0, 1.0, 8))
     f, g = TestFunction.constant(other, 1.0), TestFunction.constant(other, 0.5)
@@ -462,6 +472,14 @@ def test_bad_inputs_rejected_before_any_draw(case, error, rho_mass2,
             params, zeros, zeros, EPS, True, rng),
         "conjugacy-eps": lambda rng: check_conjugacy(
             params, zeros, zeros, "1e-3", 200, rng),
+        "mecke-infinite-f": lambda rng: check_mecke(
+            rho_mass2, inf_f, zeros, 200, rng),
+        "polya-ibp-infinite-f": lambda rng: check_polya_ibp(
+            params, "direct", inf_f, zeros, 200, rng),
+        "mixed-ibp-infinite-f": lambda rng: check_mixed_ibp(
+            mixing_half, inf_f, zeros, 200, rng),
+        "mixed-ibp-zero-mass": lambda rng: check_mixed_ibp(
+            massless, ones, zeros, 200, rng),
     }[case.removesuffix("-bounds").removesuffix("-cells")]
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
@@ -577,6 +595,9 @@ def test_infinite_jump_rate_raises_before_any_draw(name):
     assert ("cluster rate" if "mixed" in name else "eps") in str(err.value)
 
 
+# the bound on each FK check's tracemalloc peak over its largest
+# batch buffer must hold on the oldest numpy too
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("check, bound", [("conjugacy", 2.25),
                                           ("polya-ibp-cox", 1.75)])
 def test_fk_checks_keep_few_batches_alive(check, bound, monkeypatch):
