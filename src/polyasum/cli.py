@@ -277,9 +277,8 @@ def _write_records(batch, out, latents=None, header=None) -> None:
         # text order
         a = bounds[start]
         rows = order[a:bounds[stop]]
-        coords = batch.coords[rows]
-        cols = ([[labels[c] for c in coords.tolist()]] if sites
-                else coords.T.tolist())
+        cols = ([[labels[c] for c in batch.cell[rows].tolist()]] if sites
+                else batch.coords[rows].T.tolist())
         cols.append(values[rows].tolist())
         args = [None] * (width * rows.size)
         for i, col in enumerate(cols):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 # Doubles per block of the block-wise draws (_categorical,
-# Window.uniform_in_cells) and per buffer of the logseries replay: in
+# Window._uniform_into) and per buffer of the logseries replay: in
 # the replay 16k kept every work array in cache and ran faster per draw
 # than 32k or 64k, which cost page faults.
 _BLOCK = 16384

@@ -213,10 +213,7 @@ def sample_poisson_batch(rho: ReferenceMeasure, n: int,
     rows.rep[:] = np.repeat(rep_idx, k)
     rows.cell[:] = np.repeat(cell_idx, k)
     rows.mult.fill(1)
-    if window.mode == "sites":
-        rows.coords[:] = rows.cell
-    else:
-        window._uniform_into(rows.cell, rows.coords, rng)
+    window._uniform_into(rows.cell, rows.coords, rng)
     if live.size:
         atom = np.tile(live, n)  # replica-major, every live atom each
         hits = _poisson_from_atomic_batch(AtomicBatch(

@@ -172,26 +172,18 @@ class Window:
             flat = flat * n + i
         return flat
 
-    def uniform_in_cells(self, cells: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-        """Draw one uniform location inside each listed cell.
-
-        Returns an (M, d) coordinate array (box mode only; discrete
-        sites are their own locations).  Axis by axis from the last one
-        back, with the doubles of one ``rng.random(M)`` per axis taken
-        block by block, coordinate k of a point in cell index i_k is
-        ``lo + (i_k + U) * ((hi - lo) / n)`` bit for bit.
-        """
-        cells = np.asarray(cells, dtype=np.int64)
-        coords = _empty_coords(self, cells.size)
-        self._uniform_into(cells, coords, rng)
-        return coords
-
     def _uniform_into(self, cells: np.ndarray, coords: np.ndarray,
                       rng: np.random.Generator) -> None:
-        """:meth:`uniform_in_cells` written into ``coords``."""
+        """One uniform location in each of the flat ``cells``, written
+        into ``coords``: on a box, axis by axis from the last one back,
+        with the doubles of one ``rng.random(M)`` per axis taken block
+        by block, coordinate k of a point in cell index i_k is
+        ``lo + (i_k + U) * ((hi - lo) / n)`` bit for bit.  A site is the
+        one location of its cell: a sites window copies ``cells`` and
+        draws nothing."""
         if self.mode == "sites":
-            raise InvalidMeasureError("uniform_in_cells needs a box window")
+            coords[:] = cells
+            return
         size = cells.size
         u = np.empty(min(size, _BLOCK))
         stride = 1
@@ -427,7 +419,7 @@ class ReferenceMeasure:
                           ("_atom_weight", weight), ("_atom_coords", coords)):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
-        # the sum that sample_locations normalises by
+        # the sum that _locations_into normalises by
         with np.errstate(over="ignore"):
             total = np.concatenate([masses, weight]).sum()
         if not math.isfinite(total):
@@ -465,28 +457,16 @@ class ReferenceMeasure:
                       self._atom_coords)
         return scaled
 
-    def sample_locations(self, size: int, rng: np.random.Generator):
-        """Draw i.i.d. locations from this measure normalized to mass 1.
-
-        Returns ``(cells, coords, hit, atom)``: flat cell indices, raw
-        coordinates ((size, d) floats on a box, site indices on sites),
-        the draws on an atom (ascending) and the atom drawn, whose
-        coordinates they carry bit for bit.
-
-        The draws are those of ``rng.choice(K, size, p=weights / total)``
-        over the K cells then atoms, bit for bit and leaving the
-        generator in the same state, followed for box windows by
-        :meth:`Window.uniform_in_cells` on the cells drawn.
-        """
-        cells = np.empty(size, dtype=np.int64)
-        coords = _empty_coords(self.window, size)
-        return (cells, coords, *self._locations_into(cells, coords, rng))
-
     def _locations_into(self, cells: np.ndarray, coords: np.ndarray,
                         rng: np.random.Generator):
-        """:meth:`sample_locations` written into the rows ``cells`` and
-        ``coords`` of a batch; returns ``(hit, atom)``.  Every sampler
-        draws its locations here."""
+        """Draw i.i.d. locations from this measure normalized to mass 1
+        into the rows ``cells`` and ``coords`` of a batch; every sampler
+        draws its locations here.  The draws are those of
+        ``rng.choice(K, size, p=weights / total)`` over the K cells then
+        atoms, bit for bit and leaving the generator in the same state,
+        then :meth:`Window._uniform_into` on the cells drawn.  Returns
+        ``(hit, atom)``: the draws on an atom (ascending) and the atom
+        drawn, whose coordinates they carry bit for bit."""
         weights = np.concatenate([self.cell_masses, self._atom_weight])
         total = weights.sum()
         if total <= 0:
@@ -496,11 +476,8 @@ class ReferenceMeasure:
         hit = np.flatnonzero(cells >= n_cells)
         atom = cells[hit] - n_cells
         cells[hit] = self._atom_cell[atom]
-        if self.window.mode == "sites":
-            coords[:] = cells
-        else:
-            self.window._uniform_into(cells, coords, rng)
-            coords[hit] = self._atom_coords[atom]
+        self.window._uniform_into(cells, coords, rng)
+        coords[hit] = self._atom_coords[atom]
         return hit, atom
 
     def _atoms_at(self, coords: np.ndarray):

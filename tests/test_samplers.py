@@ -506,7 +506,7 @@ class TestReproducibility:
         assert np.array_equal(b1.coords, b2.coords)
 
     def test_location_draws_keep_their_bits(self):
-        # every sampler draws its locations through sample_locations;
+        # every sampler draws its locations through _locations_into;
         # these digests were recorded when it called rng.choice, with
         # numpy 2.4, and those of box3x5 and sites gamma and posterior
         # again when those samplers began to merge records at one
@@ -844,7 +844,9 @@ class TestBlocks:
                                  (m / a) * -np.expm1(-a * last)])
         live = weight > 0
         assert 0 < live.sum() < live.size
-        cells, coords, _, _ = rho.sample_locations(live.sum(), numpys)
+        k = int(live.sum())
+        cells, coords = np.empty(k, dtype=np.int64), np.empty((k, 1))
+        rho._locations_into(cells, coords, numpys)
         for got, want in ((batch.rep, rep[live]), (batch.weight, weight[live]),
                           (batch.cell, cells), (batch.coords, coords)):
             assert np.array_equal(got, want)

@@ -76,12 +76,19 @@ class TestWindow:
                  "unknown window mode"),
                 (lambda: Window.interval(0.0, 1.0, 4).cell_of((1.5,)),
                  "outside window"),
-                (lambda: sites.cells_of([[0.5]]), "needs a box window"),
-                (lambda: sites.uniform_in_cells(
-                    np.array([0]), np.random.default_rng(0)),
-                 "needs a box window")]:
+                (lambda: sites.cells_of([[0.5]]), "needs a box window")]:
             with pytest.raises(InvalidMeasureError, match=match):
                 make()
+
+    def test_uniform_into_copies_site_cells(self):
+        # a site is the one location of its cell: nothing is drawn
+        sites = Window.discrete(["a", "b", "c"])
+        ours, fresh = np.random.default_rng(0), np.random.default_rng(0)
+        cells = np.array([2, 0, 1, 2])
+        coords = np.full(cells.size, -1, dtype=np.int64)
+        sites._uniform_into(cells, coords, ours)
+        assert coords.tolist() == cells.tolist()
+        assert ours.random() == fresh.random()
 
     def test_site_labels_distinct_as_strings(self):
         # labels are stored as strings, so 1 and "1" would name one site
@@ -93,14 +100,16 @@ class TestWindow:
         w = Window.interval(0.0, 2.0, 4)
         rng = np.random.default_rng(1)
         cells = np.array([0, 3, 2, 2, 1])
-        coords = w.uniform_in_cells(cells, rng)
+        coords = np.empty((cells.size, 1))
+        w._uniform_into(cells, coords, rng)
         assert np.array_equal(w.cells_of(coords), cells)
 
     def test_uniform_in_cells_two_dimensional(self):
         w = Window.box([(0, 2), (-1, 1)], [2, 5])
         rng = np.random.default_rng(2)
         cells = rng.integers(0, w.n_cells, size=200)
-        coords = w.uniform_in_cells(cells, rng)
+        coords = np.empty((cells.size, 2))
+        w._uniform_into(cells, coords, rng)
         assert np.array_equal(w.cells_of(coords), cells)
 
     def test_accepts_numpy_cell_counts(self):
@@ -597,7 +606,8 @@ class TestMerge:
         # comparing every record with every atom gave
         rho = _atom_heavy_rho()
         gen = np.random.default_rng(5)
-        cells, coords, hit, atom = rho.sample_locations(3000, gen)
+        cells, coords = np.empty(3000, dtype=np.int64), np.empty((3000, 2))
+        hit, atom = rho._locations_into(cells, coords, gen)
         assert np.array_equal(coords[hit], rho._atom_coords[atom])
         assert np.signbit(coords[hit]).any()  # some draws hit -0.0
         rep = gen.integers(0, 40, coords.shape[0])
@@ -891,7 +901,8 @@ class TestBlocks:
     def test_uniform_in_cells(self, window, size):
         cells = np.random.default_rng(8).integers(0, window.n_cells, size)
         ours, numpys = np.random.default_rng(7), np.random.default_rng(7)
-        got = window.uniform_in_cells(cells, ours)
+        got = np.empty((size, window.dimension))
+        window._uniform_into(cells, got, ours)
         want = self._one_shot(window, cells, numpys)
         assert np.array_equal(got, want)
         assert ours.random() == numpys.random()
