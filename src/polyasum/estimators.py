@@ -59,11 +59,18 @@ def density_batch(batch: ConfigurationBatch, rho0: ReferenceMeasure):
     """Both empirical densities of every replica over the window:
     ``(u, v, mass)`` with u = (points, with multiplicity) / mass,
     v = (distinct points) / mass, shape (n,) each, and
-    mass = ``rho0.total_mass``."""
+    mass = ``rho0.total_mass``.  A mass so small that a density
+    overflows raises :class:`ParameterError`."""
     mass = rho0.total_mass
     if mass <= 0:
         raise ParameterError("estimation window has zero reference mass")
-    return batch.counts() / mass, batch.distinct_counts() / mass, mass
+    with np.errstate(over="ignore"):
+        u = batch.counts() / mass
+    # v <= u: distinct points never outnumber points
+    if not np.isfinite(u).all():
+        raise ParameterError(f"reference mass {mass} is too small for the "
+                             f"counts: a density overflows")
+    return u, batch.distinct_counts() / mass, mass
 
 
 def density_ratio(z) -> np.ndarray:
@@ -116,13 +123,14 @@ def solve_zw(u: float, v: float) -> ZWEstimate:
     solution found by bisecting the strictly increasing ratio map;
     anything else is outside the model and raises
     :class:`InfeasibleDensitiesError`.  A density that is not a number
-    (a string, a bool) raises ``InvalidMeasureError``, and NaN or a
-    negative one ``ValueError``.
+    (a string, a bool) raises ``InvalidMeasureError``, and NaN, an
+    infinite or a negative one ``ValueError``.
     """
     u = _json_float(u, "u")
     v = _json_float(v, "v")
-    if not (u >= 0 and v >= 0):
-        raise ValueError(f"densities must be >= 0, got u={u}, v={v}")
+    if not (0 <= u < math.inf and 0 <= v < math.inf):
+        raise ValueError(f"densities must be finite and >= 0, got u={u}, "
+                         f"v={v}")
     z, w, feasible = solve_zw_batch([u], [v])
     if not feasible[0]:
         raise InfeasibleDensitiesError(u, v)

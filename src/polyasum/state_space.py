@@ -329,15 +329,6 @@ def _check_masses(masses: np.ndarray) -> None:
         raise InvalidMeasureError("cell masses must be finite and >= 0")
 
 
-def _check_cells(window: Window, cells) -> np.ndarray:
-    """Flat cell indices as int64; one outside [0, n_cells) raises."""
-    cells = np.asarray(cells, dtype=np.int64)
-    if ((cells < 0) | (cells >= window.n_cells)).any():
-        raise InvalidMeasureError(
-            f"cell indices {cells.tolist()} must lie in [0, {window.n_cells})")
-    return cells
-
-
 @dataclass(frozen=True)
 class PointConfiguration:
     """A finite point configuration with integer multiplicities."""
@@ -544,9 +535,16 @@ class TestFunction:
 
     @classmethod
     def indicator(cls, window: Window, cells, value: float = 1.0) -> "TestFunction":
+        """``value`` on the listed flat cells, 0 elsewhere.  Each cell
+        index is an integer by :func:`_json_int` (a string, a bool or 1.5
+        raises) in [0, n_cells)."""
+        cells = [_json_int(c, "cell index")
+                 for c in np.asarray(cells, dtype=object).ravel()]
+        if not all(0 <= c < window.n_cells for c in cells):
+            raise InvalidMeasureError(
+                f"cell indices {cells} must lie in [0, {window.n_cells})")
         vals = np.zeros(window.n_cells)
-        vals[_check_cells(window, cells)] = _json_float(
-            value, "test function value")
+        vals[cells] = _json_float(value, "test function value")
         return cls(window, vals)
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
@@ -895,12 +893,13 @@ def zeta(measure: Measure, f: TestFunction) -> float:
     weights weight atom evaluations, and cell masses weight cell
     values.  Infinite f-values on zero-mass cells contribute nothing.
     """
+    if not isinstance(measure, (ReferenceMeasure, PointConfiguration,
+                                AtomicMeasure)):
+        raise TypeError(f"cannot integrate against {type(measure).__name__}")
     _require_same_window(measure, f)
     if isinstance(measure, ReferenceMeasure):
         return _integrate_cellwise(measure, f.values)
-    if isinstance(measure, (PointConfiguration, AtomicMeasure)):
-        return float(_one_replica(measure).zeta(f)[0])
-    raise TypeError(f"cannot integrate against {type(measure).__name__}")
+    return float(_one_replica(measure).zeta(f)[0])
 
 
 def superpose(rho: ReferenceMeasure, mu: PointConfiguration) -> ReferenceMeasure:

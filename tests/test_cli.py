@@ -668,6 +668,18 @@ class TestEstimateZW:
         assert main(["estimate-zw", "--config", cfg, "--out", str(out)]) == 1
         assert "error" in json.loads(out.read_text())
 
+    def test_mass_too_small_for_counts_exits_two(self, tmp_path, capsys):
+        # an overflowing density would be written as Infinity, not JSON
+        cfg = write_config(tmp_path, {
+            "window": BASE_WINDOW, "rho0": {"uniform_mass": 1e-310},
+            "mu": {"points": [{"loc": [0.1], "mult": 3},
+                              {"loc": [0.6], "mult": 1}]},
+        })
+        out = tmp_path / "est.json"
+        assert main(["estimate-zw", "--config", cfg, "--out", str(out)]) == 2
+        assert "too small for the counts" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_passing_checks_exit_zero(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Density statistics and the (z, w) solver: round trips, consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyasum import (InfeasibleDensitiesError, InvalidMeasureError,
-                      MixingMeasure, PointConfiguration, PolyaParams,
-                      ReferenceMeasure, RngSeed, Window, density_batch,
-                      density_ratio, kernel, papangelou_kernel,
-                      sample_mixed_batch, sample_polya_direct_batch,
-                      solve_zw, solve_zw_batch, superpose)
+                      MixingMeasure, ParameterError, PointConfiguration,
+                      PolyaParams, ReferenceMeasure, RngSeed, Window,
+                      density_batch, density_ratio, kernel,
+                      papangelou_kernel, sample_mixed_batch,
+                      sample_polya_direct_batch, solve_zw, solve_zw_batch,
+                      superpose)
 from polyasum.state_space import _one_replica
 
 
@@ -46,6 +48,15 @@ class TestDensityStats:
         u, v, _ = densities(mu, rho0)
         assert v == pytest.approx(1.0)
         assert u == pytest.approx(5.0)
+
+    def test_overflowing_density_rejected(self, window4):
+        # 4 points over a mass of 1e-310: counts / mass overflows
+        rho0 = ReferenceMeasure.uniform(window4, 1e-310)
+        mu = PointConfiguration(window4, (((0.1,), 3), ((0.6,), 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="too small"):
+                densities(mu, rho0)
 
     def test_zero_mass_region_rejected(self, window4):
         rho0 = ReferenceMeasure(window4, np.zeros(4))
@@ -228,6 +239,13 @@ class TestOneCopy:
     def test_nan_density_rejected(self):
         with pytest.raises(ValueError):
             solve_zw(math.nan, 1.0)
+
+    @pytest.mark.parametrize("u, v", [(math.inf, 1.0), (2.0, math.inf),
+                                      (math.inf, math.inf)])
+    def test_infinite_density_rejected(self, u, v):
+        # inf <= 1e-9 * inf holds, so the residual cannot judge these
+        with pytest.raises(ValueError, match="finite"):
+            solve_zw(u, v)
 
     def test_densities_must_be_numbers(self):
         # float() would cast "2" and True; these are not densities

@@ -151,6 +151,13 @@ class TestZeta:
                 with pytest.raises(WindowMismatchError):
                     integral(f)
 
+    def test_non_measures_raise_type_error(self, w):
+        # a batch has a window but is n measures, not one
+        batch = _one_replica(PointConfiguration(w, (((0.2,), 3),)))
+        for measure in (5, batch):
+            with pytest.raises(TypeError, match="cannot integrate"):
+                zeta(measure, TestFunction.constant(w, 1.0))
+
     def test_infinite_value_on_zero_mass_cell(self, w):
         rho = ReferenceMeasure(w, np.array([0.0, 1.0, 0.0, 0.0]))
         f = TestFunction(w, np.array([np.inf, 0.5, 0.0, 0.0]))
@@ -248,6 +255,14 @@ class TestSuperpose:
 
 
 class TestInvariants:
+    def test_zero_measure_draws_nothing(self, w):
+        rho = ReferenceMeasure(w, np.zeros(4), (((0.5,), 0.0),))
+        ours, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        cells, coords = np.empty(5, dtype=np.int64), np.empty((5, 1))
+        with pytest.raises(InvalidMeasureError, match="zero measure"):
+            rho._locations_into(cells, coords, ours)
+        assert ours.random() == fresh.random()
+
     def test_point_configuration_validation(self, w):
         with pytest.raises(InvalidMeasureError):
             PointConfiguration(w, (((0.2,), 0),))
@@ -793,6 +808,22 @@ class TestCellRanges:
         for cells in ([-1], [4]):
             with pytest.raises(InvalidMeasureError, match="cell indices"):
                 TestFunction.indicator(w, cells)
+
+    NOT_INT = "must be an integer"
+
+    @pytest.mark.parametrize("cells, want", [
+        (["1"], NOT_INT), ([True, False], NOT_INT), (np.array([True]), NOT_INT),
+        ([1.5], NOT_INT), ([-0.5], NOT_INT), ([2 ** 64], "cell indices"),
+        ([2.0], [2]), (np.array([1, 3]), [1, 3]), ([np.int32(0)], [0])])
+    def test_indicator_takes_indices_by_the_number_rule(self, w, cells, want):
+        # each index is an integer by _json_int: an int64 cast would
+        # take a string, a bool or a fraction as a cell
+        if isinstance(want, str):
+            with pytest.raises(InvalidMeasureError, match=want):
+                TestFunction.indicator(w, cells)
+        else:
+            assert np.flatnonzero(
+                TestFunction.indicator(w, cells).values).tolist() == want
 
     def test_batch_counts_reject_indices_outside(self, w):
         batch = ConfigurationBatch(
