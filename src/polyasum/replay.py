@@ -28,19 +28,19 @@ def _categorical(p: np.ndarray, size: int, rng: np.random.Generator,
     The same cdf (``p.cumsum()`` divided by its last entry), the same
     ``rng.random(size)`` doubles, taken block by block in order, so the
     generator ends in the same state, and the same answer as
-    ``cdf.searchsorted(u, side="right")``.  A guide table of
-    max(256, 2 * p.size) buckets finds that answer for most draws; the
-    draws it cannot settle use ``searchsorted`` itself.
+    ``cdf.searchsorted(u, side="right")``.  A guide table of g buckets
+    finds that answer for most draws; the draws it cannot settle use
+    ``searchsorted`` itself; :func:`_guide_buckets` sizes the table.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    g = max(256, 2 * cdf.size)
-    # x -> fl(x * g) is monotone, so an entry whose scaled value is
-    # below j lies below every u with int(fl(u * g)) == j: start[j] is
-    # a lower bound of the answer for that bucket, and the answer
-    # itself when the entry it points at exceeds u.  fl(u * g) < g for
-    # every u < 1, so j < g.
-    start = (cdf * g).searchsorted(np.arange(g), side="left")
+    g = _guide_buckets(cdf.size, size)
+    # x -> x * g is exact for a power of two g, so an entry whose scaled
+    # value is at most j is at most every u with int(u * g) == j:
+    # start[j] is a lower bound of the answer for that bucket, and the
+    # answer itself when the entry it points at exceeds u.  u * g < g
+    # for every u < 1, so j < g.
+    start = (cdf * g).searchsorted(np.arange(g), side="right")
     idx = np.empty(size, dtype=np.int64) if out is None else out
     b = min(size, _BLOCK)
     u, x = np.empty(b), np.empty(b)
@@ -60,25 +60,38 @@ def _categorical(p: np.ndarray, size: int, rng: np.random.Generator,
     return idx
 
 
+def _guide_buckets(k: int, size: int) -> int:
+    """The buckets of ``_categorical``'s guide table for ``size`` draws
+    over ``k`` entries: the power of two above 255, 2k - 1 and
+    sqrt(size k).  Up to about k / (2 g) of the draws fall back to
+    ``searchsorted``, at some 60 ns each, and a bucket costs about 6 ns
+    to build: sqrt(size k) balances the two, so a large request gets a
+    large table and a small one keeps 256 buckets."""
+    return 1 << max(8, (2 * k - 1).bit_length(),
+                    math.isqrt(size * k).bit_length())
+
+
 # Where _logseries replays numpy rather than calling it.  The replay's
-# speed-up (numpy's time over the replay's, best of 21 interleaved, two
-# runs, 2-vCPU Xeon with AVX-512, numpy 2.4):
+# speed-up (numpy's time over the replay's, best of 21 interleaved,
+# range of four runs, 2-vCPU Xeon with AVX-512, numpy 2.4):
 #     p      8192 draws   16384       200000
-#     0.3    0.72-0.73    0.89-0.94   1.05-1.09
-#     0.5    1.02-1.09    1.21-1.23   1.09-1.20
-#     0.6    1.04         1.15-1.19   1.63-1.75
-#     0.7    1.17-1.39    1.49-1.55   1.64-1.71
-#     0.9    1.42-1.43    1.54-1.58   1.59-1.71
-# It gains 1.4x or more on large requests from p = 0.6 on, and gains at
-# every such p from 16384 draws on.  Near p = 1 the floor argument's
-# band grows with 1/|log q| and most variates go through libm one by
-# one; there numpy's loop is faster (200k draws from default_rng(1),
-# best of 5, two runs, same host):
+#     0.2    0.59-0.77    0.71-0.92   0.97-1.11
+#     0.25   0.61-0.84    0.74-0.97   1.01-1.19
+#     0.3    0.90-1.05    1.04-1.21   1.32-1.41
+#     0.5    0.96-1.32    1.10-1.46   1.33-1.73
+#     0.6    0.99-1.52    1.21-1.76   1.41-1.85
+#     0.7    1.00-1.57    1.22-1.77   1.46-1.92
+#     0.9    1.05-1.41    1.19-1.67   1.41-1.73
+# It gains at every p from 0.3 on from 16384 draws on, 1.3x or more on
+# large requests; below p = 0.3 it loses at 16384 draws.  Near p = 1
+# the floor argument's band grows with 1/|log q| and most variates go
+# through libm one by one; there numpy's loop is faster (200k draws
+# from default_rng(1), best of 5, two runs, same host):
 #     p        0.9999     0.99999    0.999995   0.999997   0.999998
-#              1.26-1.47  1.13-1.30  1.22-1.27  1.05-1.07  0.86-0.87
-#     p        0.999999   1 - 1e-7   1 - 1e-9
-#              0.53-0.55  0.15-0.20  0.11
-_LOGSERIES_MIN_P = 0.6
+#              1.18-1.37  1.12-1.26  1.01-1.17  0.89-1.08  0.64-0.86
+#     p        0.999999   1 - 1e-7
+#              0.47-0.60  0.23-0.24
+_LOGSERIES_MIN_P = 0.3
 _LOGSERIES_MAX_P = 0.999997
 _LOGSERIES_MIN_SIZE = 16384
 # numpy's vector expm1 and log can differ from libm's in the last bit
@@ -94,7 +107,7 @@ def _logseries(p: float, size: int, rng: np.random.Generator,
     ``rng.logseries(p, size)`` draws them, leaving the generator in the
     same state; written into ``out`` (int64) when it is given.
 
-    Large requests at large p, short of p = 1, are replayed over
+    Large requests at p from 0.3 to short of 1 are replayed over
     buffers of doubles (:func:`_logseries_replay`), where numpy's own
     loop is slower; others, and every request on a numpy the replay
     does not match, go to ``rng.logseries``.
@@ -126,28 +139,44 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
     q = -expm1(r U) with r = log1p(-p), and gives floor(1 + log V /
     log q) if V <= q * q (drawing again if that is < 1 or V == 0), else
     1 if V >= q, else 2.  Here each buffer comes from ``rng.random``,
-    as numpy's own draws would; a V that opens a variate on a buffer's
-    last double starts the next buffer.  The vector expm1 and log are
-    checked against libm within ``_LOGSERIES_BAND`` of every decision.
-    At the end the generator is wound back to the last buffer and draws
-    only the doubles used; a variate numpy would draw again sends the
-    whole request to ``rng.logseries`` from the saved state.
+    as numpy's own draws would; a V < p that opens a variate on a
+    buffer's last double starts the next buffer.  Only the starts with
+    V < p are computed: every earlier one took one extra double, so the
+    variate at position i whose rank among them is s is variate i - s.
+    The vector expm1 and log are checked against libm within
+    ``_LOGSERIES_BAND`` of every decision.  At the end the generator is
+    wound back to the last buffer and draws only the doubles used; a
+    variate numpy would draw again sends the whole request to
+    ``rng.logseries`` from the saved state.
     """
     bitgen = rng.bit_generator
     entry = bitgen.state
     r = math.log1p(-p)
+    # the floor argument's tolerance (below) at its largest: V >= 2**-53
+    # unless V == 0 (then t = inf, sent to libm) and q < p, so
+    # t <= 1 + 53 log 2 / -log p and 1 - 1 / log q < 1 - 1 / log p
+    lp = math.log(p)
+    tol_p = (_LOGSERIES_BAND * 2.0 ** -52 * (1.0 - 53 * math.log(2) / lp)
+             * (1.0 - 1.0 / lp))
     if out is None:
         out = np.empty(size, dtype=np.int64)
     n = min(_BLOCK, 2 * size)
-    buf, v, q, q2 = (np.empty(n) for _ in range(4))
+    h = n // 2 + 1  # starts with V < p in a buffer, at most
+    buf = np.empty(n)
+    v, q, q2 = (np.empty(h) for _ in range(3))
+    val, slot = np.empty(h, dtype=np.int64), np.empty(h, dtype=np.intp)
+    rank = np.arange(h)
     pos1 = np.arange(1, n + 1, dtype=np.int32)
     last = np.empty(n, dtype=np.int32)
     ge, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     done, carried = 0, 0
     while done < size:
         state = bitgen.state
-        # room for the carried V and the rest, at most 2 doubles each
-        x = buf[:min(n, 2 * (size - done))]
+        # the doubles the rest takes, 1 + p each on average, with 8
+        # standard deviations to spare; a buffer short of them is
+        # followed by the next
+        rest = size - done
+        x = buf[:min(n, rest + int(p * rest + 4 * math.sqrt(rest)) + 2)]
         rng.random(out=x[carried:])
         k = x.size
         # last[j]: 1 + the last position <= j holding a double >= p
@@ -159,29 +188,38 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
         np.subtract(pos1[:k - 1], last[:k - 1], out=last[:k - 1])
         np.bitwise_and(last[:k - 1], 1, out=last[:k - 1])
         np.equal(last[:k - 1], 0, out=flag[1:k])
+        # the starts with V < p; every other start gives 1
+        np.greater(flag[:k], ge[:k], out=flag[:k])
         idx = np.flatnonzero(flag[:k])
-        opened = idx[-1] == k - 1 and not ge[k - 1]
-        idx = idx[:min(idx.size - opened, size - done)]
-        m = idx.size
-        vm, qm, q2m, res = v[:m], q[:m], q2[:m], out[done:done + m]
-        np.take(x, idx, out=vm)
-        # U is the next double; a start with V >= p ignores it
-        np.take(x, idx + 1, out=qm, mode="clip")
+        # the variates that end in the buffer, up to the request's end
+        m = min(k - idx.size, size - done)
+        np.subtract(idx, rank[:idx.size], out=slot[:idx.size])
+        j = int(slot[:idx.size].searchsorted(m))
+        idx = idx[:j]
+        vm, qm, q2m, res = v[:j], q[:j], q2[:j], val[:j]
+        # U is the next double, within the buffer for every start kept;
+        # "clip" writes to out unbuffered
+        np.take(x, idx, out=vm, mode="clip")
+        np.take(x[1:], idx, out=qm, mode="clip")
         qm *= r
         np.expm1(qm, out=qm)
         np.negative(qm, out=qm)
         np.multiply(qm, qm, out=q2m)
-        np.less(vm, qm, out=flag[:m])
-        np.add(flag[:m], 1, out=res)
+        np.less(vm, qm, out=flag[:j])
+        np.add(flag[:j], 1, out=res)
         f = np.flatnonzero(vm <= q2m)
         with np.errstate(divide="ignore", invalid="ignore"):
             lq = np.log(qm[f])
             t = np.log(vm[f]) / lq + 1.0
             fl = np.floor(t)
-            # |t - libm's t| is below about 2**-50 (t + (t - 1) / -lq)
-            tol = _LOGSERIES_BAND * 2.0 ** -52 * t * (1.0 - 1.0 / lq)
+            # |t - libm's t| is below about 2**-50 (t + (t - 1) / -lq);
+            # the one bound tol_p serves where it is small (p < 0.994)
+            tol = (tol_p if tol_p < 2.0 ** -20 else
+                   _LOGSERIES_BAND * 2.0 ** -52 * t * (1.0 - 1.0 / lq))
             near_int = ~(np.minimum(t - fl, fl + 1.0 - t) > tol)
-        res[f] = np.where(near_int, 1.0, fl)
+            # cast as it is: the near integers, infinities and NaNs
+            # among them, are recomputed below
+            res[f] = fl
         # positive doubles order as their bits: distances in ulps
         dq, dq2 = qm.view(np.int64), q2m.view(np.int64)
         dq -= vm.view(np.int64)
@@ -189,24 +227,27 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
         np.abs(dq, out=dq)
         np.abs(dq2, out=dq2)
         np.minimum(dq, dq2, out=dq)
-        np.less_equal(dq, _LOGSERIES_BAND, out=flag[:m])
+        np.less_equal(dq, _LOGSERIES_BAND, out=flag[:j])
         flag[f[near_int]] = True
-        for j in np.flatnonzero(flag[:m]).tolist():
-            i = idx[j]
-            res[j] = _logseries_exact(p, r, x[i], x[min(i + 1, k - 1)])
-            if not res[j]:
+        for s in np.flatnonzero(flag[:j]).tolist():
+            i = idx[s]
+            res[s] = _logseries_exact(p, r, x[i], x[i + 1])
+            if not res[s]:
                 bitgen.state = entry
                 out[:] = rng.logseries(p, size)
                 return out
+        chunk = out[done:done + m]
+        chunk.fill(1)
+        chunk[slot[:j]] = res
         done += m
         if done == size:
-            i = idx[-1]
+            # variate m - 1 ends on double m - 1 + j
             bitgen.state = state
-            rng.random(out=buf[:i + 2 - ge[i] - carried])
+            rng.random(out=buf[:m + j - carried])
             return out
-        if opened:
+        carried = k - m - j  # 1 if a V < p opened on the last double
+        if carried:
             buf[0] = x[-1]
-        carried = int(opened)
     return out
 
 

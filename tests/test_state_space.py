@@ -15,8 +15,8 @@ from polyasum import (AtomicMeasure, InvalidMeasureError, PointConfiguration,
                       sample_polya_direct_batch, superpose, zeta)
 from polyasum.replay import _categorical, _logseries
 from polyasum.state_space import (AtomicBatch, ConfigurationBatch,
-                                  _integrate_cellwise, _merge, _one_replica,
-                                  _tile)
+                                  _empty_coords, _integrate_cellwise, _merge,
+                                  _one_replica, _tile)
 
 
 @pytest.fixture
@@ -839,6 +839,11 @@ class TestCellRanges:
                 region(cells)
 
 
+# the bit generators the replays are checked on
+_BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.SFC64,
+                   np.random.Philox)
+
+
 def _categorical_probs(k, seed, zeros, log_min):
     """k probabilities spread over 10**log_min..1, with zero entries."""
     gen = np.random.default_rng(seed)
@@ -853,16 +858,19 @@ def _categorical_probs(k, seed, zeros, log_min):
 @pytest.mark.numpy_bits
 class TestCategorical:
     """``_categorical`` against the ``Generator.choice`` it reproduces:
-    equal draws, equal dtype and the generator left in the same state."""
+    equal draws, equal dtype and the generator left in the same state,
+    on every bit generator of ``_BIT_GENERATORS``."""
 
     @staticmethod
     def _assert_as_choice(p, size, seed):
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _categorical(p, size, ours)
-        want = numpys.choice(p.size, size, p=p)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert ours.random() == numpys.random()
+        for bit_generator in _BIT_GENERATORS:
+            ours, numpys = (np.random.Generator(bit_generator(seed))
+                            for _ in range(2))
+            got = _categorical(p, size, ours)
+            want = numpys.choice(p.size, size, p=p)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert ours.random() == numpys.random()
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
@@ -886,6 +894,36 @@ class TestCategorical:
         self._assert_as_choice(np.full(8, 0.125), 50_000, 1)
         for p in (np.r_[np.zeros(4999), 1.0], np.r_[0.5, np.zeros(9998), 0.5]):
             self._assert_as_choice(p, 50_000, 2)
+
+    @staticmethod
+    def _switch(k):
+        """The fewest draws over k entries whose guide table is larger
+        than one draw's."""
+        lo, hi = 1, 1
+        while replay._guide_buckets(k, hi) == replay._guide_buckets(k, 1):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            small = (replay._guide_buckets(k, mid)
+                     == replay._guide_buckets(k, 1))
+            lo, hi = (mid, hi) if small else (lo, mid)
+        return hi
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 1024, 4096])
+    def test_equal_masses_across_the_table_sizes(self, k):
+        # a power-of-two k puts every cdf entry on a bucket edge of
+        # every table; one draw, and the sizes on both sides of the
+        # first switch to a larger table
+        switch = self._switch(k)
+        assert (replay._guide_buckets(k, switch - 1)
+                < replay._guide_buckets(k, switch))
+        for size in (1, switch - 1, switch, switch + 1):
+            self._assert_as_choice(np.full(k, 1.0 / k), size, 3)
+
+    def test_a_large_request_gets_a_large_table(self):
+        # the mixture benchmark's location draws: 8 cells, 600k draws
+        assert replay._guide_buckets(8, 1) == 256
+        assert replay._guide_buckets(8, 600_000) >= 4096
 
 
 # the block-wise draws must equal numpy's one-shot draws
@@ -939,6 +977,33 @@ class TestBlocks:
         assert ours.random() == numpys.random()
 
 
+class TestLocationsInto:
+    """A measure without atoms skips the atom pass of
+    ``_locations_into``; adding a zero-weight atom takes that pass and
+    must change nothing."""
+
+    @pytest.mark.parametrize("size", [1, 1000, replay._BLOCK + 3])
+    @pytest.mark.parametrize("window, atom", [
+        (Window.interval(-1.0, 3.0, 7), (0.5,)),
+        (Window.box([(0.0, 1.0), (-1.0, 2.0)], [3, 5]), (0.5, 0.25)),
+        (Window.discrete(["a", "b", "c", "d"]), "b")],
+        ids=["box-1d", "box-2d", "sites"])
+    def test_a_zero_weight_atom_changes_nothing(self, window, atom, size):
+        masses = np.linspace(0.1, 1.0, window.n_cells)
+        diffuse = ReferenceMeasure(window, masses)
+        with_atom = ReferenceMeasure(window, masses, ((atom, 0.0),))
+        out = []
+        for rho in (diffuse, with_atom):
+            gen = np.random.default_rng(11)
+            cells = np.empty(size, dtype=np.int64)
+            coords = _empty_coords(window, size)
+            hit, atom_drawn = rho._locations_into(cells, coords, gen)
+            assert len(hit) == 0 and len(atom_drawn) == 0
+            out.append((cells, coords, gen.random(4)))
+        for a, b in zip(*out):
+            assert np.array_equal(a, b)
+
+
 # replay._logseries replays numpy's random_logseries algorithm and
 # its vector expm1 and log, and falls back to Generator.logseries on
 # a numpy where its probe differs
@@ -948,10 +1013,11 @@ class TestLogseries:
     draws and dtype, and both generators left in one state (the next 16
     doubles, then the next 32-bit draw, agree)."""
 
-    BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.SFC64,
-                      np.random.Philox)
+    BIT_GENERATORS = _BIT_GENERATORS
+    # the last one is the double below _LOGSERIES_MIN_P, which is 0.3
     PS = (1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.999999, 1 - 1e-12,
-          np.nextafter(1.0, 0.0))
+          np.nextafter(1.0, 0.0),
+          np.nextafter(replay._LOGSERIES_MIN_P, 0.0))
     MIN = replay._LOGSERIES_MIN_SIZE
     # the last size takes more than two buffers
     SIZES = (0, 1, MIN - 1, MIN, MIN + 1,
@@ -1017,6 +1083,89 @@ class TestLogseries:
         got = _logseries(1 - 1e-9, 20_000, ours)
         assert np.array_equal(got, numpys.logseries(1 - 1e-9, 20_000))
         assert ours.random() == numpys.random()
+
+    def test_the_cutoffs_go_to_the_replay(self, monkeypatch):
+        # from _LOGSERIES_MIN_P and _LOGSERIES_MIN_SIZE on, up to
+        # _LOGSERIES_MAX_P, the replay runs; just below either, numpy
+        entered, real = [], replay._logseries_replay
+
+        def spy(*args):
+            entered.append(args[:2])
+            return real(*args)
+
+        assert replay._logseries_replays()  # probed before the spy
+        monkeypatch.setattr(replay, "_logseries_replay", spy)
+        low, size = replay._LOGSERIES_MIN_P, self.MIN
+        assert low in self.PS
+        for p, n, enters in ((low, size, True), (low, size - 1, False),
+                             (np.nextafter(low, 0.0), size, False),
+                             (np.nextafter(replay._LOGSERIES_MAX_P, 0.0),
+                              size, True)):
+            entered.clear()
+            ours, numpys = (np.random.default_rng(4) for _ in range(2))
+            got = _logseries(p, n, ours)
+            assert np.array_equal(got, numpys.logseries(p, n))
+            assert ours.random() == numpys.random()
+            assert entered == ([(p, n)] if enters else [])
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_the_mixtures_request(self, bit_generator):
+        # the mixture benchmark's z = 0.3 component at reference mass
+        # 1e4: 50 replicas of about 3567 clusters
+        self._assert_as_logseries(bit_generator, 0.3, 178_500)
+
+    class _SpyGenerator:
+        """A generator that records, for each ``random(out=...)`` call,
+        whether it wrote past the buffer's first double (a carried V
+        waits there) and how many doubles it drew."""
+
+        def __init__(self, seed):
+            self._gen = np.random.default_rng(seed)
+            self.bit_generator = self._gen.bit_generator
+            self.calls = []
+
+        def random(self, *, out):
+            self.calls.append((out.__array_interface__["data"][0], out.size))
+            return self._gen.random(out=out)
+
+        def logseries(self, p, size):
+            return self._gen.logseries(p, size)
+
+        def carried(self):
+            """(carried, doubles) of each call; the last one winds back
+            the generator and starts at the buffer's first double."""
+            first = self.calls[-1][0]
+            return [(ptr != first, n) for ptr, n in self.calls]
+
+    # (seed, p, size) on default_rng, found by search: the request's
+    # last variate opened on a buffer's last double, so the last buffer
+    # holds only that V and its U
+    ENDS_ON_A_CARRIED_V = ((5, 0.3, 25_143), (0, 0.5, 32_768),
+                           (0, 0.7, 19_250))
+    # the same V, carried into a buffer that more variates follow
+    CARRIES_A_V = ((5, 0.3, 40_000), (0, 0.5, 50_000), (0, 0.7, 40_000))
+
+    @pytest.mark.parametrize("seed, p, size", ENDS_ON_A_CARRIED_V)
+    def test_a_request_ending_on_a_carried_v(self, seed, p, size):
+        spy = self._SpyGenerator(seed)
+        got = _logseries(p, size, spy)
+        calls = spy.carried()
+        # the last buffer is carried in, and one double is used past it
+        assert calls[-2][0] and calls[-1] == (False, 1)
+        numpys = np.random.default_rng(seed)
+        assert np.array_equal(got, numpys.logseries(p, size))
+        assert spy._gen.random() == numpys.random()
+
+    @pytest.mark.parametrize("seed, p, size", CARRIES_A_V)
+    def test_a_carried_v_opens_the_next_buffer(self, seed, p, size):
+        spy = self._SpyGenerator(seed)
+        got = _logseries(p, size, spy)
+        calls = spy.carried()
+        # a buffer before the last one is carried in
+        assert any(carried for carried, _ in calls[:-2])
+        numpys = np.random.default_rng(seed)
+        assert np.array_equal(got, numpys.logseries(p, size))
+        assert spy._gen.random() == numpys.random()
 
     def test_a_variate_numpy_would_draw_again_goes_to_numpy(self,
                                                             monkeypatch):
