@@ -162,13 +162,16 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
         out = np.empty(size, dtype=np.int64)
     n = min(_BLOCK, 2 * size)
     h = n // 2 + 1  # starts with V < p in a buffer, at most
+    # the work arrays are made once per call: per buffer only the
+    # starts' positions (and above p = 0.994 the tolerances) are new
     buf = np.empty(n)
-    v, q, q2 = (np.empty(h) for _ in range(3))
-    val, slot = np.empty(h, dtype=np.int64), np.empty(h, dtype=np.intp)
+    v, q, q2, lq, t, fl = (np.empty(h) for _ in range(6))
+    val, slot, lb, ib = (np.empty(h, dtype=np.int64) for _ in range(4))
     rank = np.arange(h)
     pos1 = np.arange(1, n + 1, dtype=np.int32)
     last = np.empty(n, dtype=np.int32)
     ge, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    near = np.empty(h, dtype=bool)
     done, carried = 0, 0
     while done < size:
         state = bitgen.state
@@ -207,19 +210,40 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
         np.multiply(qm, qm, out=q2m)
         np.less(vm, qm, out=flag[:j])
         np.add(flag[:j], 1, out=res)
-        f = np.flatnonzero(vm <= q2m)
+        np.less_equal(vm, q2m, out=flag[:j])
+        nf = np.count_nonzero(flag[:j])
+        f = lb[:nf]
+        np.compress(flag[:j], rank[:j], out=f)
+        lqf, tf, ff, nr = lq[:nf], t[:nf], fl[:nf], near[:nf]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lq = np.log(qm[f])
-            t = np.log(vm[f]) / lq + 1.0
-            fl = np.floor(t)
+            np.take(qm, f, out=lqf, mode="clip")
+            np.log(lqf, out=lqf)
+            np.take(vm, f, out=tf, mode="clip")
+            np.log(tf, out=tf)
+            tf /= lqf
+            tf += 1.0
+            np.floor(tf, out=ff)
             # |t - libm's t| is below about 2**-50 (t + (t - 1) / -lq);
             # the one bound tol_p serves where it is small (p < 0.994)
-            tol = (tol_p if tol_p < 2.0 ** -20 else
-                   _LOGSERIES_BAND * 2.0 ** -52 * t * (1.0 - 1.0 / lq))
-            near_int = ~(np.minimum(t - fl, fl + 1.0 - t) > tol)
+            if tol_p < 2.0 ** -20:
+                tol = tol_p
+            else:
+                tol = np.reciprocal(lqf)
+                np.subtract(1.0, tol, out=tol)
+                tol *= tf
+                tol *= _LOGSERIES_BAND * 2.0 ** -52
+            # the distance to the nearest integer is not above tol
+            # (NaN included): fl + 1 - t into lq, t - fl into t
+            np.subtract(ff, tf, out=lqf)
+            lqf += 1.0
+            np.subtract(tf, ff, out=tf)
+            np.minimum(tf, lqf, out=tf)
+            np.greater(tf, tol, out=nr)
+            np.logical_not(nr, out=nr)
             # cast as it is: the near integers, infinities and NaNs
             # among them, are recomputed below
-            res[f] = fl
+            np.copyto(ib[:nf], ff, casting="unsafe")
+            res[f] = ib[:nf]
         # positive doubles order as their bits: distances in ulps
         dq, dq2 = qm.view(np.int64), q2m.view(np.int64)
         dq -= vm.view(np.int64)
@@ -228,7 +252,9 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
         np.abs(dq2, out=dq2)
         np.minimum(dq, dq2, out=dq)
         np.less_equal(dq, _LOGSERIES_BAND, out=flag[:j])
-        flag[f[near_int]] = True
+        np.take(flag, f, out=ge[:nf], mode="clip")
+        np.logical_or(ge[:nf], nr, out=ge[:nf])
+        flag[f] = ge[:nf]
         for s in np.flatnonzero(flag[:j]).tolist():
             i = idx[s]
             res[s] = _logseries_exact(p, r, x[i], x[i + 1])

@@ -457,17 +457,13 @@ class ReferenceMeasure:
         atoms, bit for bit and leaving the generator in the same state,
         then :meth:`Window._uniform_into` on the cells drawn.  Returns
         ``(hit, atom)``: the draws on an atom (ascending) and the atom
-        drawn, whose coordinates they carry bit for bit; empty without
-        atoms."""
+        drawn, whose coordinates they carry bit for bit."""
         weights = np.concatenate([self.cell_masses, self._atom_weight])
         total = weights.sum()
         if total <= 0:
             raise InvalidMeasureError("cannot sample from a zero measure")
         n_cells = self.window.n_cells
         _categorical(weights / total, cells.size, rng, out=cells)
-        if not self.atoms:  # every index drawn is a cell's
-            self.window._uniform_into(cells, coords, rng)
-            return (), ()
         hit = np.flatnonzero(cells >= n_cells)
         atom = cells[hit] - n_cells
         cells[hit] = self._atom_cell[atom]
