@@ -152,18 +152,12 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
     bitgen = rng.bit_generator
     entry = bitgen.state
     r = math.log1p(-p)
-    # the floor argument's tolerance (below) at its largest: V >= 2**-53
-    # unless V == 0 (then t = inf, sent to libm) and q < p, so
-    # t <= 1 + 53 log 2 / -log p and 1 - 1 / log q < 1 - 1 / log p
-    lp = math.log(p)
-    tol_p = (_LOGSERIES_BAND * 2.0 ** -52 * (1.0 - 53 * math.log(2) / lp)
-             * (1.0 - 1.0 / lp))
     if out is None:
         out = np.empty(size, dtype=np.int64)
     n = min(_BLOCK, 2 * size)
     h = n // 2 + 1  # starts with V < p in a buffer, at most
     # the work arrays are made once per call: per buffer only the
-    # starts' positions (and above p = 0.994 the tolerances) are new
+    # starts' positions are new
     buf = np.empty(n)
     v, q, q2, lq, t, fl = (np.empty(h) for _ in range(6))
     val, slot, lb, ib = (np.empty(h, dtype=np.int64) for _ in range(4))
@@ -223,27 +217,23 @@ def _logseries_replay(p: float, size: int, rng: np.random.Generator,
             tf /= lqf
             tf += 1.0
             np.floor(tf, out=ff)
-            # |t - libm's t| is below about 2**-50 (t + (t - 1) / -lq);
-            # the one bound tol_p serves where it is small (p < 0.994)
-            if tol_p < 2.0 ** -20:
-                tol = tol_p
-            else:
-                tol = np.reciprocal(lqf)
-                np.subtract(1.0, tol, out=tol)
-                tol *= tf
-                tol *= _LOGSERIES_BAND * 2.0 ** -52
-            # the distance to the nearest integer is not above tol
-            # (NaN included): fl + 1 - t into lq, t - fl into t
-            np.subtract(ff, tf, out=lqf)
-            lqf += 1.0
-            np.subtract(tf, ff, out=tf)
-            np.minimum(tf, lqf, out=tf)
-            np.greater(tf, tol, out=nr)
-            np.logical_not(nr, out=nr)
             # cast as it is: the near integers, infinities and NaNs
             # among them, are recomputed below
             np.copyto(ib[:nf], ff, casting="unsafe")
             res[f] = ib[:nf]
+            # |t - libm's t| is below about 2**-50 (t + (t - 1) / -lq):
+            # the band times that bound into lq
+            np.reciprocal(lqf, out=lqf)
+            np.subtract(1.0, lqf, out=lqf)
+            lqf *= tf
+            lqf *= _LOGSERIES_BAND * 2.0 ** -52
+            # the distance to the nearest integer is not above it (NaN
+            # included): t - fl into t, fl + 1 - t into fl
+            np.subtract(tf, ff, out=tf)
+            np.subtract(1.0, tf, out=ff)
+            np.minimum(tf, ff, out=tf)
+            np.greater(tf, lqf, out=nr)
+            np.logical_not(nr, out=nr)
         # positive doubles order as their bits: distances in ulps
         dq, dq2 = qm.view(np.int64), q2m.view(np.int64)
         dq -= vm.view(np.int64)

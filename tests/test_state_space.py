@@ -978,9 +978,11 @@ class TestBlocks:
 
 
 class TestLocationsInto:
-    """A measure without atoms skips the atom pass of
-    ``_locations_into``; adding a zero-weight atom takes that pass and
-    must change nothing."""
+    """A zero-weight atom changes nothing ``_locations_into`` writes:
+    the same cells, coordinates and generator state as the measure
+    without it, and no hit.  Both measures run the same atom pass
+    today; a branch that skips it for a measure without atoms must
+    keep this."""
 
     @pytest.mark.parametrize("size", [1, 1000, replay._BLOCK + 3])
     @pytest.mark.parametrize("window, atom", [
