@@ -73,22 +73,22 @@ def _guide_buckets(k: int, size: int) -> int:
 
 # Where _logseries replays numpy rather than calling it.  The replay's
 # speed-up (numpy's time over the replay's, best of 21 interleaved,
-# range of four runs, 2-vCPU Xeon with AVX-512, numpy 2.4):
+# range of two runs, 2-vCPU Xeon with AVX-512, numpy 2.4):
 #     p      8192 draws   16384       200000
-#     0.2    0.59-0.77    0.71-0.92   0.97-1.11
-#     0.25   0.61-0.84    0.74-0.97   1.01-1.19
-#     0.3    0.90-1.05    1.04-1.21   1.32-1.41
-#     0.5    0.96-1.32    1.10-1.46   1.33-1.73
-#     0.6    0.99-1.52    1.21-1.76   1.41-1.85
-#     0.7    1.00-1.57    1.22-1.77   1.46-1.92
-#     0.9    1.05-1.41    1.19-1.67   1.41-1.73
+#     0.2    0.69-0.71    0.85-0.87   1.04-1.06
+#     0.25   0.72-0.80    0.91-0.94   1.09-1.11
+#     0.3    0.97-0.99    1.13-1.14   1.33-1.33
+#     0.5    0.97-1.22    1.14-1.40   1.55-1.59
+#     0.6    1.18-1.39    1.10-1.63   1.77-1.79
+#     0.7    1.48-1.49    1.65-1.66   1.78-1.79
+#     0.9    1.40-1.40    1.53-1.55   1.62-1.63
 # It gains at every p from 0.3 on from 16384 draws on, 1.3x or more on
 # large requests; below p = 0.3 it loses at 16384 draws.  Near p = 1
 # the floor argument's band grows with 1/|log q| and most variates go
 # through libm one by one; there numpy's loop is faster (200k draws
-# from default_rng(1), best of 5, two runs, same host):
+# from default_rng(1), best of 5, three runs, same host):
 #     p        0.9999     0.99999    0.999995   0.999997   0.999998
-#              1.18-1.37  1.12-1.26  1.01-1.17  0.89-1.08  0.64-0.86
+#              1.18-1.37  1.12-1.27  1.01-1.17  0.89-1.09  0.64-0.92
 #     p        0.999999   1 - 1e-7
 #              0.47-0.60  0.23-0.24
 _LOGSERIES_MIN_P = 0.3
