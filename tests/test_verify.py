@@ -274,6 +274,63 @@ class TestTransformIdentity:
             check_transform_identity(n_tuples, RngSeed(18))
 
 
+class TestTransformIdentityBits:
+    """``check_transform_identity`` and the command that runs it, pinned
+    bit for bit: sha256 digests of the report's ``to_dict()`` and of the
+    command's json (provenance timestamp removed) and csv output, recorded
+    with numpy 2.4 on x86-64.  (63, 2), (64, 2) and (65, 2) sit one tuple
+    either side of the check's block of 64, and the command's 150 tuples
+    fill two blocks and part of a third."""
+
+    REPORTS = {
+        (1, 0):
+            "ea84bb078e2fbbcc7ad8425f0ad0db9bbcdda145807d04f575783a7bdae1798a",
+        (50, 1):
+            "8cfe616fdee331c24e7470348383ef02e2a8b801a0a50d0a9a781801a69d83d8",
+        (200, 18):
+            "949b7a1d0efdbb53aaed3c4e1adce38bdbdca43580a8954efdb334a294f73920",
+        (63, 2):
+            "323ad211fede5ce16ee43ce4c72f47b2d7b8bce169db35e124cb0238c1a4439f",
+        (64, 2):
+            "60c398ed299114c599384b3d5a3bb9f6b6b001d1245e4ec3163433c04a9f2a9c",
+        (65, 2):
+            "a1524f07a945df18785e2d0e899b797c60618df3f66daefd82d40c1dda0fbcf4",
+    }
+    COMMAND = {
+        "json":
+            "8c34f1d84f096ba5787bd0d88fd114ce2ccdf2fc3a7b47f5d90f1d544713f3fc",
+        "csv":
+            "18640ac95ce596984535dfa68e468b70f0549f021e195411501d766ce961fd82",
+    }
+
+    @pytest.mark.parametrize("n_tuples, seed", sorted(REPORTS))
+    def test_reports_keep_their_bits(self, n_tuples, seed):
+        report = check_transform_identity(n_tuples, RngSeed(seed))
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.REPORTS[n_tuples, seed]
+
+    @pytest.mark.parametrize("fmt", sorted(COMMAND))
+    def test_command_bytes_keep_their_bits(self, tmp_path, fmt):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "window": {"mode": "box", "bounds": [[0.0, 1.0]], "cells": [4]},
+            "rho": {"uniform_mass": 2.0}, "z": 0.5}))
+        out = tmp_path / f"rep.{fmt}"
+        assert main(["verify", "transform-identity", "--config", str(cfg),
+                     "--n", "150", "--seed", "4", "--format", fmt,
+                     "--out", str(out)]) == 0
+        if fmt == "json":
+            text = out.read_text()
+            data = re.sub(r'\n *"timestamp": "[^"]*",?', "", text)
+            assert data != text
+            data = data.encode()
+        else:
+            # the bytes as written: csv rows end in "\r\n"
+            data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.COMMAND[fmt]
+
+
 class TestCalibration:
     def test_pass_rate_across_seeds(self, window4, rho_mass2):
         # a true identity must pass at the 3-sigma level in at least
