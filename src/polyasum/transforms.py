@@ -60,6 +60,24 @@ class TransformResult:
         return cls(log_value=float(log_value), value=float(np.exp(log_value)))
 
 
+# The integrands of the three log transforms, on value arrays of any
+# shape: z broadcasts against them, so a (rows, 1) column of z evaluates
+# one parameter per row.  Each is the Gamma integrand log(1 + z x/(1-z))
+# at x = h, 1 - e^-g or 1 - e^-g + h, with the same float operations for
+# a scalar z as for a column.
+
+def _gp_integrand(h: np.ndarray, z) -> np.ndarray:
+    return np.log1p(z * h / (1.0 - z))
+
+
+def _polya_integrand(g: np.ndarray, z) -> np.ndarray:
+    return _gp_integrand(-np.expm1(-g), z)
+
+
+def _joint_integrand(g: np.ndarray, h: np.ndarray, z) -> np.ndarray:
+    return _gp_integrand(-np.expm1(-g) + h, z)
+
+
 def laplace_gp(h: TestFunction, z: float, rho: ReferenceMeasure) -> TransformResult:
     """Laplace functional of the Gamma random measure at h.
 
@@ -68,8 +86,8 @@ def laplace_gp(h: TestFunction, z: float, rho: ReferenceMeasure) -> TransformRes
     """
     z = _check_z_open(z)
     _require_same_window(h, rho)
-    integrand = np.log1p(z * h.values / (1.0 - z))
-    return TransformResult.from_log(-_integrate_cellwise(rho, integrand))
+    return TransformResult.from_log(
+        -_integrate_cellwise(rho, _gp_integrand(h.values, z)))
 
 
 def laplace_polya(g: TestFunction, z: float, rho: ReferenceMeasure) -> TransformResult:
@@ -82,8 +100,8 @@ def laplace_polya(g: TestFunction, z: float, rho: ReferenceMeasure) -> Transform
     _require_same_window(g, rho)
     if z == 0.0:
         return TransformResult.from_log(0.0)
-    integrand = np.log1p(z * (-np.expm1(-g.values)) / (1.0 - z))
-    return TransformResult.from_log(-_integrate_cellwise(rho, integrand))
+    return TransformResult.from_log(
+        -_integrate_cellwise(rho, _polya_integrand(g.values, z)))
 
 
 def joint_laplace(g: TestFunction, h: TestFunction, z: float,
@@ -98,9 +116,8 @@ def joint_laplace(g: TestFunction, h: TestFunction, z: float,
     z = _check_z_open(z)
     _require_same_window(g, h)
     _require_same_window(g, rho)
-    effective = -np.expm1(-g.values) + h.values
-    integrand = np.log1p(z * effective / (1.0 - z))
-    return TransformResult.from_log(-_integrate_cellwise(rho, integrand))
+    return TransformResult.from_log(
+        -_integrate_cellwise(rho, _joint_integrand(g.values, h.values, z)))
 
 
 def nb_pmf(k: int, m: float, z: float) -> float:

@@ -25,10 +25,10 @@ from .samplers import (MixingMeasure, PolyaParams, _check_eps, _check_n,
                        sample_mixed_batch, sample_poisson_batch,
                        sample_polya_direct_batch)
 from .state_space import (ConfigurationBatch, ReferenceMeasure, TestFunction,
-                          Window, _integrate_cellwise, _json_float,
+                          _integrate_cellwise, _json_float,
                           _json_int, _require_same_window)
-from .transforms import (ParameterError, joint_laplace, laplace_gp,
-                         laplace_polya, polya_campbell_exact)
+from . import transforms
+from .transforms import ParameterError, joint_laplace, polya_campbell_exact
 
 # Truncation bias enters the tolerance linearly.  Measured against the
 # exact transform at mass 0.5, z = 0.5, g = 3 (test_verify.py,
@@ -41,8 +41,10 @@ EPS_ALLOWANCE = 10.0
 _DEGENERATE_ATOL = 1e-12
 
 # check_transform_identity: windows of 1 to IDENTITY_MAX_CELLS cells,
-# and the largest relative deviation of the log transforms it passes
+# evaluated IDENTITY_BLOCK tuples at a time, and the largest relative
+# deviation of the log transforms it passes
 IDENTITY_MAX_CELLS = 8
+IDENTITY_BLOCK = 64
 IDENTITY_TOL = 1e-12
 
 
@@ -323,6 +325,44 @@ def check_mixed_ibp(mixing: MixingMeasure, f: TestFunction, g: TestFunction,
          "branches": branches})
 
 
+def _integrate_rows(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` integrated against the same row of cell
+    masses by ``_integrate_cellwise``'s rule for a measure without
+    atoms: one ``np.dot`` over the cells of positive mass, so a row's
+    zero padding adds nothing and each row has the bits of its own
+    measure's integral."""
+    pos = mass > 0
+    return np.array([np.dot(m[p], v[p]) for m, v, p in zip(mass, values, pos)])
+
+
+def _identity_block(rows: int, rng):
+    """Worst relative deviations of comparisons (i) and (ii) of
+    ``check_transform_identity`` over ``rows`` tuples drawn from
+    ``rng``.  Each tuple is drawn as one window of 1 to
+    IDENTITY_MAX_CELLS cells would be, into one zero-padded row, and
+    every integrand is evaluated over the whole block at once by the
+    closed forms' own helpers."""
+    mass, g, h = np.zeros((3, rows, IDENTITY_MAX_CELLS))
+    z = np.empty((rows, 1))
+    for i in range(rows):
+        n_cells = int(rng.integers(1, IDENTITY_MAX_CELLS + 1))
+        mass[i, :n_cells] = rng.uniform(0.0, 3.0, n_cells)
+        z[i] = rng.uniform(0.05, 0.95)
+        g[i, :n_cells] = rng.uniform(0.0, 4.0, n_cells)
+        h[i, :n_cells] = rng.uniform(0.0, 4.0, n_cells)
+
+    joint = -_integrate_rows(mass, transforms._joint_integrand(g, h, z))
+    via_gp = -_integrate_rows(
+        mass, transforms._gp_integrand(-np.expm1(-g) + h, z))
+    prior_factor = -_integrate_rows(
+        mass, transforms._gp_integrand(h, z / (1.0 + z)))
+    tilted = -_integrate_rows(
+        mass, transforms._polya_integrand(g + np.log1p(z * h), z))
+    scale = np.maximum(np.abs(joint), 1e-300)
+    return (float((np.abs(via_gp - joint) / scale).max()),
+            float((np.abs(prior_factor + tilted - joint) / scale).max()))
+
+
 def check_transform_identity(n_tuples: int, rng,
                              name: str = "transform-identity") -> CheckReport:
     """Deterministic identity between three closed forms of the joint
@@ -333,9 +373,15 @@ def check_transform_identity(n_tuples: int, rng,
     that mirrors the posterior factorization: the Gamma transform of h
     at z/(1+z) times the point-process transform at g + log(1 + z h).
     lhs/rhs report the worst relative deviations of (i)/(ii).  (i)
-    evaluates ``laplace_gp`` with the same float operations on the same
-    array that ``joint_laplace`` builds, so lhs is exactly 0.0: only
-    (ii) can fail.
+    evaluates the Gamma integrand with the same float operations on the
+    same array that the joint integrand builds, so lhs is exactly 0.0:
+    only (ii) can fail.
+
+    The tuples are drawn one at a time, as a window of their own each
+    would be, and evaluated IDENTITY_BLOCK at a time through the
+    integrands ``joint_laplace``, ``laplace_gp`` and ``laplace_polya``
+    use, so each log transform has the bits those functions give it
+    and memory follows the block, not ``n_tuples``.
     """
     n_tuples = _json_int(n_tuples, "n_tuples")
     if n_tuples < 1:
@@ -344,28 +390,11 @@ def check_transform_identity(n_tuples: int, rng,
     rng = as_generator(rng)
     worst_gp = 0.0
     worst_composition = 0.0
-    for _ in range(n_tuples):
-        n_cells = int(rng.integers(1, IDENTITY_MAX_CELLS + 1))
-        window = Window.interval(0.0, 1.0, n_cells)
-        rho = ReferenceMeasure(window, rng.uniform(0.0, 3.0, n_cells))
-        z = float(rng.uniform(0.05, 0.95))
-        g = TestFunction(window, rng.uniform(0.0, 4.0, n_cells))
-        h = TestFunction(window, rng.uniform(0.0, 4.0, n_cells))
-
-        joint = joint_laplace(g, h, z, rho)
-        effective = TestFunction(window, -np.expm1(-g.values) + h.values)
-        via_gp = laplace_gp(effective, z, rho)
-        z_post = z / (1.0 + z)
-        prior_factor = laplace_gp(h, z_post, rho)
-        tilted = TestFunction(window, g.values + np.log1p(z * h.values))
-        composition = prior_factor.log_value + \
-            laplace_polya(tilted, z, rho).log_value
-        worst_gp = max(worst_gp, abs(via_gp.log_value - joint.log_value)
-                       / max(abs(joint.log_value), 1e-300))
-        worst_composition = max(
-            worst_composition,
-            abs(composition - joint.log_value)
-            / max(abs(joint.log_value), 1e-300))
+    for start in range(0, n_tuples, IDENTITY_BLOCK):
+        gp, composition = _identity_block(
+            min(IDENTITY_BLOCK, n_tuples - start), rng)
+        worst_gp = max(worst_gp, gp)
+        worst_composition = max(worst_composition, composition)
     passed = worst_gp < IDENTITY_TOL and worst_composition < IDENTITY_TOL
     return CheckReport(
         name=name, lhs=worst_gp, lhs_stderr=0.0, rhs=worst_composition,
