@@ -6,6 +6,7 @@ frozen; Monte Carlo agreement is exercised separately in the sampler
 and harness tests.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -274,10 +275,11 @@ def test_nb_table_at_large_mass(m, z):
     pmf = np.array([nb_pmf(k, m, z) for k in range(table.size)])
     live = np.flatnonzero(pmf > 1e-300)
     assert live.size and live[-1] == table.size - 1
-    # nb_pmf's log-gamma differences lose ~ulp(lgamma(m + k)), 2e-9
-    # relative at m = 5e4, so it is matched at that level; 50-digit
-    # mpmath is the 1e-12 reference
-    assert np.allclose(table[live], pmf[live], rtol=5e-9, atol=0.0)
+    # the two agree within 1.25e-12 at m = 5e4 and 4e-13 at the others;
+    # both err most in the far tails, the table by its recurrence (up to
+    # 2.2e-13 against mpmath), nb_pmf where n z and n (1-z) are rounded
+    # (up to 8e-13); 50-digit mpmath is the 1e-12 reference
+    assert np.allclose(table[live], pmf[live], rtol=2e-12, atol=0.0)
     with mpmath.workdps(50):
         for k in np.unique(np.concatenate([live[::live.size // 40],
                                            live[[0, -1]]])):
@@ -287,6 +289,35 @@ def test_nb_table_at_large_mass(m, z):
                 - mpmath.loggamma(k + 1) + m * mpmath.log1p(-z)
                 + k * mpmath.log(z))
             assert table[k] == pytest.approx(float(exact), rel=1e-12)
+
+
+def _nb_exact(k, m, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return float(mpmath.exp(
+            mpmath.loggamma(mpmath.mpf(m) + k) - mpmath.loggamma(m)
+            - mpmath.loggamma(k + 1) + m * mpmath.log1p(-mpmath.mpf(z))
+            + k * mpmath.log(z)))
+
+
+@pytest.mark.parametrize("k, m, z", [
+    (450000, 5e4, 0.9), (9900, 800.0, 0.9),
+    *itertools.product([0, 1, 2, 7, 15, 16, 40],
+                       [1e-3, 0.05, 0.5, 1.0, 1.5, 3.7, 14.2],
+                       [0.1, 0.5, 0.9])])
+def test_nb_pmf_against_mpmath(k, m, z):
+    # the log-gamma differences it replaced lost 1.5e-9 at the mode of
+    # m = 5e4 and 2.2e-11 at (9900, 800, 0.9)
+    exact = _nb_exact(k, m, z)
+    assert exact > 1e-100
+    assert nb_pmf(k, m, z) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_nb_pmf_at_a_mass_past_fifty_digits():
+    # m + 1 needs 300 digits at m = 1e300, so the pmf m z (1-z)^m at
+    # z = 1e-300 is e^-1 to rounding; a log-gamma difference gives 0
+    assert nb_pmf(1, 1e300, 1e-300) == pytest.approx(math.exp(-1.0),
+                                                     rel=1e-15)
 
 
 class TestNumberRule:

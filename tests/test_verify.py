@@ -18,13 +18,16 @@ from polyasum import (InvalidMeasureError, MixingMeasure, ParameterError,
                       RngSeed, TestFunction, Window, WindowMismatchError,
                       check_conjugacy, check_transform_identity,
                       check_mecke, check_mixed_ibp, check_polya_ibp,
-                      laplace_polya, sample_mixed_batch,
-                      sample_polya_cox_batch, sample_polya_direct_batch,
-                      sample_posterior_batch)
+                      joint_laplace, laplace_gp, laplace_polya,
+                      sample_mixed_batch, sample_polya_cox_batch,
+                      sample_polya_direct_batch, sample_posterior_batch,
+                      transforms)
 from polyasum.cli import main
 from polyasum.state_space import (ConfigurationBatch, _BatchWriter,
                                   _integrate_cellwise, _tile)
-from polyasum.verify import (_DEGENERATE_ATOL, EPS_ALLOWANCE,
+from polyasum.samplers import as_generator
+from polyasum.verify import (_DEGENERATE_ATOL, EPS_ALLOWANCE, IDENTITY_BLOCK,
+                             IDENTITY_MAX_CELLS, IDENTITY_TOL,
                              _campbell_sides, _ibp_report, _mean_se)
 
 INF = float("inf")
@@ -272,6 +275,63 @@ class TestTransformIdentity:
     def test_needs_one_tuple(self, n_tuples):
         with pytest.raises(ParameterError, match="n_tuples"):
             check_transform_identity(n_tuples, RngSeed(18))
+
+    @staticmethod
+    def public_deviations(n_tuples, rng):
+        """The check's two worst deviations, from one window, measure and
+        set of test functions per tuple through the public closed forms,
+        with the check's draws in the check's order."""
+        worst_gp = worst_composition = 0.0
+        for _ in range(n_tuples):
+            n_cells = int(rng.integers(1, IDENTITY_MAX_CELLS + 1))
+            window = Window.interval(0.0, 1.0, n_cells)
+            rho = ReferenceMeasure(window, rng.uniform(0.0, 3.0, n_cells))
+            z = float(rng.uniform(0.05, 0.95))
+            g = TestFunction(window, rng.uniform(0.0, 4.0, n_cells))
+            h = TestFunction(window, rng.uniform(0.0, 4.0, n_cells))
+            joint = joint_laplace(g, h, z, rho).log_value
+            via_gp = laplace_gp(TestFunction(
+                window, -np.expm1(-g.values) + h.values), z, rho).log_value
+            tilted = TestFunction(window, g.values + np.log1p(z * h.values))
+            composition = laplace_gp(h, z / (1.0 + z), rho).log_value \
+                + laplace_polya(tilted, z, rho).log_value
+            scale = max(abs(joint), 1e-300)
+            worst_gp = max(worst_gp, abs(via_gp - joint) / scale)
+            worst_composition = max(worst_composition,
+                                    abs(composition - joint) / scale)
+        return worst_gp, worst_composition
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_evaluation_matches_the_public_forms(self, seed):
+        # 150 tuples: two full blocks and part of a third
+        report = check_transform_identity(150, RngSeed(seed))
+        lhs, rhs = self.public_deviations(150, as_generator(RngSeed(seed)))
+        assert (report.lhs, report.rhs) == (lhs, rhs)
+        assert report.lhs == 0.0 and report.exact == 0.0
+
+    @pytest.mark.parametrize("helper", ["_polya_integrand", "_gp_integrand"])
+    def test_fails_when_a_shared_integrand_is_corrupted(self, helper,
+                                                        monkeypatch):
+        original = getattr(transforms, helper)
+        monkeypatch.setattr(transforms, helper,
+                            lambda *args: original(*args[:-1], 0.99 * args[-1]))
+        report = check_transform_identity(50, RngSeed(1))
+        assert not report.passed and report.rhs > IDENTITY_TOL
+
+    @pytest.mark.numpy_bits
+    def test_memory_follows_the_block(self):
+        # tracemalloc's peak over the check rests on numpy's temporaries;
+        # the block's arrays, not n_tuples, must bound it
+        def peak(n_tuples):
+            tracemalloc.start()
+            try:
+                check_transform_identity(n_tuples, RngSeed(3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        check_transform_identity(IDENTITY_BLOCK, RngSeed(3))
+        assert peak(8 * IDENTITY_BLOCK) <= 2 * peak(IDENTITY_BLOCK)
 
 
 class TestTransformIdentityBits:
