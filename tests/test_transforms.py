@@ -278,7 +278,7 @@ def test_nb_table_at_large_mass(m, z):
     # the two agree within 1.25e-12 at m = 5e4 and 4e-13 at the others;
     # both err most in the far tails, the table by its recurrence (up to
     # 2.2e-13 against mpmath), nb_pmf where n z and n (1-z) are rounded
-    # (up to 8e-13); 50-digit mpmath is the 1e-12 reference
+    # (up to 1.2e-12); 50-digit mpmath is the 1e-12 reference
     assert np.allclose(table[live], pmf[live], rtol=2e-12, atol=0.0)
     with mpmath.workdps(50):
         for k in np.unique(np.concatenate([live[::live.size // 40],
